@@ -67,6 +67,10 @@ class FigureJob:
     samples: int
 
     def __post_init__(self):
+        reals = (self.mu, self.delta, self.beta, self.nu_norm_min,
+                 self.nu_norm_max) + tuple(self.lambda_star_list)
+        if not all(math.isfinite(x) for x in reals):
+            raise InvalidParams(f"figure parameters must be finite, got {reals}")
         if self.samples < 2:
             raise InvalidParams(f"samples must be >= 2, got {self.samples}")
         if not (0.0 <= self.nu_norm_min < self.nu_norm_max):
@@ -130,12 +134,13 @@ def _cmd_figure(args):
         write_figure_csv(FigureJob(delta=args.delta, beta=args.beta, **base),
                          args.out)
         return 0
+    # validate every panel before creating the output directory
+    jobs = [FigureJob(delta=delta, beta=beta, **base)
+            for delta in FIGURE_DELTAS for beta in figure_betas(args.n)]
     os.makedirs(args.out, exist_ok=True)
-    for delta in FIGURE_DELTAS:
-        for beta in figure_betas(args.n):
-            job = FigureJob(delta=delta, beta=beta, **base)
-            name = f"figure_delta{delta:g}_beta{beta:g}.csv"
-            write_figure_csv(job, os.path.join(args.out, name))
+    for job in jobs:
+        name = f"figure_delta{job.delta:g}_beta{job.beta:g}.csv"
+        write_figure_csv(job, os.path.join(args.out, name))
     return 0
 
 

@@ -10,13 +10,14 @@ f(z) = z * pFq(a; b; z).
 For large negative z the terms of these series grow to astronomical size
 before decaying, while the sum itself stays of moderate size; plain double
 precision then loses every significant digit.  Evaluation therefore runs a
-double-precision pass first and, when the largest term exceeds the partial
-sum by more than ``ESCALATION_RATIO``, re-sums with mpmath big floats at a
-bit width sized to the observed cancellation.  All arithmetic in the
-escalated pass is done in big-float form: even letting a single parameter
-update round through a double (e.g. computing ``a + k`` in float before
-lifting it) produces per-term perturbations that are coherent across the
-series and get amplified by the full cancellation ratio.
+double-precision pass first.  When the largest term exceeds the partial sum
+by more than ``ESCALATION_RATIO``, or that pass does not converge, the
+value comes from one ``mpmath.hyper`` call at the fixed working precision
+``ESCALATED_PREC_BITS``.  mpmath detects the cancellation itself, raising
+its internal precision as needed, and switches to asymptotic expansions for
+large |z| (DLMF 16.11).  The multiplier series of this package evaluate
+this way down to z = -1e7; the eigenvalues are checked against the
+quadrature oracle at |nu| delta = 400, i.e. z = -4e4.
 
 Everything here is a pure function of its arguments; results are
 bit-identical across calls within one build.
@@ -34,15 +35,20 @@ from .errors import InvalidParams, NonConvergent
 #: Default relative tolerance used when callers do not pass one.
 DEFAULT_REL_TOL = 1e-13
 
-#: Escalate to big floats when max|term| / |sum| exceeds this.  The
+#: Escalate to mpmath when max|term| / |sum| exceeds this.  The
 #: double-precision pass loses roughly ``ratio * 3e-17`` in relative
 #: accuracy, so 1e3 keeps the unescalated path at ~1e-13 or better.
 ESCALATION_RATIO = 1e3
 
+#: Working precision of the escalated pass.  Fixed, so results do not
+#: depend on earlier calls; a few bits above double so the value rounds
+#: correctly.
+ESCALATED_PREC_BITS = 64
+
 _MAX_TERMS = 10000
 _TOL_RANGE = (1e-15, 1e-6)
 
-# mpmath's working precision is process-global state; escalated passes
+# mpmath's working precision is process-global state; escalated calls
 # serialize on this lock so concurrent callers stay safe
 _MP_LOCK = threading.Lock()
 
@@ -88,9 +94,16 @@ class PfqParams:
 class EvalResult:
     """Value of a series evaluation plus accounting.
 
+    On the double-precision path ``precision_bits`` is 53,
     ``abs_error_estimate`` is the a-posteriori truncation bound from the
-    stopping rule (twice the first neglected term).  ``precision_bits`` is
-    53 for the double-precision path and the escalated width otherwise.
+    stopping rule (twice the first neglected term) and ``terms_used`` is
+    the number of terms summed.
+
+    On the escalated path ``precision_bits`` is ``ESCALATED_PREC_BITS``
+    (> 53), ``abs_error_estimate`` is one double ulp of the value (mpmath
+    computes it to more than double precision; rounding to a float is the
+    error left), and ``terms_used`` is the term count of the abandoned
+    double-precision pass (mpmath does not report its own).
     """
 
     value: float
@@ -170,60 +183,6 @@ def _sum_float(a, b, z, tol):
     return s, math.inf, _MAX_TERMS, max_term, False
 
 
-def _sum_mp(a, b, z, tol, bits):
-    """Big-float series pass at the given precision.
-
-    Parameters are lifted to mpf once and all index shifts happen in mpf
-    arithmetic, which is exact; see the module docstring for why.
-    """
-    with _MP_LOCK, mpmath.workprec(bits):
-        am = [mpmath.mpf(x) for x in a]
-        bm = [mpmath.mpf(x) for x in b]
-        zm = mpmath.mpf(z)
-        tolm = mpmath.mpf(tol)
-        s = mpmath.mpf(1)
-        term = mpmath.mpf(1)
-        max_term = mpmath.mpf(1)
-        small_run = 0
-        for k in range(_MAX_TERMS):
-            num = mpmath.mpf(1)
-            for ai in am:
-                num *= ai + k
-            den = mpmath.mpf(1)
-            for bj in bm:
-                den *= bj + k
-            term = term * num / den * zm / (k + 1)
-            if term == 0:
-                return s, mpmath.mpf(0), k + 2, max_term, True
-            s += term
-            at = abs(term)
-            if at > max_term:
-                max_term = at
-            if at < tolm * abs(s):
-                small_run += 1
-                if small_run >= 3:
-                    num = mpmath.mpf(1)
-                    for ai in am:
-                        num *= ai + k + 1
-                    den = mpmath.mpf(1)
-                    for bj in bm:
-                        den *= bj + k + 1
-                    nxt = abs(term * num / den * zm / (k + 2))
-                    if 2 * nxt < tolm * abs(s):
-                        return s, 2 * nxt, k + 2, max_term, True
-            else:
-                small_run = 0
-    return s, mpmath.mpf(0), _MAX_TERMS, max_term, False
-
-
-def _bits_first_guess(p, q, z):
-    # generic magnitude bound for the largest term of a p<=q series:
-    # log10 max|term| ~ (q+1-p) * |z|^(1/(q+1-p)) / ln 10
-    depth = max(q + 1 - p, 1)
-    log10_peak = depth * abs(z) ** (1.0 / depth) / math.log(10.0)
-    return 64 + math.ceil(3.33 * max(log10_peak, 9.0))
-
-
 @lru_cache(maxsize=200_000)
 def _pfq_reduced(a, b, z, tol):
     """Evaluate the series for already-cancelled parameter tuples."""
@@ -234,28 +193,18 @@ def _pfq_reduced(a, b, z, tol):
         return EvalResult(1.0, 0.0, 1, 53)
 
     s, err, terms, max_term, converged = _sum_float(a, b, z, tol)
-    if converged and s != 0.0:
-        ratio = max_term / abs(s)
-        if ratio <= ESCALATION_RATIO:
-            return EvalResult(s, err, terms, 53)
-        bits = 64 + math.ceil(3.33 * math.log10(ratio))
-    else:
-        bits = _bits_first_guess(len(a), len(b), z)
+    if converged and s != 0.0 and max_term / abs(s) <= ESCALATION_RATIO:
+        return EvalResult(s, err, terms, 53)
 
-    # the first bit-width estimate comes from a possibly corrupted float
-    # sum; re-sum until the width implied by the accurate ratio is covered
-    for _ in range(6):
-        sm, errm, terms, max_term_m, converged = _sum_mp(a, b, z, tol, bits)
-        if not converged:
-            raise NonConvergent(
-                f"series did not converge within {_MAX_TERMS} terms (z = {z})")
-        if sm == 0:
-            return EvalResult(0.0, float(errm), terms, bits)
-        need = 64 + math.ceil(3.33 * float(mpmath.log(max_term_m / abs(sm), 10)))
-        if need <= bits:
-            return EvalResult(float(sm), float(errm), terms, bits)
-        bits = need + 16
-    raise NonConvergent(f"precision escalation failed to settle (z = {z})")
+    try:
+        with _MP_LOCK, mpmath.workprec(ESCALATED_PREC_BITS):
+            value = float(mpmath.hyper(a, b, z))
+    except mpmath.libmp.NoConvergence as exc:
+        raise NonConvergent(
+            f"mpmath.hyper did not converge (z = {z}): {exc}") from exc
+    if not math.isfinite(value):
+        raise NonConvergent(f"series value overflows a double (z = {z})")
+    return EvalResult(value, math.ulp(value), terms, ESCALATED_PREC_BITS)
 
 
 def _check_tol(tol):
@@ -274,9 +223,10 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     z : float
         Argument.  For p = q + 1 only |z| < 1 is accepted.
     target_rel_tol : float
-        Truncation target in [1e-15, 1e-6]; the stopping rule requires
-        three consecutive terms below it and bounds the tail by twice the
-        first neglected term.
+        Truncation target in [1e-15, 1e-6] of the double-precision pass;
+        its stopping rule requires three consecutive terms below it and
+        bounds the tail by twice the first neglected term.  The escalated
+        path ignores it and returns the value rounded to double.
 
     Returns
     -------
@@ -285,11 +235,14 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     Raises
     ------
     NonConvergent
-        If p = q + 1 and |z| >= 1, or the term cap is exhausted.
+        If p = q + 1 and |z| >= 1, if mpmath does not converge either, or
+        if the value overflows a double.
     InvalidParams
-        From parameter validation.
+        From parameter validation, or if z is not finite.
     """
     _check_tol(target_rel_tol)
+    if not math.isfinite(z):
+        raise InvalidParams(f"series argument z must be finite, got {z}")
     a, b = _cancel_common(params.a, params.b)
     return _pfq_reduced(a, b, float(z), float(target_rel_tol))
 

@@ -55,6 +55,9 @@ class NonlocalParams:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "beta", float(self.beta))
+        if not (math.isfinite(self.delta) and math.isfinite(self.beta)):
+            raise InvalidParams(
+                f"delta and beta must be finite, got {self.delta}, {self.beta}")
         if not self.delta > 0:
             raise InvalidParams(f"horizon delta must be > 0, got {self.delta}")
         if not self.beta < self.n + 2:
@@ -79,6 +82,9 @@ class Material:
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "lambda_star", float(self.lambda_star))
+        if not (math.isfinite(self.mu) and math.isfinite(self.lambda_star)):
+            raise InvalidParams(
+                f"mu and lambda* must be finite, got {self.mu}, {self.lambda_star}")
         if not self.mu > 0:
             raise InvalidParams(f"shear modulus mu must be > 0, got {self.mu}")
         object.__setattr__(self, "navier_stable",

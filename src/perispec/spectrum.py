@@ -39,8 +39,9 @@ class TorusSpec:
         object.__setattr__(self, "lengths", lengths)
         if not lengths:
             raise InvalidParams("torus needs at least one edge length")
-        if any(l <= 0 for l in lengths):
-            raise InvalidParams(f"edge lengths must be positive, got {lengths}")
+        if not all(0 < l < math.inf for l in lengths):
+            raise InvalidParams(
+                f"edge lengths must be positive and finite, got {lengths}")
 
     @property
     def dim(self):

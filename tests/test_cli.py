@@ -109,6 +109,24 @@ class TestFigureCommand:
         assert rc == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--nu-max", "inf", "--out", "grid"],
+        ["spectrum", "--delta", "1.0", "--beta", "1.0",
+         "--lengths", "nan", "1", "1", "--out", "x.csv"],
+        ["spectrum", "--delta", "1.0", "--beta", "1.0",
+         "--mu", "inf", "--out", "x.csv"],
+    ])
+    def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perispec: error:")
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*")) == []
+
+
 class TestVerifyCommand:
     def test_small_sweep_passes(self, tmp_path):
         out = tmp_path / "report.json"

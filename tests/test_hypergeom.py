@@ -1,5 +1,6 @@
 """Series engine tests against an exact rational-arithmetic oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestPfq:
         PfqParams((1.0,), (2.5,))  # fine
         with pytest.raises(InvalidParams):
             PfqParams((1.0, 2.0, 3.0), (4.0,))  # p > q + 1
+
+    def test_non_finite_argument_rejected(self):
+        params = PfqParams((1.0,), (2.0, 2.5))
+        for z in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParams):
+                pfq(params, z)
+
+    def test_value_overflowing_double_raises(self):
+        # 1F1(1; 2; z) = (e^z - 1) / z exceeds the double range at z = 1000
+        with pytest.raises(NonConvergent):
+            pfq(PfqParams((1.0,), (2.0,)), 1000.0)
 
     def test_tol_range_enforced(self):
         params = PfqParams((1.0,), (2.0,))

@@ -55,6 +55,17 @@ class TestDomainTypes:
         assert Material(1.0, -1.9).navier_stable
         assert not Material(1.0, -2.1).navier_stable
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParams):
+            NonlocalParams(2, bad, 0.0)
+        with pytest.raises(InvalidParams):
+            NonlocalParams(2, 1.0, bad)
+        with pytest.raises(InvalidParams):
+            Material(bad, 0.0)
+        with pytest.raises(InvalidParams):
+            Material(1.0, bad)
+
     def test_frequency_length_checked(self):
         p = NonlocalParams(2, 1.0, 1.0)
         with pytest.raises(InvalidParams):

@@ -169,6 +169,18 @@ class TestEigenvalueQuads:
         lam2, _ = lambda2_quad(p2, mat2, nu2)
         assert_allclose(lam2, eigenvalue_transverse(p2, mat2, nu2), rtol=1e-6)
 
+    def test_closed_forms_reach_large_phase(self):
+        # |nu| delta = 400, z = -4e4: far past the double-precision pass,
+        # checked under the verify rule max(1e-6 relative, 1e-8 absolute)
+        p = NonlocalParams(1, 2.0, 0.5)
+        mat = Material(1.3, 0.4)
+        nu = np.array([200.0])
+        for closed, quad in ((eigenvalue_parallel, lambda1_quad),
+                             (eigenvalue_transverse, lambda2_quad)):
+            expected, _ = quad(p, mat, nu)
+            got = closed(p, mat, nu)
+            assert abs(got - expected) <= max(1e-6 * abs(expected), 1e-8)
+
 
 class TestMomentIdentity:
     def test_one_dimensional_analytic(self):

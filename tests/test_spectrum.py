@@ -36,6 +36,9 @@ class TestFrequencyVector:
     def test_validation(self):
         with pytest.raises(InvalidParams):
             TorusSpec((1.0, -2.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParams):
+                TorusSpec((1.0, bad))
         with pytest.raises(InvalidParams):
             frequency_vector((1, 2, 3), TorusSpec((1.0, 2.0)))
 
