@@ -26,8 +26,8 @@ from .multipliers import (EigenDecomposition, Material, NonlocalParams,
                           tensor_multiplier_state)
 from .oracle import (QuadratureSpec, apply_to_plane_wave, lambda1_quad,
                      lambda2_quad, moment_identity_check,
-                     scalar_multiplier_quad, tensor_bond_quad,
-                     tensor_state_quad)
+                     quadrature_bundle, scalar_multiplier_quad,
+                     tensor_bond_quad, tensor_state_quad)
 from .spectrum import (FourierField, SpectrumRecord, TorusSpec,
                        apply_operator, eigenfield, frequency_vector,
                        solve_periodic, spectrum_table)

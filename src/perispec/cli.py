@@ -146,7 +146,7 @@ def _cmd_figure(args):
 
 def _cmd_spectrum(args):
     params = NonlocalParams(args.n, args.delta, args.beta)
-    material = Material(args.mu, args.lambda_star[0] if args.lambda_star else 0.0)
+    material = Material(args.mu, args.lambda_star)
     lengths = args.lengths or [2.0 * math.pi] * args.n
     torus = TorusSpec(tuple(lengths))
     records = spectrum_table(params, material, torus, args.k_max)
@@ -162,13 +162,19 @@ def _cmd_spectrum(args):
     return 0
 
 
-def _deviation(a, b):
-    return float(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))))
+#: Closed-form twin of each quadrature bundle entry, as f(params, material, nu).
+_CLOSED_FORMS = {
+    "scalar": lambda p, m, nu: mt.scalar_multiplier(p, nu),
+    "bond": lambda p, m, nu: mt.tensor_multiplier_bond(p, m, nu).matrix,
+    "state": lambda p, m, nu: mt.tensor_multiplier_state(p, m, nu).matrix,
+    "lambda1": mt.eigenvalue_parallel,
+    "lambda2": mt.eigenvalue_transverse,
+}
 
 
 def _passes(closed, quad, tol):
-    dev = np.abs(np.asarray(closed, dtype=float) - np.asarray(quad, dtype=float))
-    allow = np.maximum(tol * np.abs(np.asarray(quad, dtype=float)), VERIFY_ABS_FLOOR)
+    dev = np.abs(closed - quad)
+    allow = np.maximum(tol * np.abs(quad), VERIFY_ABS_FLOOR)
     return bool(np.all(dev <= allow))
 
 
@@ -178,12 +184,17 @@ def run_verification(seed, count, tol, overrides=None):
     Samples n in {1,2,3}, delta in [0.1, 4], beta in [-2, n+2-0.05],
     mu in [0.5, 3], lambda* in [-2 mu, 3], |nu| in [0, 20] with a random
     direction, and compares every closed-form quantity against its
-    quadrature counterpart.  ``overrides`` pins named tuple components
-    (n, delta, beta, mu, lambda_star) to fixed values instead of sampling.
+    quadrature counterpart from one :func:`oracle.quadrature_bundle` call
+    per tuple; each check also records the oracle's error estimate as
+    ``quad_err``.  ``tol`` must be finite and >= 0 (0 leaves only the
+    absolute floor).  ``overrides`` pins named tuple components (n, delta,
+    beta, mu, lambda_star) to fixed values instead of sampling.
     Returns the report dict.
     """
     if count < 1:
         raise InvalidParams(f"count must be >= 1, got {count}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParams(f"tol must be finite and >= 0, got {tol}")
     overrides = overrides or {}
     rng = np.random.default_rng(seed)
     entries = []
@@ -200,35 +211,17 @@ def run_verification(seed, count, tol, overrides=None):
         direction = rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         nu = rng.uniform(0.0, 20.0) * direction
-        nu_norm = float(np.linalg.norm(nu))
 
         checks = {}
-        m_c = mt.scalar_multiplier(params, nu)
-        m_q, _ = oracle.scalar_multiplier_quad(params, nu)
-        checks["scalar"] = {"closed": m_c, "quad": m_q,
-                            "deviation": _deviation(m_c, m_q),
-                            "pass": _passes(m_c, m_q, tol)}
-        b_c = mt.tensor_multiplier_bond(params, material, nu).matrix
-        b_q, _ = oracle.tensor_bond_quad(params, material, nu)
-        checks["bond"] = {"closed": b_c.tolist(), "quad": b_q.tolist(),
-                          "deviation": _deviation(b_c, b_q),
-                          "pass": _passes(b_c, b_q, tol)}
-        s_c = mt.tensor_multiplier_state(params, material, nu).matrix
-        s_q, _ = oracle.tensor_state_quad(params, material, nu)
-        checks["state"] = {"closed": s_c.tolist(), "quad": s_q.tolist(),
-                           "deviation": _deviation(s_c, s_q),
-                           "pass": _passes(s_c, s_q, tol)}
-        if nu_norm > 0.0:
-            l1_c = mt.eigenvalue_parallel(params, material, nu)
-            l1_q, _ = oracle.lambda1_quad(params, material, nu)
-            checks["lambda1"] = {"closed": l1_c, "quad": l1_q,
-                                 "deviation": _deviation(l1_c, l1_q),
-                                 "pass": _passes(l1_c, l1_q, tol)}
-            l2_c = mt.eigenvalue_transverse(params, material, nu)
-            l2_q, _ = oracle.lambda2_quad(params, material, nu)
-            checks["lambda2"] = {"closed": l2_c, "quad": l2_q,
-                                 "deviation": _deviation(l2_c, l2_q),
-                                 "pass": _passes(l2_c, l2_q, tol)}
+        for name, (quad, err) in oracle.quadrature_bundle(
+                params, material, nu).items():
+            closed = np.asarray(_CLOSED_FORMS[name](params, material, nu),
+                                dtype=float)
+            quad = np.asarray(quad, dtype=float)
+            checks[name] = {"closed": closed.tolist(), "quad": quad.tolist(),
+                            "deviation": float(np.max(np.abs(closed - quad))),
+                            "pass": _passes(closed, quad, tol),
+                            "quad_err": err}
         ok = all(chk["pass"] for chk in checks.values())
         failures += 0 if ok else 1
         entries.append({
@@ -245,13 +238,9 @@ def run_verification(seed, count, tol, overrides=None):
 
 
 def _cmd_verify(args):
-    overrides = {}
-    for name in ("n", "delta", "beta", "mu"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.lambda_star:
-        overrides["lambda_star"] = args.lambda_star[0]
+    overrides = {name: getattr(args, name)
+                 for name in ("n", "delta", "beta", "mu", "lambda_star")
+                 if getattr(args, name) is not None}
     report = run_verification(args.seed, args.count, args.tol, overrides)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -292,7 +281,8 @@ def build_parser():
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--count", type=int, default=100)
     ver.add_argument("--tol", type=float, default=1e-6,
-                     help="relative tolerance (absolute floor 1e-8)")
+                     help="relative tolerance, finite and >= 0 "
+                          "(absolute floor 1e-8)")
     ver.add_argument("--n", type=int, default=None,
                      help="pin the dimension instead of sampling it")
     ver.add_argument("--delta", type=float, default=None,
@@ -301,7 +291,7 @@ def build_parser():
                      help="pin the kernel exponent instead of sampling it")
     ver.add_argument("--mu", type=float, default=None,
                      help="pin the shear modulus instead of sampling it")
-    ver.add_argument("--lambda-star", type=float, action="append",
+    ver.add_argument("--lambda-star", type=float, default=None,
                      help="pin the second Lame parameter instead of sampling it")
     ver.add_argument("--out", default=None, help="report path; default stdout")
     ver.set_defaults(func=_cmd_verify)
@@ -311,7 +301,7 @@ def build_parser():
     spec.add_argument("--delta", type=float, required=True)
     spec.add_argument("--beta", type=float, required=True)
     spec.add_argument("--mu", type=float, default=1.0)
-    spec.add_argument("--lambda-star", type=float, action="append")
+    spec.add_argument("--lambda-star", type=float, default=0.0)
     spec.add_argument("--lengths", type=float, nargs="+", default=None,
                       help="edge lengths; default 2*pi per axis")
     spec.add_argument("--k-max", type=int, default=4)

@@ -183,7 +183,8 @@ def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     return -2.0 * gradient_factor(params, nn, target_rel_tol) * v
 
 
-def _bond_coefficients(params, nu_norm, material, tol):
+def _coefficients(params, material, nu_norm, tol):
+    """(alpha_b1, alpha_b2, alpha_s) at |nu| = nu_norm > 0."""
     n = params.n
     h = (n + 2 - params.beta) / 2.0
     z = _z_of(params, nu_norm)
@@ -191,7 +192,9 @@ def _bond_coefficients(params, nu_norm, material, tol):
         (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, tol)
     a_b2 = -2.0 * material.mu * _F(
         (h,), (n / 2.0 + 2.0, h + 1.0), z, tol)
-    return a_b1, a_b2
+    g = gradient_factor(params, nu_norm, tol)
+    a_s = -(material.lambda_star - material.mu) * g * g
+    return a_b1, a_b2, a_s
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -206,7 +209,7 @@ def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL)
     nn = float(np.linalg.norm(v))
     if nn == 0.0:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_b1, a_b2 = _bond_coefficients(params, nn, material, target_rel_tol)
+    a_b1, a_b2, _ = _coefficients(params, material, nn, target_rel_tol)
     mat = a_b1 * np.eye(params.n) + a_b2 * np.outer(v, v)
     return TensorMultiplier(mat, a_b1, a_b2, 0.0)
 
@@ -221,8 +224,7 @@ def tensor_multiplier_state(params, material, nu, target_rel_tol=DEFAULT_REL_TOL
     nn = float(np.linalg.norm(v))
     if nn == 0.0 or material.lambda_star == material.mu:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    g = gradient_factor(params, nn, target_rel_tol)
-    a_s = -(material.lambda_star - material.mu) * g * g
+    _, _, a_s = _coefficients(params, material, nn, target_rel_tol)
     return TensorMultiplier(a_s * np.outer(v, v), 0.0, 0.0, a_s)
 
 
@@ -232,9 +234,7 @@ def tensor_multiplier(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     nn = float(np.linalg.norm(v))
     if nn == 0.0:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_b1, a_b2 = _bond_coefficients(params, nn, material, target_rel_tol)
-    g = gradient_factor(params, nn, target_rel_tol)
-    a_s = -(material.lambda_star - material.mu) * g * g
+    a_b1, a_b2, a_s = _coefficients(params, material, nn, target_rel_tol)
     mat = a_b1 * np.eye(params.n) + (a_b2 + a_s) * np.outer(v, v)
     return TensorMultiplier(mat, a_b1, a_b2, a_s)
 
@@ -293,9 +293,7 @@ def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_T
     if nn2 == 0.0:
         return 0.0
     nn = math.sqrt(nn2)
-    a_b1, a_b2 = _bond_coefficients(params, nn, material, target_rel_tol)
-    g = gradient_factor(params, nn, target_rel_tol)
-    a_s = -(material.lambda_star - material.mu) * g * g
+    a_b1, a_b2, a_s = _coefficients(params, material, nn, target_rel_tol)
     return a_b1 + (a_b2 + a_s) * nn2
 
 

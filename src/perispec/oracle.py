@@ -16,8 +16,10 @@ the outer panel; this keeps spectral convergence uniformly in beta < n+2,
 including kernels just short of the integrability limit.  Node counts
 scale with the phase |nu| delta so oscillatory integrands stay resolved.
 
-Every operation reports a Richardson-style error estimate (difference of
-the two finest refinement levels) alongside its value.
+One refinement pass per frequency (:func:`quadrature_bundle`) integrates
+every quantity on the same grids.  Each quantity reports its own
+per-quantity Richardson-style error estimate (difference of its two finest
+refinement levels) alongside its value.
 """
 
 import math
@@ -29,8 +31,8 @@ from scipy.special import roots_jacobi, roots_legendre
 from .errors import AccuracyNotReached, InvalidParams, ZeroFrequency
 
 __all__ = [
-    "QuadratureSpec", "scalar_multiplier_quad", "tensor_bond_quad",
-    "tensor_state_quad", "lambda1_quad", "lambda2_quad",
+    "QuadratureSpec", "quadrature_bundle", "scalar_multiplier_quad",
+    "tensor_bond_quad", "tensor_state_quad", "lambda1_quad", "lambda2_quad",
     "moment_identity_check", "apply_to_plane_wave",
 ]
 
@@ -112,13 +114,6 @@ def _angular_rule(n, npts):
     return t, None, w * 2.0 * np.pi
 
 
-def _counts(spec, level, osc):
-    # keep >= O(1) nodes per oscillation period of cos(|nu| r t)
-    nr = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16) << level
-    na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
-    return nr, na
-
-
 def _sin_x_minus_x_over_x3(x):
     """(sin x - x) / x^3, series branch below |x| = 1e-2."""
     out = np.empty_like(x)
@@ -131,17 +126,23 @@ def _sin_x_minus_x_over_x3(x):
     return out
 
 
-def _reduced_integrals(params, nu_norm, nr, na, split):
+def _reduced_integrals(params, nu_norm, spec, level):
     """All rotated-frame radial-angular integrals on one shared grid.
 
-    Every integral below carries the common radial weight r^(n+1-beta);
-    the returned values are therefore of the regularized smooth factors.
-    Keys: m (scalar multiplier integrand), A and B (parallel/transverse
-    diagonal entries of the bond tensor integrand), s1 and s2 (sine
-    transform vector components), lam2 (transverse eigenvalue integrand).
+    The grid is the one of refinement ``level``.  Every integral below
+    carries the common radial weight r^(n+1-beta); the returned values are
+    therefore of the regularized smooth factors.  Keys: m (scalar
+    multiplier integrand), A and B (parallel/transverse diagonal entries of
+    the bond tensor integrand), s1 and s2 (sine transform vector
+    components), lam2 (transverse eigenvalue integrand).
     """
     n = params.n
-    r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, nr, split)
+    osc = nu_norm * params.delta
+    # keep >= O(1) nodes per oscillation period of cos(|nu| r t)
+    nr = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16) << level
+    na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
+    r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, nr,
+                         spec.singularity_split)
     t, u, wa = _angular_rule(n, na)
     R = r[:, None]
     T = t[None, :]
@@ -183,27 +184,66 @@ def _householder_to_e1(nu_hat):
     return np.eye(n) - 2.0 * np.outer(v, v)
 
 
+def _quantities(params, material, v, nn, raw):
+    """Assemble every quadrature quantity from one level's reduced integrals.
+
+    Keys: scalar (m), bond (M_b), state (M_s), lambda1, lambda2.  With
+    ``material`` None only the material-free scalar multiplier is built.
+    """
+    n = params.n
+    c = _scaling_constant(n, params.delta, params.beta)
+    out = {"scalar": c * raw["m"]}
+    if material is None:
+        return out
+    H = _householder_to_e1(v / nn)
+    k_bond = (n + 2) * material.mu * c
+    D = np.diag([raw["A"]] + [raw["B"]] * (n - 1))
+    s = np.zeros(n)
+    s[0] = raw["s1"]
+    if n == 2:
+        s[1] = raw["s2"]
+    J = H @ s
+    dl = material.lambda_star - material.mu
+    if dl == 0.0:
+        # exact +0.0 entries: -(0.0) * J J^T would carry -0.0 into reports
+        state = np.zeros((n, n))
+    else:
+        state = -dl * (c * c / 4.0) * np.outer(J, J)
+    out.update(
+        bond=k_bond * (H @ D @ H.T),
+        state=state,
+        lambda1=k_bond * raw["A"] - dl * (c / 2.0 * raw["s1"]) ** 2,
+        lambda2=k_bond * raw["lam2"])
+    return out
+
+
 def _refine(spec, tol, compute):
     """Run ``compute(level)`` over refinement levels, Richardson-style.
 
-    Returns (value_at_finest, err_est); raises AccuracyNotReached when a
-    tolerance is requested but the last two levels still disagree by more.
-    Stops early once the estimate is below the tolerance.
+    ``compute`` returns a dict of named values (scalars or arrays).  Each
+    value gets its own error estimate, the largest entrywise difference
+    between its two finest levels.  Returns {name: (value_at_finest,
+    err_est)}.  With a tolerance, stops early once every estimate is within
+    it, and raises AccuracyNotReached when one still exceeds it after the
+    last level.
     """
     prev = None
-    err = math.inf
     for level in range(spec.refinement_levels + 1):
         cur = compute(level)
         if prev is not None:
-            err = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
-            if tol is not None and err <= tol:
-                return cur, err
+            errs = {name: float(np.max(np.abs(np.asarray(cur[name])
+                                              - np.asarray(prev[name]))))
+                    for name in cur}
+            if tol is not None and all(e <= tol for e in errs.values()):
+                break
         prev = cur
-    if tol is not None and err > tol:
+    over = [name for name, e in errs.items() if tol is not None and not e <= tol]
+    if over:
         raise AccuracyNotReached(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e} "
-            f"after {spec.refinement_levels} refinements")
-    return prev, err
+            f"quadrature error estimate {errs[over[0]]:.3e} of {over[0]} "
+            f"exceeds tolerance {tol:.3e} after {spec.refinement_levels} "
+            f"refinements")
+    return {name: (cur[name], errs[name]) for name in cur}
 
 
 def _freq(params, nu):
@@ -212,6 +252,33 @@ def _freq(params, nu):
         raise InvalidParams(
             f"frequency vector has length {v.size}, expected n = {params.n}")
     return v, float(np.linalg.norm(v))
+
+
+def quadrature_bundle(params, material, nu, spec=DEFAULT_SPEC, tol=None):
+    """Every quadrature quantity at frequency nu from one refinement pass.
+
+    Returns {name: (value, err_est)} for scalar (m), bond (M_b matrix),
+    state (M_s matrix), lambda1 and lambda2, all integrated on the same
+    grids; each err_est is that quantity's own estimate.  ``tol`` bounds
+    every estimate at once.  At nu = 0 the eigenvalue entries are absent,
+    since their integral representations need nu != 0, and the others are
+    exact zeros; with lambda* = mu the state entry is an exact zero.
+    """
+    _check_dim(params)
+    v, nn = _freq(params, nu)
+    if nn == 0.0:
+        zero = np.zeros((params.n, params.n))
+        return {"scalar": (0.0, 0.0), "bond": (zero, 0.0),
+                "state": (zero.copy(), 0.0)}
+    return _refine(spec, tol, lambda level: _quantities(
+        params, material, v, nn, _reduced_integrals(params, nn, spec, level)))
+
+
+def _select(name, params, material, nu, spec, tol):
+    bundle = quadrature_bundle(params, material, nu, spec, tol)
+    if name not in bundle:
+        raise ZeroFrequency(f"{name} integral representation requires nu != 0")
+    return bundle[name]
 
 
 def scalar_multiplier_quad(params, nu, spec=DEFAULT_SPEC, tol=None):
@@ -223,73 +290,27 @@ def scalar_multiplier_quad(params, nu, spec=DEFAULT_SPEC, tol=None):
     v, nn = _freq(params, nu)
     if nn == 0.0:
         return 0.0, 0.0
-    c = _scaling_constant(params.n, params.delta, params.beta)
-
-    def compute(level):
-        nr, na = _counts(spec, level, nn * params.delta)
-        raw = _reduced_integrals(params, nn, nr, na, spec.singularity_split)
-        return c * raw["m"]
-
-    return _refine(spec, tol, compute)
-
-
-def _bond_matrix(params, material, v, nn, raw):
-    n = params.n
-    c = _scaling_constant(n, params.delta, params.beta)
-    H = _householder_to_e1(v / nn)
-    D = np.zeros((n, n))
-    D[0, 0] = raw["A"]
-    for j in range(1, n):
-        D[j, j] = raw["B"]
-    return (n + 2) * material.mu * c * (H @ D @ H.T)
+    return _refine(spec, tol, lambda level: _quantities(
+        params, None, v, nn,
+        _reduced_integrals(params, nn, spec, level)))["scalar"]
 
 
 def tensor_bond_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     """Bond tensor by entrywise quadrature of its w (x) w integral.
 
-    Returns (matrix, err_est).
+    Returns (matrix, err_est) from :func:`quadrature_bundle`.
     """
-    _check_dim(params)
-    v, nn = _freq(params, nu)
-    if nn == 0.0:
-        return np.zeros((params.n, params.n)), 0.0
-
-    def compute(level):
-        nr, na = _counts(spec, level, nn * params.delta)
-        raw = _reduced_integrals(params, nn, nr, na, spec.singularity_split)
-        return _bond_matrix(params, material, v, nn, raw)
-
-    return _refine(spec, tol, compute)
-
-
-def _state_matrix(params, material, v, nn, raw):
-    c = _scaling_constant(params.n, params.delta, params.beta)
-    H = _householder_to_e1(v / nn)
-    s = np.zeros(params.n)
-    s[0] = raw["s1"]
-    if params.n == 2:
-        s[1] = raw["s2"]
-    J = H @ s
-    return -(material.lambda_star - material.mu) * (c * c / 4.0) * np.outer(J, J)
+    return _select("bond", params, material, nu, spec, tol)
 
 
 def tensor_state_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     """State tensor from the quadrature sine-transform vector.
 
     Computes j = int w sin(nu.w)/|w|^beta dw once and returns
-    (-(lambda*-mu) c^2/4 * j (x) j, err_est); rank <= 1 by construction.
+    (-(lambda*-mu) c^2/4 * j (x) j, err_est) from :func:`quadrature_bundle`;
+    rank <= 1 by construction.
     """
-    _check_dim(params)
-    v, nn = _freq(params, nu)
-    if nn == 0.0 or material.lambda_star == material.mu:
-        return np.zeros((params.n, params.n)), 0.0
-
-    def compute(level):
-        nr, na = _counts(spec, level, nn * params.delta)
-        raw = _reduced_integrals(params, nn, nr, na, spec.singularity_split)
-        return _state_matrix(params, material, v, nn, raw)
-
-    return _refine(spec, tol, compute)
+    return _select("state", params, material, nu, spec, tol)
 
 
 def lambda1_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
@@ -298,22 +319,10 @@ def lambda1_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     (n+2) mu c int (nu.w)^2 (cos(nu.w)-1) / (|nu|^2 |w|^(beta+2)) dw
     minus  (lambda*-mu) [ (c/2) int (nu.w) sin(nu.w) / (|nu| |w|^beta) dw ]^2.
 
-    Returns (value, err_est); requires nu != 0.
+    Returns (value, err_est) from :func:`quadrature_bundle`; raises
+    ZeroFrequency at nu = 0.
     """
-    _check_dim(params)
-    v, nn = _freq(params, nu)
-    if nn == 0.0:
-        raise ZeroFrequency("lambda1 integral representation requires nu != 0")
-    c = _scaling_constant(params.n, params.delta, params.beta)
-
-    def compute(level):
-        nr, na = _counts(spec, level, nn * params.delta)
-        raw = _reduced_integrals(params, nn, nr, na, spec.singularity_split)
-        bond = (params.n + 2) * material.mu * c * raw["A"]
-        state = (material.lambda_star - material.mu) * (c / 2.0 * raw["s1"]) ** 2
-        return bond - state
-
-    return _refine(spec, tol, compute)
+    return _select("lambda1", params, material, nu, spec, tol)
 
 
 def lambda2_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
@@ -323,20 +332,10 @@ def lambda2_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     the (sin(x) - x) factor regularizes the kernel and is evaluated by a
     series branch for |x| < 1e-2 to avoid cancellation.
 
-    Returns (value, err_est); requires nu != 0.
+    Returns (value, err_est) from :func:`quadrature_bundle`; raises
+    ZeroFrequency at nu = 0.
     """
-    _check_dim(params)
-    v, nn = _freq(params, nu)
-    if nn == 0.0:
-        raise ZeroFrequency("lambda2 integral representation requires nu != 0")
-    c = _scaling_constant(params.n, params.delta, params.beta)
-
-    def compute(level):
-        nr, na = _counts(spec, level, nn * params.delta)
-        raw = _reduced_integrals(params, nn, nr, na, spec.singularity_split)
-        return (params.n + 2) * material.mu * c * raw["lam2"]
-
-    return _refine(spec, tol, compute)
+    return _select("lambda2", params, material, nu, spec, tol)
 
 
 def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
@@ -370,9 +369,9 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
             u2 = ((1.0 - t * t) / 2.0)[None, :]
             devs.append(abs(wr @ (ones * u2) @ wa - expected))
             # off-diagonal entries vanish with the analytic azimuth integral
-        return max(devs) / expected
+        return {"deviation": max(devs) / expected}
 
-    return _refine(spec, tol, compute)[0]
+    return _refine(spec, tol, compute)["deviation"][0]
 
 
 def apply_to_plane_wave(params, material, nu, amplitude, x, spec=DEFAULT_SPEC):
@@ -399,11 +398,8 @@ def apply_to_plane_wave(params, material, nu, amplitude, x, spec=DEFAULT_SPEC):
     phase = np.exp(1j * float(v @ x))
 
     def compute(level):
-        nr, na = _counts(spec, level, nn * params.delta)
-        raw = _reduced_integrals(params, nn, nr, na, spec.singularity_split)
-        bond = _bond_matrix(params, material, v, nn, raw)
-        state = _state_matrix(params, material, v, nn, raw)
-        return phase * ((bond + state) @ amplitude)
+        q = _quantities(params, material, v, nn,
+                        _reduced_integrals(params, nn, spec, level))
+        return {"applied": phase * ((q["bond"] + q["state"]) @ amplitude)}
 
-    out, err = _refine(spec, None, compute)
-    return out, err
+    return _refine(spec, None, compute)["applied"]

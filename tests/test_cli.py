@@ -116,6 +116,9 @@ class TestNonFiniteInput:
          "--lengths", "nan", "1", "1", "--out", "x.csv"],
         ["spectrum", "--delta", "1.0", "--beta", "1.0",
          "--mu", "inf", "--out", "x.csv"],
+        ["verify", "--count", "1", "--tol", "inf", "--out", "r.json"],
+        ["verify", "--count", "1", "--tol", "nan", "--out", "r.json"],
+        ["verify", "--count", "1", "--tol", "-1", "--out", "r.json"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):
@@ -137,6 +140,9 @@ class TestVerifyCommand:
         assert report["count"] == 5
         assert len(report["entries"]) == 5
         assert report["all_pass"] is True
+        errs = [chk["quad_err"] for entry in report["entries"]
+                for chk in entry["checks"].values()]
+        assert errs and all(np.isfinite(e) and e >= 0.0 for e in errs)
 
     def test_forced_invalid_exponent(self, tmp_path):
         # beta = n + 2 + 1 violates the domain and must surface as exit 2
@@ -153,6 +159,19 @@ class TestVerifyCommand:
     def test_run_verification_rejects_bad_count(self):
         with pytest.raises(InvalidParams):
             run_verification(0, 0, 1e-6)
+
+    def test_zero_tol_keeps_absolute_floor(self):
+        report = run_verification(0, 1, 0.0)
+        assert report["tol"] == 0.0 and len(report["entries"]) == 1
+
+    def test_pinned_material(self, capsys):
+        rc = main(["verify", "--seed", "3", "--count", "2", "--mu", "1.5",
+                   "--lambda-star", "1.5"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        for entry in report["entries"]:
+            assert (entry["mu"], entry["lambda_star"]) == (1.5, 1.5)
+            assert entry["checks"]["state"]["quad_err"] == 0.0
 
     def test_disagreement_exit_code(self, monkeypatch, capsys):
         import perispec.cli as cli

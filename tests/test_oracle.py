@@ -1,5 +1,6 @@
 """Quadrature oracle tests: trivial anchors, parity, and self-consistency."""
 
+import ast
 import math
 
 import numpy as np
@@ -10,10 +11,28 @@ from perispec.errors import AccuracyNotReached, InvalidParams, ZeroFrequency
 from perispec.multipliers import (Material, NonlocalParams,
                                   eigenvalue_parallel, eigenvalue_transverse,
                                   scaling_constant)
+import perispec.oracle
 from perispec.oracle import (QuadratureSpec, apply_to_plane_wave, lambda1_quad,
                              lambda2_quad, moment_identity_check,
-                             scalar_multiplier_quad, tensor_bond_quad,
-                             tensor_state_quad)
+                             quadrature_bundle, scalar_multiplier_quad,
+                             tensor_bond_quad, tensor_state_quad)
+
+
+def test_oracle_imports_nothing_from_series_path():
+    # the cross-check is only worth something while the two paths share no code
+    with open(perispec.oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["perispec" if node.level else "",
+                                            node.module]))
+            imported |= {module} | {f"{module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert "perispec.errors" in imported
+    assert not [m for m in imported
+                if m.startswith(("perispec.hypergeom", "perispec.multipliers"))]
 
 
 class TestQuadratureSpec:
@@ -58,6 +77,9 @@ class TestScalarQuad:
                               refinement_levels=1)
         with pytest.raises(AccuracyNotReached):
             scalar_multiplier_quad(p, [11.0, 7.0], spec=spec, tol=0.0)
+        with pytest.raises(AccuracyNotReached):
+            quadrature_bundle(p, Material(1.0, 0.5), [11.0, 7.0], spec=spec,
+                              tol=0.0)
 
 
 class TestBondQuad:
@@ -88,6 +110,10 @@ class TestStateQuad:
         p = NonlocalParams(2, 1.0, 1.0)
         M, err = tensor_state_quad(p, Material(1.5, 1.5), [1.0, 2.0])
         assert_array_equal(M, np.zeros((2, 2)))
+        assert err == 0.0
+        # exact +0.0 entries, so no -0.0 reaches the verify report
+        M, err = quadrature_bundle(p, Material(1.5, 1.5), [1.0, 2.0])["state"]
+        assert not np.signbit(M).any() and not M.any()
         assert err == 0.0
 
     def test_rank_at_most_one(self):
