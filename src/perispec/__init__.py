@@ -18,12 +18,12 @@ from .hypergeom import (EvalResult, PfqParams, f_form_derivatives,
 from .multipliers import (EigenDecomposition, Material, NonlocalParams,
                           TensorMultiplier, eigen_decomposition,
                           eigenvalue_parallel, eigenvalue_parallel_split,
-                          eigenvalue_transverse, gradient_factor,
-                          navier_eigenvalues, navier_multiplier,
-                          orthonormal_basis, scalar_multiplier,
-                          scalar_multiplier_gradient, scaling_constant,
-                          tensor_multiplier, tensor_multiplier_bond,
-                          tensor_multiplier_state)
+                          eigenvalue_transverse, eigenvalues,
+                          gradient_factor, navier_eigenvalues,
+                          navier_multiplier, orthonormal_basis,
+                          scalar_multiplier, scalar_multiplier_gradient,
+                          scaling_constant, tensor_multiplier,
+                          tensor_multiplier_bond, tensor_multiplier_state)
 from .oracle import (QuadratureSpec, apply_to_plane_wave, lambda1_quad,
                      lambda2_quad, moment_identity_check,
                      quadrature_bundle, scalar_multiplier_quad,

@@ -89,20 +89,24 @@ def figure_rows(job):
     depend on lambda*, it is emitted once per sample in a trailing row
     whose lambda_star field is the sentinel NA.  The frequency is taken
     along the first axis (rotation invariance makes the direction
-    immaterial).
+    immaterial); each lambda* takes one batched eigenvalue call over the
+    whole grid.
     """
     params = NonlocalParams(job.n, job.delta, job.beta)
     grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
+    nu = np.zeros((job.samples, job.n))
+    nu[:, 0] = grid
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
-    for nu_norm in grid:
-        nu = np.zeros(job.n)
-        nu[0] = nu_norm
-        for lam_star in job.lambda_star_list:
-            material = Material(job.mu, lam_star)
-            lam1 = mt.eigenvalue_parallel(params, material, nu)
-            yield f"{prefix},{_fmt(lam_star)},{_fmt(nu_norm)},{_fmt(lam1)},NA"
-        lam2 = mt.eigenvalue_transverse(params, Material(job.mu, 0.0), nu)
-        yield f"{prefix},NA,{_fmt(nu_norm)},NA,{_fmt(lam2)}"
+    materials = [Material(job.mu, s) for s in job.lambda_star_list]
+    # lambda2 comes from the first call; lambda* = 0 stands in for no curves
+    lams = [mt.eigenvalues(params, m, nu)
+            for m in materials or [Material(job.mu, 0.0)]]
+    lam1 = [l1.tolist() for l1, _ in lams]
+    lam2 = lams[0][1].tolist()
+    for i, nu_norm in enumerate(grid):
+        for lam_star, col in zip(job.lambda_star_list, lam1):
+            yield f"{prefix},{_fmt(lam_star)},{_fmt(nu_norm)},{_fmt(col[i])},NA"
+        yield f"{prefix},NA,{_fmt(nu_norm)},NA,{_fmt(lam2[i])}"
 
 
 def _write_lines(path, lines):

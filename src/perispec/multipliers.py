@@ -32,7 +32,8 @@ __all__ = [
     "gradient_factor", "tensor_multiplier_bond", "tensor_multiplier_state",
     "tensor_multiplier", "navier_multiplier", "navier_eigenvalues",
     "eigenvalue_parallel", "eigenvalue_parallel_split",
-    "eigenvalue_transverse", "orthonormal_basis", "eigen_decomposition",
+    "eigenvalue_transverse", "eigenvalues", "orthonormal_basis",
+    "eigen_decomposition",
 ]
 
 
@@ -254,6 +255,27 @@ def navier_eigenvalues(material, nu_norm):
             -material.mu * nn2)
 
 
+def _lambda1(params, material, nn2, tol):
+    """lambda1 at squared frequency norm nn2 > 0, merged two-term form."""
+    n = params.n
+    h = (n + 2 - params.beta) / 2.0
+    nn = math.sqrt(nn2)
+    z = _z_of(params, nn)
+    f_merged = _F((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0), z, tol)
+    g = gradient_factor(params, nn, tol)
+    return -nn2 * (3.0 * material.mu * f_merged
+                   + (material.lambda_star - material.mu) * g * g)
+
+
+def _lambda2(params, material, nn2, tol):
+    """lambda2 at squared frequency norm nn2 > 0."""
+    n = params.n
+    h = (n + 2 - params.beta) / 2.0
+    z = _z_of(params, math.sqrt(nn2))
+    return -material.mu * nn2 * _F(
+        (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, tol)
+
+
 def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Eigenvalue of M(nu) along nu.
 
@@ -270,15 +292,7 @@ def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     nn2 = float(v @ v)
     if nn2 == 0.0:
         return 0.0
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    nn = math.sqrt(nn2)
-    z = _z_of(params, nn)
-    f_merged = _F((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0),
-                  z, target_rel_tol)
-    g = gradient_factor(params, nn, target_rel_tol)
-    return -nn2 * (3.0 * material.mu * f_merged
-                   + (material.lambda_star - material.mu) * g * g)
+    return _lambda1(params, material, nn2, target_rel_tol)
 
 
 def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -307,11 +321,31 @@ def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     nn2 = float(v @ v)
     if nn2 == 0.0:
         return 0.0
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    z = _z_of(params, math.sqrt(nn2))
-    return -material.mu * nn2 * _F(
-        (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, target_rel_tol)
+    return _lambda2(params, material, nn2, target_rel_tol)
+
+
+def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
+    """Both eigenvalues for every row of an (m, n) array of frequencies.
+
+    Returns arrays (lambda1, lambda2) of length m, each entry equal to
+    ``eigenvalue_parallel`` / ``eigenvalue_transverse`` at that row.  The
+    series are evaluated once per distinct |nu|^2 and scattered back;
+    rows with nu = 0 give 0.
+    """
+    nu = np.asarray(nu, dtype=float)
+    if nu.ndim != 2 or nu.shape[1] != params.n:
+        raise InvalidParams(
+            f"frequencies must be an (m, {params.n}) array, got shape {nu.shape}")
+    # batched matmul rounds each row exactly like the scalar path's v @ v
+    nn2 = np.matmul(nu[:, None, :], nu[:, :, None]).reshape(-1)
+    shells, inverse = np.unique(nn2, return_inverse=True)
+    lam1 = np.zeros(shells.size)
+    lam2 = np.zeros(shells.size)
+    for i, s in enumerate(shells.tolist()):
+        if s != 0.0:
+            lam1[i] = _lambda1(params, material, s, target_rel_tol)
+            lam2[i] = _lambda2(params, material, s, target_rel_tol)
+    return lam1[inverse], lam2[inverse]
 
 
 def orthonormal_basis(nu):

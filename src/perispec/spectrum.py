@@ -11,14 +11,14 @@ against the operator coefficient-wise.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                      ZeroMode)
-from .multipliers import (eigenvalue_parallel, eigenvalue_transverse,
-                          orthonormal_basis, tensor_multiplier)
+from .multipliers import eigenvalues, orthonormal_basis
 
 __all__ = [
     "TorusSpec", "SpectrumRecord", "FourierField", "frequency_vector",
@@ -63,13 +63,26 @@ class SpectrumRecord:
     multiplicity2: int
 
 
+def _lattice(k, torus):
+    """Lattice frequencies of the mode index row(s) k, as floats."""
+    return 2.0 * math.pi * np.asarray(k, dtype=float) / np.asarray(torus.lengths)
+
+
 def frequency_vector(k, torus):
     """Lattice frequency nu_k = (2 pi k_1 / l_1, ..., 2 pi k_n / l_n)."""
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.size != torus.dim:
         raise InvalidParams(
             f"mode index has length {kv.size}, expected {torus.dim}")
-    return 2.0 * math.pi * kv / np.asarray(torus.lengths)
+    return _lattice(kv, torus)
+
+
+def _mode_key(k):
+    """Mode tuple of Python ints; non-integer entries are rejected."""
+    kv = np.atleast_1d(k)
+    if kv.dtype.kind not in "iu":
+        raise InvalidParams(f"mode index {k!r} must have integer entries")
+    return tuple(kv.tolist())
 
 
 def _check_torus(params, torus):
@@ -85,19 +98,15 @@ def spectrum_table(params, material, torus, k_max):
     eigenvalue 0 (constant fields are in the operator kernel).
     """
     _check_torus(params, torus)
+    if not isinstance(k_max, numbers.Integral):
+        raise InvalidParams(f"k_max must be an integer, got {k_max!r}")
     if k_max < 0:
         raise InvalidParams(f"k_max must be >= 0, got {k_max}")
-    records = []
-    for k in itertools.product(range(-k_max, k_max + 1), repeat=params.n):
-        nu_k = frequency_vector(k, torus)
-        records.append(SpectrumRecord(
-            k=k,
-            nu_k=nu_k,
-            lambda1=eigenvalue_parallel(params, material, nu_k),
-            lambda2=eigenvalue_transverse(params, material, nu_k),
-            multiplicity2=params.n - 1,
-        ))
-    return records
+    ks = list(itertools.product(range(-k_max, k_max + 1), repeat=params.n))
+    nu = _lattice(ks, torus)
+    lam1, lam2 = eigenvalues(params, material, nu)
+    return [SpectrumRecord(k, nu_k, l1, l2, params.n - 1)
+            for k, nu_k, l1, l2 in zip(ks, nu, lam1.tolist(), lam2.tolist())]
 
 
 def eigenfield(k, torus, x, which="parallel", j=2):
@@ -109,7 +118,7 @@ def eigenfield(k, torus, x, which="parallel", j=2):
     vector.  For k = 0 the parallel convention returns the constant e_1
     field; transverse fields do not exist there and raise ZeroMode.
     """
-    kv = tuple(int(ki) for ki in np.atleast_1d(k))
+    kv = _mode_key(k)
     n = torus.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != n:
@@ -136,10 +145,10 @@ def eigenfield(k, torus, x, which="parallel", j=2):
 class FourierField:
     """Truncated Fourier series of a vector field on the torus.
 
-    ``coeffs`` maps integer mode tuples k to complex coefficient vectors
-    of length ``dim``.  Real-valued fields satisfy the conjugate symmetry
-    coeff(-k) = conj(coeff(k)); use :meth:`from_half_spectrum` to build
-    such a field from one half of the modes.
+    ``coeffs`` maps integer mode tuples k to finite complex coefficient
+    vectors of length ``dim``.  Real-valued fields satisfy the conjugate
+    symmetry coeff(-k) = conj(coeff(k)); use :meth:`from_half_spectrum` to
+    build such a field from one half of the modes.
     """
 
     dim: int
@@ -148,13 +157,16 @@ class FourierField:
     def __post_init__(self):
         clean = {}
         for k, c in self.coeffs.items():
-            key = tuple(int(ki) for ki in np.atleast_1d(k))
+            key = _mode_key(k)
             val = np.atleast_1d(np.asarray(c, dtype=complex))
             if len(key) != self.dim or val.size != self.dim:
                 raise InvalidParams(
                     f"mode {key} / coefficient of size {val.size} do not "
                     f"match dim = {self.dim}")
             clean[key] = val
+        if clean and not np.isfinite(np.concatenate(list(clean.values()))).all():
+            bad = next(k for k, c in clean.items() if not np.isfinite(c).all())
+            raise InvalidParams(f"coefficient of mode {bad} is not finite")
         self.coeffs = clean
 
     @classmethod
@@ -166,7 +178,7 @@ class FourierField:
         """
         coeffs = {}
         for k, c in half.items():
-            key = tuple(int(ki) for ki in np.atleast_1d(k))
+            key = _mode_key(k)
             val = np.atleast_1d(np.asarray(c, dtype=complex))
             neg = tuple(-ki for ki in key)
             if key == neg:
@@ -197,52 +209,71 @@ class FourierField:
         return out
 
 
-def apply_operator(field, params, material, torus):
-    """Apply the operator coefficient-wise: out(k) = M(nu_k) in(k).
+def _modes(field, params, material, torus):
+    """Keys, (m, n) coefficients, unit frequencies and eigenvalues of a field.
 
-    Exact on the truncated series; preserves conjugate symmetry since the
-    multiplier matrices are real.
+    In one dimension lambda2 (multiplicity 0) is replaced by lambda1, so
+    only lambda1 enters the rank-one forms below.  Unit frequencies are 0
+    at k = 0.
     """
     _check_torus(params, torus)
     if field.dim != params.n:
         raise InvalidParams("field dimension does not match n")
-    out = {}
-    for k, c in field.coeffs.items():
-        nu_k = frequency_vector(k, torus)
-        M = tensor_multiplier(params, material, nu_k).matrix
-        out[k] = M @ c
-    return FourierField(field.dim, out)
+    keys = list(field.coeffs)
+    shape = (len(keys), params.n)
+    coeffs = np.array(list(field.coeffs.values())).reshape(shape)
+    nu = _lattice(np.array(keys).reshape(shape), torus)
+    lam1, lam2 = eigenvalues(params, material, nu)
+    if params.n == 1:
+        lam2 = lam1
+    norm = np.linalg.norm(nu, axis=1, keepdims=True)
+    unit = np.divide(nu, norm, out=np.zeros_like(nu), where=norm > 0)
+    return keys, coeffs, unit, lam1, lam2
+
+
+def _rank_one(unit, coeffs, along, across):
+    """Rows of across c + (along - across) nu_hat (nu_hat . c)."""
+    proj = np.sum(unit * coeffs, axis=1, keepdims=True)
+    return (across[:, None] * coeffs
+            + (along - across)[:, None] * unit * proj)
+
+
+def apply_operator(field, params, material, torus):
+    """Apply the operator coefficient-wise: out(k) = M(nu_k) in(k).
+
+    Uses the rank-one form M c = lambda2 c + (lambda1 - lambda2) nu_hat
+    (nu_hat . c) with eigenvalues from one batched evaluation.  Exact on the
+    truncated series; preserves conjugate symmetry since the multiplier
+    matrices are real.
+    """
+    keys, coeffs, unit, lam1, lam2 = _modes(field, params, material, torus)
+    out = _rank_one(unit, coeffs, lam1, lam2)
+    return FourierField(field.dim, dict(zip(keys, out)))
 
 
 def solve_periodic(rhs, params, material, torus):
-    """Solve M(nu_k) u(k) = rhs(k) mode by mode in the eigenbasis.
+    """Solve M(nu_k) u(k) = rhs(k) mode by mode.
 
+    Uses the Sherman-Morrison form u = c / lambda2 + (1/lambda1 -
+    1/lambda2) nu_hat (nu_hat . c); in one dimension u = c / lambda1.
     The zero mode must vanish (M(0) = 0 is singular); constant fields stay
-    in the kernel, so u(0) = 0.  Raises DegenerateEigenvalue if any
-    eigenvalue in range is numerically zero.
+    in the kernel, so u(0) = 0.  Raises DegenerateEigenvalue, naming the
+    first such mode in coefficient order, if any eigenvalue in range is
+    numerically zero.
     """
-    _check_torus(params, torus)
-    if rhs.dim != params.n:
-        raise InvalidParams("field dimension does not match n")
-    zero = (0,) * params.n
-    out = {}
-    for k, c in rhs.coeffs.items():
-        if k == zero:
-            if np.any(c != 0):
-                raise SingularMode(
-                    "rhs has a nonzero mean; the zero mode is not solvable")
-            out[k] = np.zeros(params.n, dtype=complex)
-            continue
-        nu_k = frequency_vector(k, torus)
-        lam1 = eigenvalue_parallel(params, material, nu_k)
-        lam2 = eigenvalue_transverse(params, material, nu_k)
-        if abs(lam1) < _EIGENVALUE_FLOOR or (
-                params.n > 1 and abs(lam2) < _EIGENVALUE_FLOOR):
-            raise DegenerateEigenvalue(
-                f"eigenvalue at mode {k} is below {_EIGENVALUE_FLOOR}")
-        basis = orthonormal_basis(nu_k)
-        u = (basis[0] @ c) / lam1 * basis[0].astype(complex)
-        for b in basis[1:]:
-            u = u + (b @ c) / lam2 * b.astype(complex)
-        out[k] = u
-    return FourierField(rhs.dim, out)
+    keys, coeffs, unit, lam1, lam2 = _modes(rhs, params, material, torus)
+    nonzero = unit.any(axis=1)
+    if np.any(coeffs[~nonzero] != 0):
+        raise SingularMode(
+            "rhs has a nonzero mean; the zero mode is not solvable")
+    small = nonzero & ((np.abs(lam1) < _EIGENVALUE_FLOOR)
+                       | (np.abs(lam2) < _EIGENVALUE_FLOOR))
+    if small.any():
+        raise DegenerateEigenvalue(
+            f"eigenvalue at mode {keys[int(np.argmax(small))]} is below "
+            f"{_EIGENVALUE_FLOOR}")
+    inv1 = np.divide(1.0, lam1, out=np.zeros_like(lam1), where=nonzero)
+    inv2 = np.divide(1.0, lam2, out=np.zeros_like(lam2), where=nonzero)
+    out = _rank_one(unit, coeffs, inv1, inv2)
+    out[~nonzero] = 0.0
+    return FourierField(rhs.dim, dict(zip(keys, out)))

@@ -1,5 +1,6 @@
 """Closed-form multiplier tests: anchors, structure, and limit behavior."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,9 +12,10 @@ import perispec.oracle as oracle
 from perispec.errors import InvalidParams
 from perispec.multipliers import (Material, NonlocalParams, eigen_decomposition,
                                   eigenvalue_parallel, eigenvalue_parallel_split,
-                                  eigenvalue_transverse, gradient_factor,
-                                  navier_eigenvalues, navier_multiplier,
-                                  orthonormal_basis, scalar_multiplier,
+                                  eigenvalue_transverse, eigenvalues,
+                                  gradient_factor, navier_eigenvalues,
+                                  navier_multiplier, orthonormal_basis,
+                                  scalar_multiplier,
                                   scalar_multiplier_gradient, scaling_constant,
                                   tensor_multiplier, tensor_multiplier_bond,
                                   tensor_multiplier_state)
@@ -280,6 +282,44 @@ class TestNavier:
         lam1, lam2 = navier_eigenvalues(Material(1.0, 1.0), 2.0)
         assert lam1 == -12.0
         assert lam2 == -4.0
+
+
+class TestBatchEigenvalues:
+    def test_matches_scalar_forms_exactly(self):
+        # unequal box with k = 0 and +/- pairs, plus off-lattice rows: the
+        # batched squared norm must round like the scalar path's v @ v
+        p = NonlocalParams(3, 0.7, 2.5)
+        mat = Material(1.3, -0.4)
+        k = np.array(list(itertools.product(range(-3, 4), repeat=3)))
+        nu = 2.0 * math.pi * k / np.array([4.1, 5.7, 7.3])
+        nu = np.vstack([nu, np.random.default_rng(5).uniform(-9.0, 9.0, (40, 3))])
+        lam1, lam2 = eigenvalues(p, mat, nu)
+        assert lam1.shape == lam2.shape == (len(nu),)
+        for row, l1, l2 in zip(nu, lam1, lam2):
+            assert l1 == eigenvalue_parallel(p, mat, row)
+            assert l2 == eigenvalue_transverse(p, mat, row)
+        box = len(k)
+        assert np.array_equal(lam1[:box], lam1[:box][::-1])   # row i is -row(-i)
+        assert np.array_equal(lam2[:box], lam2[:box][::-1])
+        zero = box // 2
+        assert lam1[zero] == 0.0 and lam2[zero] == 0.0
+
+    def test_one_dimension_and_empty(self):
+        p = NonlocalParams(1, 1.5, 0.5)
+        mat = Material(0.8, 1.7)
+        nu = np.array([[-2.5], [0.0], [2.5], [7.0]])
+        lam1, lam2 = eigenvalues(p, mat, nu)
+        assert lam1.tolist() == [eigenvalue_parallel(p, mat, v) for v in nu]
+        assert lam2.tolist() == [eigenvalue_transverse(p, mat, v) for v in nu]
+        lam1, lam2 = eigenvalues(p, mat, np.zeros((0, 1)))
+        assert lam1.shape == lam2.shape == (0,)
+
+    def test_shape_validation(self):
+        p = NonlocalParams(3, 1.0, 2.0)
+        mat = Material(1.0, 0.0)
+        for bad in (np.ones(3), np.ones((4, 2)), np.ones((2, 2, 3))):
+            with pytest.raises(InvalidParams):
+                eigenvalues(p, mat, bad)
 
 
 class TestEigenvalues:

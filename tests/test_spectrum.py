@@ -1,6 +1,8 @@
 """Torus spectrum tests: lattice frequencies, eigenfields, apply/solve."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from perispec.errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                              ZeroMode)
 from perispec.multipliers import (Material, NonlocalParams,
-                                  eigenvalue_parallel, gradient_factor,
-                                  tensor_multiplier)
+                                  eigenvalue_parallel, eigenvalue_transverse,
+                                  gradient_factor, tensor_multiplier)
 from perispec.spectrum import (FourierField, TorusSpec, apply_operator,
                                eigenfield, frequency_vector, solve_periodic,
                                spectrum_table)
@@ -66,6 +68,23 @@ class TestSpectrumTable:
             neg = tuple(-ki for ki in k)
             assert by_k[neg].lambda1 == rec.lambda1
             assert by_k[neg].lambda2 == rec.lambda2
+
+    def test_records_equal_scalar_forms(self):
+        p = NonlocalParams(3, 0.9, 2.2)
+        mat = Material(1.1, 0.6)
+        torus = TorusSpec((4.3, 6.1, 7.9))
+        for rec in spectrum_table(p, mat, torus, 3):
+            assert_array_equal(rec.nu_k, frequency_vector(rec.k, torus))
+            assert rec.lambda1 == eigenvalue_parallel(p, mat, rec.nu_k)
+            assert rec.lambda2 == eigenvalue_transverse(p, mat, rec.nu_k)
+
+    def test_k_max_validation(self):
+        p = NonlocalParams(2, 0.5, 1.0)
+        torus = TorusSpec((TWO_PI,) * 2)
+        for bad in (-1, 1.5, 2.0, "2", None):
+            with pytest.raises(InvalidParams):
+                spectrum_table(p, Material(1.0, 1.0), torus, bad)
+        assert len(spectrum_table(p, Material(1.0, 1.0), torus, np.int64(1))) == 9
 
     def test_near_local_limit(self):
         p = NonlocalParams(3, 1e-3, 2.0)
@@ -141,6 +160,27 @@ class TestFourierField:
         with pytest.raises(InvalidParams):
             FourierField(2, {(1,): np.array([1.0 + 0j, 0.0])})
 
+    def test_non_finite_coefficients_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                    complex(math.nan, 0.0)):
+            coeffs = {(1, 0): np.array([1.0, 2.0]), (0, 1): np.array([0.5, bad])}
+            with pytest.raises(InvalidParams, match=r"\(0, 1\)"):
+                FourierField(2, coeffs)
+            with pytest.raises(InvalidParams):
+                FourierField.from_half_spectrum(2, coeffs)
+
+    def test_non_integer_modes_rejected(self):
+        for key in ((1.7, 0), (1.0, 0), ("1", 0)):
+            with pytest.raises(InvalidParams):
+                FourierField(2, {key: np.ones(2)})
+            with pytest.raises(InvalidParams):
+                FourierField.from_half_spectrum(2, {key: np.ones(2)})
+        with pytest.raises(InvalidParams):
+            eigenfield((1.5, 0), TorusSpec((1.0, 1.0)), np.zeros(2))
+        field = FourierField(2, {(np.int64(2), np.int32(-1)): np.ones(2)})
+        assert list(field.coeffs) == [(2, -1)]
+        assert all(type(ki) is int for ki in next(iter(field.coeffs)))
+
 
 class TestApplyOperator:
     def setup_method(self):
@@ -154,6 +194,23 @@ class TestApplyOperator:
         out = apply_operator(field, self.params, self.material, self.torus)
         lam1 = eigenvalue_parallel(self.params, self.material, nu_k)
         assert_allclose(out.coeffs[(2, 1)], lam1 * nu_k, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_multiplier(self, n):
+        # reference: the full matrix M(nu_k) applied mode by mode
+        params = NonlocalParams(n, 0.9, n - 0.5)
+        torus = TorusSpec((TWO_PI, 1.5, 2.3)[:n])
+        rng = np.random.default_rng(4)
+        field = FourierField(n, {
+            k: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for k in itertools.product(range(-2, 3), repeat=n)})
+        out = apply_operator(field, params, self.material, torus)
+        assert list(out.coeffs) == list(field.coeffs)
+        for k, c in field.coeffs.items():
+            M = tensor_multiplier(params, self.material,
+                                  frequency_vector(k, torus)).matrix
+            assert np.max(np.abs(out.coeffs[k] - M @ c)) <= 1e-13 * (
+                1.0 + np.max(np.abs(M)) * np.max(np.abs(c)))
 
     def test_zero_field(self):
         field = FourierField(2, {(1, 0): np.zeros(2, dtype=complex)})
@@ -192,19 +249,35 @@ class TestSolvePeriodic:
         self.material = Material(1.0, 0.8)
         self.torus = TorusSpec((TWO_PI, 1.5))
 
-    def test_round_trip(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_round_trip(self, n):
+        params = NonlocalParams(n, 0.5, 1.5)
+        torus = TorusSpec((TWO_PI, 1.5, 2.3)[:n])
         rng = np.random.default_rng(3)
-        coeffs = {}
-        for k1 in range(-3, 4):
-            for k2 in range(-3, 4):
-                if (k1, k2) != (0, 0):
-                    coeffs[(k1, k2)] = (rng.standard_normal(2)
-                                        + 1j * rng.standard_normal(2))
-        rhs = FourierField(2, coeffs)
-        u = solve_periodic(rhs, self.params, self.material, self.torus)
-        back = apply_operator(u, self.params, self.material, self.torus)
+        coeffs = {k: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                  for k in itertools.product(range(-3, 4), repeat=n) if any(k)}
+        rhs = FourierField(n, coeffs)
+        u = solve_periodic(rhs, params, self.material, torus)
+        back = apply_operator(u, params, self.material, torus)
         for k, c in rhs.coeffs.items():
             assert np.max(np.abs(back.coeffs[k] - c)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_dense_solve(self, n):
+        # reference: a dense solve against M(nu_k) mode by mode
+        params = NonlocalParams(n, 0.9, n - 0.5)
+        torus = TorusSpec((TWO_PI, 1.5, 2.3)[:n])
+        rng = np.random.default_rng(5)
+        rhs = FourierField(n, {
+            k: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for k in itertools.product(range(-2, 3), repeat=n) if any(k)})
+        u = solve_periodic(rhs, params, self.material, torus)
+        for k, c in rhs.coeffs.items():
+            M = tensor_multiplier(params, self.material,
+                                  frequency_vector(k, torus)).matrix
+            want = np.linalg.solve(M, c)
+            assert np.max(np.abs(u.coeffs[k] - want)) <= 1e-12 * (
+                1.0 + np.max(np.abs(want)))
 
     def test_eigenmode_solution(self):
         nu_k = frequency_vector((1, 2), self.torus)
@@ -222,10 +295,13 @@ class TestSolvePeriodic:
         u = solve_periodic(ok, self.params, self.material, self.torus)
         assert_array_equal(u.coeffs[(0, 0)], np.zeros(2, dtype=complex))
 
-    def test_degenerate_eigenvalue_detected(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_degenerate_eigenvalue_detected(self, n):
         # choose lambda* so the parallel eigenvalue vanishes at one mode
-        params = NonlocalParams(2, 1.0, 1.0)
-        nu_k = frequency_vector((1, 0), self.torus)
+        params = NonlocalParams(n, 1.0, 1.0)
+        torus = TorusSpec((TWO_PI, 1.5, 2.3)[:n])
+        k = (1,) + (0,) * (n - 1)
+        nu_k = frequency_vector(k, torus)
         mu = 1.0
         nn2 = float(nu_k @ nu_k)
         lam1_at = eigenvalue_parallel(params, Material(mu, mu), nu_k)
@@ -233,9 +309,11 @@ class TestSolvePeriodic:
         lam_star = mu + lam1_at / (nn2 * g * g)
         material = Material(mu, lam_star)
         assert abs(eigenvalue_parallel(params, material, nu_k)) < 1e-14
-        rhs = FourierField(2, {(1, 0): np.array([1.0, 0.0], dtype=complex)})
-        with pytest.raises(DegenerateEigenvalue):
-            solve_periodic(rhs, params, material, self.torus)
+        # a regular mode first: the error names the degenerate one
+        rhs = FourierField(n, {(2,) + (0,) * (n - 1): np.ones(n),
+                               k: np.eye(n)[0].astype(complex)})
+        with pytest.raises(DegenerateEigenvalue, match=re.escape(str(k))):
+            solve_periodic(rhs, params, material, torus)
 
 
 def test_navier_comparison_of_table():
