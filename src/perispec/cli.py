@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multipliers as mt
-from . import oracle
 from .errors import InvalidParams, PerispecError
 from .multipliers import Material, NonlocalParams
 from .spectrum import TorusSpec, spectrum_table
@@ -89,8 +88,8 @@ def figure_rows(job):
     depend on lambda*, it is emitted once per sample in a trailing row
     whose lambda_star field is the sentinel NA.  The frequency is taken
     along the first axis (rotation invariance makes the direction
-    immaterial); each lambda* takes one batched eigenvalue call over the
-    whole grid.
+    immaterial); the series are evaluated once over the whole grid and
+    combined per lambda*.
     """
     params = NonlocalParams(job.n, job.delta, job.beta)
     grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
@@ -98,9 +97,9 @@ def figure_rows(job):
     nu[:, 0] = grid
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
     materials = [Material(job.mu, s) for s in job.lambda_star_list]
-    # lambda2 comes from the first call; lambda* = 0 stands in for no curves
-    lams = [mt.eigenvalues(params, m, nu)
-            for m in materials or [Material(job.mu, 0.0)]]
+    # lambda2 comes from the first pair; lambda* = 0 stands in for no curves
+    lams = mt.eigenvalues_by_material(
+        params, materials or [Material(job.mu, 0.0)], nu)
     lam1 = [l1.tolist() for l1, _ in lams]
     lam2 = lams[0][1].tolist()
     for i, nu_norm in enumerate(grid):
@@ -195,6 +194,8 @@ def run_verification(seed, count, tol, overrides=None):
     beta, mu, lambda_star) to fixed values instead of sampling.
     Returns the report dict.
     """
+    from . import oracle   # imported here: scipy loads only for verify
+
     if count < 1:
         raise InvalidParams(f"count must be >= 1, got {count}")
     if not (math.isfinite(tol) and tol >= 0.0):

@@ -19,16 +19,23 @@ large |z| (DLMF 16.11).  The multiplier series of this package evaluate
 this way down to z = -1e7; the eigenvalues are checked against the
 quadrature oracle at |nu| delta = 400, i.e. z = -4e4.
 
-Everything here is a pure function of its arguments; results are
-bit-identical across calls within one build.
+``pfq`` evaluates one argument with a Python-float loop.  ``pfq_many``
+evaluates a whole array of arguments: it validates and cancels the
+parameters once, runs the double-precision pass as one numpy loop over the
+term index, and escalates only the entries that pass does not accept.
+Both repeat the same floating-point operations per argument, so their
+values are bit-identical.
+
+Everything here is a pure function of its arguments, with no cache;
+results are bit-identical across calls within one build.
 """
 
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .errors import InvalidParams, NonConvergent
 
@@ -183,19 +190,20 @@ def _sum_float(a, b, z, tol):
     return s, math.inf, _MAX_TERMS, max_term, False
 
 
-@lru_cache(maxsize=200_000)
-def _pfq_reduced(a, b, z, tol):
-    """Evaluate the series for already-cancelled parameter tuples."""
+def _check_tol(tol):
+    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
+        raise InvalidParams(f"target_rel_tol {tol} outside [1e-15, 1e-6]")
+
+
+def _check_disk(a, b, z):
+    """Reject |z| >= 1 for a p = q + 1 series, whose radius is 1."""
     if len(a) == len(b) + 1 and abs(z) >= 1.0:
         raise NonConvergent(
             f"p = q + 1 series diverges for |z| >= 1 (z = {z})")
-    if z == 0.0:
-        return EvalResult(1.0, 0.0, 1, 53)
 
-    s, err, terms, max_term, converged = _sum_float(a, b, z, tol)
-    if converged and s != 0.0 and max_term / abs(s) <= ESCALATION_RATIO:
-        return EvalResult(s, err, terms, 53)
 
+def _escalate(a, b, z):
+    """Value of the cancelled series at float z from one mpmath.hyper call."""
     try:
         with _MP_LOCK, mpmath.workprec(ESCALATED_PREC_BITS):
             value = float(mpmath.hyper(a, b, z))
@@ -204,12 +212,7 @@ def _pfq_reduced(a, b, z, tol):
             f"mpmath.hyper did not converge (z = {z}): {exc}") from exc
     if not math.isfinite(value):
         raise NonConvergent(f"series value overflows a double (z = {z})")
-    return EvalResult(value, math.ulp(value), terms, ESCALATED_PREC_BITS)
-
-
-def _check_tol(tol):
-    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
-        raise InvalidParams(f"target_rel_tol {tol} outside [1e-15, 1e-6]")
+    return value
 
 
 def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
@@ -244,7 +247,117 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     if not math.isfinite(z):
         raise InvalidParams(f"series argument z must be finite, got {z}")
     a, b = _cancel_common(params.a, params.b)
-    return _pfq_reduced(a, b, float(z), float(target_rel_tol))
+    z = float(z)
+    _check_disk(a, b, z)
+    if z == 0.0:
+        return EvalResult(1.0, 0.0, 1, 53)
+    s, err, terms, max_term, converged = _sum_float(
+        a, b, z, float(target_rel_tol))
+    if converged and s != 0.0 and max_term / abs(s) <= ESCALATION_RATIO:
+        return EvalResult(s, err, terms, 53)
+    value = _escalate(a, b, z)
+    return EvalResult(value, math.ulp(value), terms, ESCALATED_PREC_BITS)
+
+
+def _sum_float_many(a, b, z, tol):
+    """Double-precision pass over every entry of a nonzero float array z.
+
+    Each entry runs ``_sum_float``'s operations in the same order, so its
+    sum and its acceptance are bit-identical to a scalar pass followed by
+    ``pfq``'s escalation test; only the loop over k is shared, and entries
+    leave it as they stop.  Returns (values, accepted): the sums, and a
+    mask of the entries that need no escalation.
+    """
+    values = np.empty(z.size)
+    accepted = np.zeros(z.size, dtype=bool)
+    idx = np.arange(z.size)          # entries still summing
+    s = np.ones(z.size)
+    term = np.ones(z.size)
+    max_term = np.ones(z.size)
+    small_run = np.zeros(z.size, dtype=np.int64)
+    with np.errstate(all="ignore"):   # Python floats overflow silently too
+        for k in range(_MAX_TERMS):
+            if not idx.size:
+                break
+            num = 1.0
+            for ai in a:
+                num *= ai + k
+            den = 1.0
+            for bj in b:
+                den *= bj + k
+            term = term * num / den * z / (k + 1.0)
+            # a zero term ends the series exactly; adding it keeps s as is
+            converged = term == 0.0
+            s = s + term
+            at = np.abs(term)
+            max_term = np.maximum(max_term, at)
+            small_run = np.where(at < tol * np.abs(s), small_run + 1, 0)
+            tail = small_run >= 3
+            if tail.any():
+                num = 1.0
+                for ai in a:
+                    num *= ai + k + 1
+                den = 1.0
+                for bj in b:
+                    den *= bj + k + 1
+                nxt = np.abs(term * num / den * z / (k + 2.0))
+                converged |= tail & (2.0 * nxt < tol * np.abs(s))
+            finite = np.isfinite(s)
+            done = converged | ~finite
+            if done.any():
+                values[idx[done]] = s[done]
+                accepted[idx[done]] = (
+                    converged & finite & (s != 0.0)
+                    & (max_term / np.abs(s) <= ESCALATION_RATIO))[done]
+                keep = ~done
+                idx, z, s, term, max_term, small_run = (
+                    x[keep] for x in (idx, z, s, term, max_term, small_run))
+    values[idx] = s                  # term cap reached: not converged
+    return values, accepted
+
+
+def pfq_many(params, z, target_rel_tol=DEFAULT_REL_TOL):
+    """Evaluate pFq(a; b; z) at every entry of a 1-D float array z.
+
+    Validation and parameter cancellation run once per call; the
+    double-precision pass runs over all entries at once, and the entries
+    it does not accept escalate to ``mpmath.hyper`` one at a time, in
+    array order.  Every value is bit-identical to ``pfq(params, z[i],
+    target_rel_tol).value``.
+
+    Returns
+    -------
+    numpy.ndarray
+        float64 values, one per entry of z.
+
+    Raises
+    ------
+    NonConvergent
+        If p = q + 1 and some |z| >= 1, or as ``pfq`` for an escalated
+        entry.
+    InvalidParams
+        If target_rel_tol is out of range, or z is not a 1-D array of
+        finite values.
+    """
+    _check_tol(target_rel_tol)
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise InvalidParams(f"z must be a 1-D array, got shape {z.shape}")
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = z[np.argmin(finite)]
+        raise InvalidParams(f"series argument z must be finite, got {bad}")
+    a, b = _cancel_common(params.a, params.b)
+    if z.size:
+        _check_disk(a, b, float(z[np.argmax(np.abs(z))]))
+    out = np.ones(z.size)
+    nonzero = np.flatnonzero(z != 0.0)
+    values, accepted = _sum_float_many(a, b, z[nonzero],
+                                       float(target_rel_tol))
+    out[nonzero] = values
+    for i in nonzero[~accepted].tolist():
+        out[i] = _escalate(a, b, float(z[i]))
+    return out
 
 
 def pfq_minus_one(params, z, target_rel_tol=DEFAULT_REL_TOL):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams
-from .hypergeom import DEFAULT_REL_TOL, PfqParams, pfq
+from .hypergeom import DEFAULT_REL_TOL, PfqParams, pfq, pfq_many
 
 __all__ = [
     "NonlocalParams", "Material", "TensorMultiplier", "EigenDecomposition",
@@ -32,8 +32,8 @@ __all__ = [
     "gradient_factor", "tensor_multiplier_bond", "tensor_multiplier_state",
     "tensor_multiplier", "navier_multiplier", "navier_eigenvalues",
     "eigenvalue_parallel", "eigenvalue_parallel_split",
-    "eigenvalue_transverse", "eigenvalues", "orthonormal_basis",
-    "eigen_decomposition",
+    "eigenvalue_transverse", "eigenvalues", "eigenvalues_by_material",
+    "orthonormal_basis", "eigen_decomposition",
 ]
 
 
@@ -184,8 +184,8 @@ def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     return -2.0 * gradient_factor(params, nn, target_rel_tol) * v
 
 
-def _coefficients(params, material, nu_norm, tol):
-    """(alpha_b1, alpha_b2, alpha_s) at |nu| = nu_norm > 0."""
+def _bond_coefficients(params, material, nu_norm, tol):
+    """(alpha_b1, alpha_b2) at |nu| = nu_norm > 0."""
     n = params.n
     h = (n + 2 - params.beta) / 2.0
     z = _z_of(params, nu_norm)
@@ -193,9 +193,13 @@ def _coefficients(params, material, nu_norm, tol):
         (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, tol)
     a_b2 = -2.0 * material.mu * _F(
         (h,), (n / 2.0 + 2.0, h + 1.0), z, tol)
+    return a_b1, a_b2
+
+
+def _state_coefficient(params, material, nu_norm, tol):
+    """alpha_s at |nu| = nu_norm > 0."""
     g = gradient_factor(params, nu_norm, tol)
-    a_s = -(material.lambda_star - material.mu) * g * g
-    return a_b1, a_b2, a_s
+    return -(material.lambda_star - material.mu) * g * g
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -210,7 +214,7 @@ def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL)
     nn = float(np.linalg.norm(v))
     if nn == 0.0:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_b1, a_b2, _ = _coefficients(params, material, nn, target_rel_tol)
+    a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
     mat = a_b1 * np.eye(params.n) + a_b2 * np.outer(v, v)
     return TensorMultiplier(mat, a_b1, a_b2, 0.0)
 
@@ -225,7 +229,7 @@ def tensor_multiplier_state(params, material, nu, target_rel_tol=DEFAULT_REL_TOL
     nn = float(np.linalg.norm(v))
     if nn == 0.0 or material.lambda_star == material.mu:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    _, _, a_s = _coefficients(params, material, nn, target_rel_tol)
+    a_s = _state_coefficient(params, material, nn, target_rel_tol)
     return TensorMultiplier(a_s * np.outer(v, v), 0.0, 0.0, a_s)
 
 
@@ -235,7 +239,8 @@ def tensor_multiplier(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     nn = float(np.linalg.norm(v))
     if nn == 0.0:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_b1, a_b2, a_s = _coefficients(params, material, nn, target_rel_tol)
+    a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
+    a_s = _state_coefficient(params, material, nn, target_rel_tol)
     mat = a_b1 * np.eye(params.n) + (a_b2 + a_s) * np.outer(v, v)
     return TensorMultiplier(mat, a_b1, a_b2, a_s)
 
@@ -255,25 +260,24 @@ def navier_eigenvalues(material, nu_norm):
             -material.mu * nn2)
 
 
-def _lambda1(params, material, nn2, tol):
-    """lambda1 at squared frequency norm nn2 > 0, merged two-term form."""
+def _eigen_series(params):
+    """Eigenvalue series at (n, beta): merged 3F4, g's 1F2, lambda2's 2F3."""
     n = params.n
     h = (n + 2 - params.beta) / 2.0
-    nn = math.sqrt(nn2)
-    z = _z_of(params, nn)
-    f_merged = _F((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0), z, tol)
-    g = gradient_factor(params, nn, tol)
+    return (PfqParams((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0)),
+            PfqParams((h,), (n / 2.0 + 1.0, h + 1.0)),
+            PfqParams((1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0)))
+
+
+def _lambda1_of(material, nn2, f_merged, g):
+    """lambda1 from the merged 3F4 and g at squared norm(s) nn2 > 0."""
     return -nn2 * (3.0 * material.mu * f_merged
                    + (material.lambda_star - material.mu) * g * g)
 
 
-def _lambda2(params, material, nn2, tol):
-    """lambda2 at squared frequency norm nn2 > 0."""
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    z = _z_of(params, math.sqrt(nn2))
-    return -material.mu * nn2 * _F(
-        (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, tol)
+def _lambda2_of(material, nn2, f2):
+    """lambda2 from its 2F3 at squared norm(s) nn2 > 0."""
+    return -material.mu * nn2 * f2
 
 
 def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -292,7 +296,11 @@ def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     nn2 = float(v @ v)
     if nn2 == 0.0:
         return 0.0
-    return _lambda1(params, material, nn2, target_rel_tol)
+    merged, g_series, _ = _eigen_series(params)
+    z = _z_of(params, math.sqrt(nn2))
+    return _lambda1_of(material, nn2,
+                       pfq(merged, z, target_rel_tol).value,
+                       pfq(g_series, z, target_rel_tol).value)
 
 
 def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -307,7 +315,8 @@ def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_T
     if nn2 == 0.0:
         return 0.0
     nn = math.sqrt(nn2)
-    a_b1, a_b2, a_s = _coefficients(params, material, nn, target_rel_tol)
+    a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
+    a_s = _state_coefficient(params, material, nn, target_rel_tol)
     return a_b1 + (a_b2 + a_s) * nn2
 
 
@@ -321,16 +330,29 @@ def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     nn2 = float(v @ v)
     if nn2 == 0.0:
         return 0.0
-    return _lambda2(params, material, nn2, target_rel_tol)
+    _, _, series = _eigen_series(params)
+    z = _z_of(params, math.sqrt(nn2))
+    return _lambda2_of(material, nn2, pfq(series, z, target_rel_tol).value)
 
 
-def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
-    """Both eigenvalues for every row of an (m, n) array of frequencies.
+def _shell_series(params, shells, tol):
+    """(merged 3F4, g, lambda2's 2F3) at every squared norm in ``shells``.
 
-    Returns arrays (lambda1, lambda2) of length m, each entry equal to
-    ``eigenvalue_parallel`` / ``eigenvalue_transverse`` at that row.  The
-    series are evaluated once per distinct |nu|^2 and scattered back;
-    rows with nu = 0 give 0.
+    ``shells`` holds nonzero |nu|^2 values; z is formed from each exactly as
+    the single-frequency functions form it, and each series takes one
+    ``pfq_many`` pass over all of them.
+    """
+    z = _z_of(params, np.sqrt(shells))
+    return tuple(pfq_many(series, z, tol) for series in _eigen_series(params))
+
+
+def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TOL):
+    """``eigenvalues`` for several materials at once, one pair per material.
+
+    The series do not depend on the material, so they are evaluated once
+    per distinct |nu|^2 for all materials together and combined per
+    material.  Returns a list of (lambda1, lambda2) array pairs, in the
+    order of ``materials``.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 2 or nu.shape[1] != params.n:
@@ -339,13 +361,28 @@ def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     # batched matmul rounds each row exactly like the scalar path's v @ v
     nn2 = np.matmul(nu[:, None, :], nu[:, :, None]).reshape(-1)
     shells, inverse = np.unique(nn2, return_inverse=True)
-    lam1 = np.zeros(shells.size)
-    lam2 = np.zeros(shells.size)
-    for i, s in enumerate(shells.tolist()):
-        if s != 0.0:
-            lam1[i] = _lambda1(params, material, s, target_rel_tol)
-            lam2[i] = _lambda2(params, material, s, target_rel_tol)
-    return lam1[inverse], lam2[inverse]
+    nonzero = shells != 0.0
+    shells_nz = shells[nonzero]
+    f_merged, g, f2 = _shell_series(params, shells_nz, target_rel_tol)
+    out = []
+    for material in materials:
+        lam1 = np.zeros(shells.size)
+        lam2 = np.zeros(shells.size)
+        lam1[nonzero] = _lambda1_of(material, shells_nz, f_merged, g)
+        lam2[nonzero] = _lambda2_of(material, shells_nz, f2)
+        out.append((lam1[inverse], lam2[inverse]))
+    return out
+
+
+def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
+    """Both eigenvalues for every row of an (m, n) array of frequencies.
+
+    Returns arrays (lambda1, lambda2) of length m, each entry equal to
+    ``eigenvalue_parallel`` / ``eigenvalue_transverse`` at that row.  The
+    series are evaluated once per distinct |nu|^2, as arrays, and
+    scattered back; rows with nu = 0 give 0.
+    """
+    return eigenvalues_by_material(params, (material,), nu, target_rel_tol)[0]
 
 
 def orthonormal_basis(nu):

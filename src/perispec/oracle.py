@@ -24,6 +24,7 @@ refinement levels) alongside its value.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -78,6 +79,23 @@ def _scaling_constant(n, delta, beta):
             / (math.pi ** (n / 2.0) * delta ** (n + 2 - beta)))
 
 
+@lru_cache(maxsize=256)
+def _gauss_rule(npts, alpha=None):
+    """Read-only Gauss nodes/weights on [-1, 1] for the weight (1+x)^alpha.
+
+    ``alpha=None`` gives Gauss-Legendre from ``roots_legendre``, anything
+    else Gauss-Jacobi from ``roots_jacobi(npts, 0, alpha)``.  Rules repeat
+    across refinement levels and frequencies, so each is built once.
+    """
+    if alpha is None:
+        x, w = roots_legendre(npts)
+    else:
+        x, w = roots_jacobi(npts, 0.0, alpha)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _radial_rule(delta, gamma_exp, npts, split):
     """Nodes/weights with int_0^delta r^gamma_exp F(r) dr ~ sum W_i F(r_i).
 
@@ -86,10 +104,10 @@ def _radial_rule(delta, gamma_exp, npts, split):
     Gauss-Legendre with the weight multiplied back in.
     """
     a = split * delta
-    xj, wj = roots_jacobi(npts, 0.0, gamma_exp)
+    xj, wj = _gauss_rule(npts, gamma_exp)
     r_in = a * (xj + 1.0) / 2.0
     w_in = wj * (a / 2.0) ** (gamma_exp + 1.0)
-    xl, wl = roots_legendre(npts)
+    xl, wl = _gauss_rule(npts)
     r_out = a + (delta - a) * (xl + 1.0) / 2.0
     w_out = wl * (delta - a) / 2.0 * r_out**gamma_exp
     return np.concatenate([r_in, r_out]), np.concatenate([w_in, w_out])
@@ -110,7 +128,7 @@ def _angular_rule(n, npts):
     if n == 2:
         theta = 2.0 * np.pi * (np.arange(npts) + 0.5) / npts
         return np.cos(theta), np.sin(theta), np.full(npts, 2.0 * np.pi / npts)
-    t, w = roots_legendre(npts)
+    t, w = _gauss_rule(npts)
     return t, None, w * 2.0 * np.pi
 
 

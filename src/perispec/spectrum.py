@@ -170,6 +170,23 @@ class FourierField:
         self.coeffs = clean
 
     @classmethod
+    def _from_rows(cls, dim, keys, rows):
+        """Field from clean mode keys and an (m, dim) complex array.
+
+        Skips the per-mode re-validation of ``__post_init__``: the keys come
+        from a validated field, so only finiteness of the rows is checked,
+        once over the whole array (an overflow must not pass silently).
+        """
+        finite = np.isfinite(rows)
+        if not finite.all():
+            bad = keys[int(np.argmin(finite.all(axis=1)))]
+            raise InvalidParams(f"coefficient of mode {bad} is not finite")
+        field = cls.__new__(cls)
+        field.dim = dim
+        field.coeffs = dict(zip(keys, rows))
+        return field
+
+    @classmethod
     def from_half_spectrum(cls, dim, half):
         """Build a real (conjugate-symmetric) field from one half-spectrum.
 
@@ -248,7 +265,7 @@ def apply_operator(field, params, material, torus):
     """
     keys, coeffs, unit, lam1, lam2 = _modes(field, params, material, torus)
     out = _rank_one(unit, coeffs, lam1, lam2)
-    return FourierField(field.dim, dict(zip(keys, out)))
+    return FourierField._from_rows(field.dim, keys, out)
 
 
 def solve_periodic(rhs, params, material, torus):
@@ -276,4 +293,4 @@ def solve_periodic(rhs, params, material, torus):
     inv2 = np.divide(1.0, lam2, out=np.zeros_like(lam2), where=nonzero)
     out = _rank_one(unit, coeffs, inv1, inv2)
     out[~nonzero] = 0.0
-    return FourierField(rhs.dim, dict(zip(keys, out)))
+    return FourierField._from_rows(rhs.dim, keys, out)

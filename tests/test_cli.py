@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from perispec.cli import (FIGURE_HEADER, FigureJob, main,
+from perispec.cli import (FIGURE_HEADER, FigureJob, figure_rows, main,
                           run_verification, write_figure_csv)
 from perispec.errors import InvalidParams
 
@@ -104,6 +107,23 @@ class TestFigureCommand:
             nu = np.array([float(row["nu_norm"]), 0.0])
             assert float(row["lambda1"]) == eigenvalue_parallel(p, mat, nu)
 
+    def test_lambda_stars_share_one_series_pass(self):
+        # delta = 2 reaches the escalated series; several lambda* in one
+        # panel must give exactly the rows of one panel per lambda*
+        stars = (-1.5, 0.25, 1.75)
+        panel = dict(n=3, mu=1.2, delta=2.0, beta=4.0, nu_norm_min=0.0,
+                     nu_norm_max=15.0, samples=25)
+        rows = list(figure_rows(FigureJob(lambda_star_list=stars, **panel)))
+        singles = [list(figure_rows(FigureJob(lambda_star_list=(s,), **panel)))
+                   for s in stars]
+        expected = []
+        for i in range(panel["samples"]):
+            expected += [single[2 * i] for single in singles]
+            assert all(single[2 * i + 1] == singles[0][2 * i + 1]
+                       for single in singles)
+            expected.append(singles[0][2 * i + 1])
+        assert rows == expected
+
     def test_mismatched_panel_flags(self, tmp_path):
         rc = main(["figure", "--delta", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -181,6 +201,25 @@ class TestVerifyCommand:
                             lambda *a, **kw: failing)
         assert main(["verify", "--count", "1"]) == 1
         capsys.readouterr()
+
+
+class TestLazyOracleImport:
+    def test_import_does_not_load_scipy(self):
+        import perispec
+        src = os.path.dirname(os.path.dirname(perispec.__file__))
+        code = ("import sys, perispec, perispec.cli\n"
+                "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
+                "from perispec.oracle import lambda1_quad\n"
+                "assert perispec.lambda1_quad is lambda1_quad\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_attribute(self):
+        import perispec
+        with pytest.raises(AttributeError):
+            perispec.no_such_name
 
 
 class TestSpectrumCommand:

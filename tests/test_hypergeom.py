@@ -9,9 +9,8 @@ from numpy.testing import assert_allclose
 
 from perispec.errors import InvalidParams, NonConvergent
 from perispec.hypergeom import (PfqParams, f_form_derivatives,
-                                merge_linear_combination, pfq, pfq_minus_one,
-                                pochhammer)
-import perispec.hypergeom as hg
+                                merge_linear_combination, pfq, pfq_many,
+                                pfq_minus_one, pochhammer)
 
 
 def series_oracle(a, b, z, terms=200):
@@ -163,9 +162,81 @@ class TestPfq:
         first = pfq(params, -100.0)
         again = pfq(params, -100.0)
         assert first.value == again.value
-        hg._pfq_reduced.cache_clear()
         fresh = pfq(params, -100.0)
         assert first == fresh
+
+
+class TestPfqMany:
+    def test_matches_scalar_pfq_exactly(self):
+        # random series of the package's shapes; deep negative z escalates,
+        # a nonpositive integer numerator terminates, z = 0 and repeats mix in
+        rng = np.random.default_rng(31)
+        paths = set()
+        for trial in range(80):
+            p = int(rng.integers(1, 4))
+            a = tuple(rng.uniform(0.2, 4.0, size=p))
+            if trial % 5 == 0:
+                a = (-float(rng.integers(0, 4)),) + a[1:]
+            q = p - 1 + int(rng.integers(0, 4))
+            b = tuple(rng.uniform(0.3, 5.0, size=q))
+            params = PfqParams(a, b)
+            # p = q + 1 converges only for |z| < 1, and slowly near it
+            reach = 0.99 if q == p - 1 else 300.0
+            z = -rng.uniform(0.0, reach, size=12)
+            z = np.concatenate([z, [0.0, -0.0, z[0], z[3]],
+                                rng.uniform(-0.99, 0.99, size=3)])
+            tol = float(10.0 ** rng.uniform(-15.0, -7.0))
+            got = pfq_many(params, z, tol)
+            assert got.dtype == np.float64 and got.shape == z.shape
+            for zi, value in zip(z.tolist(), got.tolist()):
+                ref = pfq(params, zi, tol)
+                assert value == ref.value
+                paths.add(ref.precision_bits)
+        assert paths == {53, 64}
+
+    def test_terminating_series(self):
+        params = PfqParams((-2.0, 1.5), (3.0, 0.5))
+        z = np.array([5.0, -7.5, 0.0, 2.0])
+        got = pfq_many(params, z)
+        assert got.tolist() == [pfq(params, zi).value for zi in z.tolist()]
+
+    def test_z_zero_and_empty(self):
+        params = PfqParams((0.3, 4.5), (1.2, 2.0, 9.0))
+        assert pfq_many(params, np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+        empty = pfq_many(params, np.zeros(0))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    def test_repeated_arguments(self):
+        params = PfqParams((1.0, 2.0), (2.0, 3.0, 3.5))
+        z = np.array([-225.0, -3.0, -225.0, -3.0])
+        got = pfq_many(params, z)
+        assert got[0] == got[2] == pfq(params, -225.0).value
+        assert got[1] == got[3] == pfq(params, -3.0).value
+
+    def test_diverges_for_p_eq_q_plus_one(self):
+        params = PfqParams((1.0, 2.0), (3.0,))
+        with pytest.raises(NonConvergent):
+            pfq_many(params, np.array([0.5, 1.0]))
+        with pytest.raises(NonConvergent):
+            pfq_many(params, np.array([-1.5]))
+        inside = np.array([0.9, -0.9])
+        assert pfq_many(params, inside).tolist() == [
+            pfq(params, zi).value for zi in inside.tolist()]
+
+    def test_validation(self):
+        params = PfqParams((1.0,), (2.0, 2.5))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParams):
+                pfq_many(params, np.array([-1.0, bad]))
+        for tol in (1e-3, 1e-16):
+            with pytest.raises(InvalidParams):
+                pfq_many(params, np.array([-1.0]), target_rel_tol=tol)
+        with pytest.raises(InvalidParams):
+            pfq_many(params, np.ones((2, 2)))
+
+    def test_value_overflowing_double_raises(self):
+        with pytest.raises(NonConvergent):
+            pfq_many(PfqParams((1.0,), (2.0,)), np.array([1.0, 1000.0]))
 
 
 class TestPfqMinusOne:

@@ -13,7 +13,7 @@ from perispec.errors import InvalidParams
 from perispec.multipliers import (Material, NonlocalParams, eigen_decomposition,
                                   eigenvalue_parallel, eigenvalue_parallel_split,
                                   eigenvalue_transverse, eigenvalues,
-                                  gradient_factor, navier_eigenvalues,
+                                  eigenvalues_by_material, gradient_factor, navier_eigenvalues,
                                   navier_multiplier, orthonormal_basis,
                                   scalar_multiplier,
                                   scalar_multiplier_gradient, scaling_constant,
@@ -313,6 +313,20 @@ class TestBatchEigenvalues:
         assert lam2.tolist() == [eigenvalue_transverse(p, mat, v) for v in nu]
         lam1, lam2 = eigenvalues(p, mat, np.zeros((0, 1)))
         assert lam1.shape == lam2.shape == (0,)
+
+    def test_several_materials_match_single_calls(self):
+        # delta = 2 at |nu| up to 15 mixes float and escalated series
+        p = NonlocalParams(3, 2.0, 4.0)
+        nu = np.zeros((30, 3))
+        nu[:, 0] = np.linspace(0.0, 15.0, 30)
+        mats = [Material(1.2, s) for s in (-1.5, 0.25, 1.75)] + [
+            Material(0.7, 0.0)]
+        pairs = eigenvalues_by_material(p, mats, nu)
+        assert len(pairs) == len(mats)
+        for mat, (lam1, lam2) in zip(mats, pairs):
+            one1, one2 = eigenvalues(p, mat, nu)
+            assert np.array_equal(lam1, one1) and np.array_equal(lam2, one2)
+        assert eigenvalues_by_material(p, [], nu) == []
 
     def test_shape_validation(self):
         p = NonlocalParams(3, 1.0, 2.0)

@@ -234,6 +234,14 @@ class TestApplyOperator:
                                  - (a * ff.coeffs[k] + b * gg.coeffs[k]))) <= 1e-12 * (
                 1.0 + np.max(np.abs(lhs.coeffs[k])))
 
+    def test_overflow_rejected(self):
+        # |lambda| ~ 1e2 at mode (3, 3): 1e307 * lambda overflows a double
+        field = FourierField(2, {(1, 0): np.array([1.0, 0.0], dtype=complex),
+                                 (3, 3): np.array([1e307, 0.0], dtype=complex)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParams, match=r"\(3, 3\)"):
+                apply_operator(field, self.params, self.material, self.torus)
+
     def test_preserves_conjugate_symmetry(self):
         rng = np.random.default_rng(2)
         half = {(1, 0): rng.standard_normal(2) + 1j * rng.standard_normal(2),
@@ -278,6 +286,14 @@ class TestSolvePeriodic:
             want = np.linalg.solve(M, c)
             assert np.max(np.abs(u.coeffs[k] - want)) <= 1e-12 * (
                 1.0 + np.max(np.abs(want)))
+
+    def test_overflow_rejected(self):
+        # |lambda| ~ 1e-3 with mu = 1e-3: 1e307 / lambda overflows a double
+        rhs = FourierField(2, {(1, 0): np.array([1e307, 1e307], dtype=complex)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParams, match=r"\(1, 0\)"):
+                solve_periodic(rhs, self.params, Material(1e-3, 0.0),
+                               self.torus)
 
     def test_eigenmode_solution(self):
         nu_k = frequency_vector((1, 2), self.torus)
