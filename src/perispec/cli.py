@@ -96,6 +96,7 @@ def figure_rows(job):
     nu = np.zeros((job.samples, job.n))
     nu[:, 0] = grid
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
+    heads = [f"{prefix},{_fmt(s)}" for s in job.lambda_star_list]
     materials = [Material(job.mu, s) for s in job.lambda_star_list]
     # lambda2 comes from the first pair; lambda* = 0 stands in for no curves
     lams = mt.eigenvalues_by_material(
@@ -103,9 +104,10 @@ def figure_rows(job):
     lam1 = [l1.tolist() for l1, _ in lams]
     lam2 = lams[0][1].tolist()
     for i, nu_norm in enumerate(grid):
-        for lam_star, col in zip(job.lambda_star_list, lam1):
-            yield f"{prefix},{_fmt(lam_star)},{_fmt(nu_norm)},{_fmt(col[i])},NA"
-        yield f"{prefix},NA,{_fmt(nu_norm)},NA,{_fmt(lam2[i])}"
+        nu_cell = _fmt(nu_norm)
+        for head, col in zip(heads, lam1):
+            yield f"{head},{nu_cell},{_fmt(col[i])},NA"
+        yield f"{prefix},NA,{nu_cell},NA,{_fmt(lam2[i])}"
 
 
 def _write_lines(path, lines):
@@ -191,7 +193,8 @@ def run_verification(seed, count, tol, overrides=None):
     per tuple; each check also records the oracle's error estimate as
     ``quad_err``.  ``tol`` must be finite and >= 0 (0 leaves only the
     absolute floor).  ``overrides`` pins named tuple components (n, delta,
-    beta, mu, lambda_star) to fixed values instead of sampling.
+    beta, mu, lambda_star) to fixed values instead of sampling; a pinned n
+    may be any n <= oracle.MAX_DIM = 8, a larger one raises InvalidParams.
     Returns the report dict.
     """
     from . import oracle   # imported here: scipy loads only for verify
@@ -289,7 +292,8 @@ def build_parser():
                      help="relative tolerance, finite and >= 0 "
                           "(absolute floor 1e-8)")
     ver.add_argument("--n", type=int, default=None,
-                     help="pin the dimension instead of sampling it")
+                     help="pin the dimension (any n <= 8) instead of "
+                          "sampling it from {1, 2, 3}")
     ver.add_argument("--delta", type=float, default=None,
                      help="pin the horizon instead of sampling it")
     ver.add_argument("--beta", type=float, default=None,

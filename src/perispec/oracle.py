@@ -2,14 +2,23 @@
 
 Each quantity produced in closed form by :mod:`perispec.multipliers` has an
 integral representation over the horizon ball B_delta(0).  This module
-evaluates those integrals directly by numerical quadrature in n = 1, 2, 3,
-sharing no series code with the closed-form path, so the two routes
-cross-check each other.
+evaluates those integrals directly by numerical quadrature in any dimension
+n <= MAX_DIM, sharing no series code with the closed-form path, so the two
+routes cross-check each other.
 
 Reduction: after an orthogonal change of variables taking nu to the first
-axis, every integrand depends on the radius r and the cosine t of the
-polar angle only (n = 3 integrands are azimuthally symmetric; the azimuth
-is integrated analytically).  The radial factor of every integrand is
+axis, every integrand depends on the radius r = |w| and on t = omega.e1
+for the direction omega = w/r only.  For such an integrand the sphere
+integral is one integral in t,
+
+    int_{S^(n-1)} f(omega.e1) domega
+        = |S^(n-2)| int_{-1}^{1} f(t) (1-t^2)^((n-3)/2) dt,
+
+so a single Gauss-Jacobi rule with both exponents (n-3)/2 serves every
+n >= 2 (Gauss-Chebyshev at n = 2, Gauss-Legendre at n = 3); n = 1 is the
+two-point sphere {+1, -1}.  A transverse second moment enters through its
+average over the transverse directions, (1-t^2)/(n-1), and odd transverse
+moments vanish by symmetry.  The radial factor of every integrand is
 r^(n+1-beta) times a smooth function, so the radial rule is Gauss-Jacobi
 with exactly that weight on an inner panel near 0 plus Gauss-Legendre on
 the outer panel; this keeps spectral convergence uniformly in beta < n+2,
@@ -36,6 +45,10 @@ __all__ = [
     "tensor_bond_quad", "tensor_state_quad", "lambda1_quad", "lambda2_quad",
     "moment_identity_check", "apply_to_plane_wave",
 ]
+
+#: Largest dimension the oracle accepts: the range its tests cross-check
+#: against the closed forms.
+MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -68,9 +81,9 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 def _check_dim(params):
-    if params.n not in (1, 2, 3):
+    if not 1 <= params.n <= MAX_DIM:
         raise InvalidParams(
-            f"quadrature oracle supports n in {{1, 2, 3}}, got n = {params.n}")
+            f"quadrature oracle supports 1 <= n <= {MAX_DIM}, got n = {params.n}")
 
 
 def _scaling_constant(n, delta, beta):
@@ -80,17 +93,18 @@ def _scaling_constant(n, delta, beta):
 
 
 @lru_cache(maxsize=256)
-def _gauss_rule(npts, alpha=None):
-    """Read-only Gauss nodes/weights on [-1, 1] for the weight (1+x)^alpha.
+def _gauss_rule(npts, a, b):
+    """Read-only Gauss nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
 
-    ``alpha=None`` gives Gauss-Legendre from ``roots_legendre``, anything
-    else Gauss-Jacobi from ``roots_jacobi(npts, 0, alpha)``.  Rules repeat
-    across refinement levels and frequencies, so each is built once.
+    ``(0, 0)`` gives Gauss-Legendre from ``roots_legendre``, any other pair
+    Gauss-Jacobi from ``roots_jacobi``.  Rules repeat across refinement
+    levels and frequencies, so each is built once; callers pass both
+    exponents, so each rule has a single cache key.
     """
-    if alpha is None:
+    if a == 0.0 and b == 0.0:
         x, w = roots_legendre(npts)
     else:
-        x, w = roots_jacobi(npts, 0.0, alpha)
+        x, w = roots_jacobi(npts, a, b)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -104,32 +118,27 @@ def _radial_rule(delta, gamma_exp, npts, split):
     Gauss-Legendre with the weight multiplied back in.
     """
     a = split * delta
-    xj, wj = _gauss_rule(npts, gamma_exp)
+    xj, wj = _gauss_rule(npts, 0.0, gamma_exp)
     r_in = a * (xj + 1.0) / 2.0
     w_in = wj * (a / 2.0) ** (gamma_exp + 1.0)
-    xl, wl = _gauss_rule(npts)
+    xl, wl = _gauss_rule(npts, 0.0, 0.0)
     r_out = a + (delta - a) * (xl + 1.0) / 2.0
     w_out = wl * (delta - a) / 2.0 * r_out**gamma_exp
     return np.concatenate([r_in, r_out]), np.concatenate([w_in, w_out])
 
 
 def _angular_rule(n, npts):
-    """Return (t, u, wa): polar cosines, transverse components, weights.
+    """Return (t, wa): nodes t = omega.e1 and weights on the sphere S^(n-1).
 
-    n = 1: the two-point sphere {+1, -1}.  n = 2: midpoint rule in the
-    full angle (spectral for periodic integrands); u = sin(theta) is the
-    true transverse coordinate.  n = 3: Gauss-Legendre in t = cos(theta)
-    with the azimuth integrated analytically, so the weights carry 2*pi,
-    u is not needed, and transverse moments use the azimuthal average
-    (1 - t^2)/2 inside the integrand.
+    n = 1: the two-point sphere {+1, -1}.  n >= 2: the Gauss-Jacobi rule
+    for the weight (1-t^2)^((n-3)/2), times
+    |S^(n-2)| = 2 pi^((n-1)/2) / Gamma((n-1)/2).
     """
     if n == 1:
-        return np.array([1.0, -1.0]), None, np.array([1.0, 1.0])
-    if n == 2:
-        theta = 2.0 * np.pi * (np.arange(npts) + 0.5) / npts
-        return np.cos(theta), np.sin(theta), np.full(npts, 2.0 * np.pi / npts)
-    t, w = _gauss_rule(npts)
-    return t, None, w * 2.0 * np.pi
+        return np.array([1.0, -1.0]), np.array([1.0, 1.0])
+    h = (n - 1) / 2.0
+    t, w = _gauss_rule(npts, h - 1.0, h - 1.0)
+    return t, w * (2.0 * math.pi**h / math.gamma(h))
 
 
 def _sin_x_minus_x_over_x3(x):
@@ -151,8 +160,9 @@ def _reduced_integrals(params, nu_norm, spec, level):
     carries the common radial weight r^(n+1-beta); the returned values are
     therefore of the regularized smooth factors.  Keys: m (scalar
     multiplier integrand), A and B (parallel/transverse diagonal entries of
-    the bond tensor integrand), s1 and s2 (sine transform vector
-    components), lam2 (transverse eigenvalue integrand).
+    the bond tensor integrand; B is 0 at n = 1, where there is no
+    transverse direction), s1 (parallel sine transform component; the
+    transverse ones vanish), lam2 (transverse eigenvalue integrand).
     """
     n = params.n
     osc = nu_norm * params.delta
@@ -161,7 +171,7 @@ def _reduced_integrals(params, nu_norm, spec, level):
     na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
     r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, nr,
                          spec.singularity_split)
-    t, u, wa = _angular_rule(n, na)
+    t, wa = _angular_rule(n, na)
     R = r[:, None]
     T = t[None, :]
     x = nu_norm * R * T
@@ -169,24 +179,13 @@ def _reduced_integrals(params, nu_norm, spec, level):
     cosm1_r2 = -2.0 * sin_half * sin_half / (R * R)   # (cos(x) - 1) / r^2
     sinc_x = np.sinc(x / np.pi)                        # sin(x) / x
     t2 = T * T
-    out = {
+    return {
         "m": wr @ cosm1_r2 @ wa,
         "A": wr @ (t2 * cosm1_r2) @ wa,
+        "B": wr @ ((1.0 - t2) / max(n - 1, 1) * cosm1_r2) @ wa,
         "s1": nu_norm * (wr @ (t2 * sinc_x) @ wa),
         "lam2": nu_norm**2 * (wr @ (t2 * t2 * _sin_x_minus_x_over_x3(x)) @ wa),
     }
-    if n == 2:
-        u2 = (u * u)[None, :]
-        out["B"] = wr @ (u2 * cosm1_r2) @ wa
-        out["s2"] = nu_norm * (wr @ (T * u[None, :] * sinc_x) @ wa)
-    elif n == 3:
-        u2 = ((1.0 - t * t) / 2.0)[None, :]
-        out["B"] = wr @ (u2 * cosm1_r2) @ wa
-        out["s2"] = 0.0
-    else:
-        out["B"] = 0.0
-        out["s2"] = 0.0
-    return out
 
 
 def _householder_to_e1(nu_hat):
@@ -218,8 +217,6 @@ def _quantities(params, material, v, nn, raw):
     D = np.diag([raw["A"]] + [raw["B"]] * (n - 1))
     s = np.zeros(n)
     s[0] = raw["s1"]
-    if n == 2:
-        s[1] = raw["s2"]
     J = H @ s
     dl = material.lambda_star - material.mu
     if dl == 0.0:
@@ -269,7 +266,11 @@ def _freq(params, nu):
     if v.size != params.n:
         raise InvalidParams(
             f"frequency vector has length {v.size}, expected n = {params.n}")
-    return v, float(np.linalg.norm(v))
+    nn = float(np.linalg.norm(v))
+    if not math.isfinite(nn):
+        raise InvalidParams(
+            f"frequency vector and its norm must be finite, got {v.tolist()}")
+    return v, nn
 
 
 def quadrature_bundle(params, material, nu, spec=DEFAULT_SPEC, tol=None):
@@ -302,21 +303,17 @@ def _select(name, params, material, nu, spec, tol):
 def scalar_multiplier_quad(params, nu, spec=DEFAULT_SPEC, tol=None):
     """Scalar multiplier by quadrature of c int (cos(nu.w) - 1)/|w|^beta dw.
 
-    Returns (value, err_est).
+    Returns (value, err_est) from :func:`quadrature_bundle`; with ``tol``,
+    stops or raises on the worst estimate of the bundle.
     """
-    _check_dim(params)
-    v, nn = _freq(params, nu)
-    if nn == 0.0:
-        return 0.0, 0.0
-    return _refine(spec, tol, lambda level: _quantities(
-        params, None, v, nn,
-        _reduced_integrals(params, nn, spec, level)))["scalar"]
+    return _select("scalar", params, None, nu, spec, tol)
 
 
 def tensor_bond_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     """Bond tensor by entrywise quadrature of its w (x) w integral.
 
-    Returns (matrix, err_est) from :func:`quadrature_bundle`.
+    Returns (matrix, err_est) from :func:`quadrature_bundle`; with ``tol``,
+    stops or raises on the worst estimate of the bundle.
     """
     return _select("bond", params, material, nu, spec, tol)
 
@@ -326,7 +323,8 @@ def tensor_state_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
 
     Computes j = int w sin(nu.w)/|w|^beta dw once and returns
     (-(lambda*-mu) c^2/4 * j (x) j, err_est) from :func:`quadrature_bundle`;
-    rank <= 1 by construction.
+    rank <= 1 by construction.  With ``tol``, stops or raises on the worst
+    estimate of the bundle.
     """
     return _select("state", params, material, nu, spec, tol)
 
@@ -338,7 +336,8 @@ def lambda1_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     minus  (lambda*-mu) [ (c/2) int (nu.w) sin(nu.w) / (|nu| |w|^beta) dw ]^2.
 
     Returns (value, err_est) from :func:`quadrature_bundle`; raises
-    ZeroFrequency at nu = 0.
+    ZeroFrequency at nu = 0.  With ``tol``, stops or raises on the worst
+    estimate of the bundle.
     """
     return _select("lambda1", params, material, nu, spec, tol)
 
@@ -351,7 +350,8 @@ def lambda2_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     series branch for |x| < 1e-2 to avoid cancellation.
 
     Returns (value, err_est) from :func:`quadrature_bundle`; raises
-    ZeroFrequency at nu = 0.
+    ZeroFrequency at nu = 0.  With ``tol``, stops or raises on the worst
+    estimate of the bundle.
     """
     return _select("lambda2", params, material, nu, spec, tol)
 
@@ -375,18 +375,14 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
         nr = max(spec.radial_points, 16) << level
         na = max(spec.angular_points, 16) << level
         r, wr = _radial_rule(delta, n - 1.0 - beta, nr, spec.singularity_split)
-        t, u, wa = _angular_rule(n, na)
+        t, wa = _angular_rule(n, na)
         ones = np.ones((r.size, t.size))
         t2 = (t * t)[None, :]
-        d11 = wr @ (ones * t2) @ wa
-        devs = [abs(d11 - expected)]
-        if n == 2:
-            devs.append(abs(wr @ (ones * (u * u)[None, :]) @ wa - expected))
-            devs.append(abs(wr @ (ones * (t * u)[None, :]) @ wa))
-        elif n == 3:
-            u2 = ((1.0 - t * t) / 2.0)[None, :]
-            devs.append(abs(wr @ (ones * u2) @ wa - expected))
-            # off-diagonal entries vanish with the analytic azimuth integral
+        devs = [abs(wr @ (ones * t2) @ wa - expected)]
+        if n > 1:
+            # transverse diagonal; off-diagonal entries vanish by symmetry
+            b = wr @ (ones * ((1.0 - t2) / (n - 1))) @ wa
+            devs.append(abs(b - expected))
         return {"deviation": max(devs) / expected}
 
     return _refine(spec, tol, compute)["deviation"][0]
@@ -411,6 +407,8 @@ def apply_to_plane_wave(params, material, nu, amplitude, x, spec=DEFAULT_SPEC):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if amplitude.size != params.n or x.size != params.n:
         raise InvalidParams("amplitude and x must have length n")
+    if not (np.isfinite(amplitude).all() and np.isfinite(x).all()):
+        raise InvalidParams("amplitude and x must be finite")
     if nn == 0.0:
         return np.zeros(params.n, dtype=complex), 0.0
     phase = np.exp(1j * float(v @ x))

@@ -139,6 +139,7 @@ class TestNonFiniteInput:
         ["verify", "--count", "1", "--tol", "inf", "--out", "r.json"],
         ["verify", "--count", "1", "--tol", "nan", "--out", "r.json"],
         ["verify", "--count", "1", "--tol", "-1", "--out", "r.json"],
+        ["verify", "--count", "1", "--n", "9", "--out", "r.json"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):
@@ -169,6 +170,13 @@ class TestVerifyCommand:
         rc = main(["verify", "--count", "1", "--n", "2", "--beta", "5.0",
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+    def test_pinned_dimension_above_three(self, capsys):
+        rc = main(["verify", "--n", "5", "--count", "2"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["all_pass"] is True
+        assert [entry["n"] for entry in report["entries"]] == [5, 5]
 
     def test_stdout_report(self, capsys):
         rc = main(["verify", "--seed", "7", "--count", "2"])
