@@ -183,6 +183,27 @@ def _passes(closed, quad, tol):
     return bool(np.all(dev <= allow))
 
 
+def _check_pinned(overrides, max_dim):
+    """Reject a bad pinned tuple component before any draw uses it.
+
+    A pinned n sizes the random direction and a pinned mu bounds the
+    lambda* draw on [-2 mu, 3], so both are checked here rather than when
+    their tuple is assembled.
+    """
+    for name, value in overrides.items():
+        if not math.isfinite(value):
+            raise InvalidParams(f"pinned {name} must be finite, got {value}")
+    if "n" in overrides and not 1 <= overrides["n"] <= max_dim:
+        raise InvalidParams(
+            f"pinned n must satisfy 1 <= n <= {max_dim}, got {overrides['n']}")
+    if "mu" in overrides:
+        mu = Material(overrides["mu"], 0.0).mu
+        if not math.isfinite(3.0 + 2.0 * mu):
+            raise InvalidParams(
+                f"pinned mu = {mu} overflows the lambda* sampling range "
+                f"[-2 mu, 3]")
+
+
 def run_verification(seed, count, tol, overrides=None):
     """Dual-path sweep over ``count`` random parameter tuples.
 
@@ -195,6 +216,8 @@ def run_verification(seed, count, tol, overrides=None):
     absolute floor).  ``overrides`` pins named tuple components (n, delta,
     beta, mu, lambda_star) to fixed values instead of sampling; a pinned n
     may be any n <= oracle.MAX_DIM = 8, a larger one raises InvalidParams.
+    Pinned values are checked before any draw uses them.  A tuple whose
+    |nu| delta exceeds oracle.MAX_PHASE = 400 raises InvalidParams.
     Returns the report dict.
     """
     from . import oracle   # imported here: scipy loads only for verify
@@ -204,6 +227,7 @@ def run_verification(seed, count, tol, overrides=None):
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParams(f"tol must be finite and >= 0, got {tol}")
     overrides = overrides or {}
+    _check_pinned(overrides, oracle.MAX_DIM)
     rng = np.random.default_rng(seed)
     entries = []
     failures = 0

@@ -34,7 +34,6 @@ import math
 import threading
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import InvalidParams, NonConvergent
@@ -204,6 +203,8 @@ def _check_disk(a, b, z):
 
 def _escalate(a, b, z):
     """Value of the cancelled series at float z from one mpmath.hyper call."""
+    import mpmath   # imported here: most calls never escalate
+
     try:
         with _MP_LOCK, mpmath.workprec(ESCALATED_PREC_BITS):
             value = float(mpmath.hyper(a, b, z))

@@ -18,17 +18,23 @@ so a single Gauss-Jacobi rule with both exponents (n-3)/2 serves every
 n >= 2 (Gauss-Chebyshev at n = 2, Gauss-Legendre at n = 3); n = 1 is the
 two-point sphere {+1, -1}.  A transverse second moment enters through its
 average over the transverse directions, (1-t^2)/(n-1), and odd transverse
-moments vanish by symmetry.  The radial factor of every integrand is
+moments vanish by symmetry.  Every integrand left is even in t, so the
+symmetric rule is folded onto t >= 0 (each node pair becomes one node
+with the summed weight), and each integrand is evaluated once on that
+half grid.  The radial factor of every integrand is
 r^(n+1-beta) times a smooth function, so the radial rule is Gauss-Jacobi
 with exactly that weight on an inner panel near 0 plus Gauss-Legendre on
 the outer panel; this keeps spectral convergence uniformly in beta < n+2,
 including kernels just short of the integrability limit.  Node counts
-scale with the phase |nu| delta so oscillatory integrands stay resolved.
+scale with the phase |nu| delta so oscillatory integrands stay resolved;
+the oracle's reach is therefore stated as |nu| delta <= MAX_PHASE, and a
+larger phase is rejected before any grid is built.
 
 One refinement pass per frequency (:func:`quadrature_bundle`) integrates
 every quantity on the same grids.  Each quantity reports its own
 per-quantity Richardson-style error estimate (difference of its two finest
-refinement levels) alongside its value.
+refinement levels) alongside its value; without a tolerance only those two
+levels are computed.
 """
 
 import math
@@ -50,6 +56,11 @@ __all__ = [
 #: against the closed forms.
 MAX_DIM = 8
 
+#: Largest phase |nu| delta the oracle accepts.  Node counts grow linearly
+#: with the phase in both t and r; the closed forms are cross-checked up to
+#: here.
+MAX_PHASE = 400.0
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -60,7 +71,9 @@ class QuadratureSpec:
     fraction of delta where the radial interval splits into the
     singular-weight inner panel and the smooth outer panel;
     refinement_levels is the number of doublings performed beyond the
-    base grid, so refinement_levels + 1 grids are evaluated in total.
+    base grid.  With a tolerance all refinement_levels + 1 grids may be
+    evaluated; without one only the two finest are, since the value and its
+    error estimate come from those two alone.
     """
 
     radial_points: int = 64
@@ -128,29 +141,26 @@ def _radial_rule(delta, gamma_exp, npts, split):
 
 
 def _angular_rule(n, npts):
-    """Return (t, wa): nodes t = omega.e1 and weights on the sphere S^(n-1).
+    """Return (t, wa): the sphere rule on S^(n-1) folded onto t = omega.e1 >= 0.
 
-    n = 1: the two-point sphere {+1, -1}.  n >= 2: the Gauss-Jacobi rule
-    for the weight (1-t^2)^((n-3)/2), times
-    |S^(n-2)| = 2 pi^((n-1)/2) / Gamma((n-1)/2).
+    Every integrand the oracle takes over the sphere is even in t, so node
+    i of the symmetric rule is paired with node N-1-i, which carries the
+    pair's summed weight; for odd N the middle node is kept once.  n = 1:
+    the two-point sphere {+1, -1} becomes {1} with weight 2.  n >= 2: the
+    Gauss-Jacobi rule for the weight (1-t^2)^((n-3)/2), times
+    |S^(n-2)| = 2 pi^((n-1)/2) / Gamma((n-1)/2), folded.
     """
     if n == 1:
-        return np.array([1.0, -1.0]), np.array([1.0, 1.0])
+        return np.array([1.0]), np.array([2.0])
     h = (n - 1) / 2.0
     t, w = _gauss_rule(npts, h - 1.0, h - 1.0)
-    return t, w * (2.0 * math.pi**h / math.gamma(h))
-
-
-def _sin_x_minus_x_over_x3(x):
-    """(sin x - x) / x^3, series branch below |x| = 1e-2."""
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-2
-    xs = x[small]
-    x2 = xs * xs
-    out[small] = -1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0
-    xl = x[~small]
-    out[~small] = (np.sin(xl) - xl) / (xl * xl * xl)
-    return out
+    half = npts // 2
+    # t[npts-half:] are the upper nodes; w[half-1::-1] are their partners'
+    wa = w[npts - half:] + w[half - 1::-1]
+    t = t[half:]
+    if npts % 2:
+        wa = np.concatenate([w[half:half + 1], wa])
+    return t, wa * (2.0 * math.pi**h / math.gamma(h))
 
 
 def _reduced_integrals(params, nu_norm, spec, level):
@@ -163,6 +173,12 @@ def _reduced_integrals(params, nu_norm, spec, level):
     the bond tensor integrand; B is 0 at n = 1, where there is no
     transverse direction), s1 (parallel sine transform component; the
     transverse ones vanish), lam2 (transverse eigenvalue integrand).
+
+    Each integrand is evaluated once on the folded (t >= 0) grid:
+    cos(x) - 1 = -2 sin^2(x/2), and one sin(x) serves both sin(x)/x and
+    (sin(x) - x)/x^3, which switch to their Taylor series below
+    |x| = 1e-2 to avoid cancellation.  The angular weights of the
+    three bond integrals are stacked so one matrix product contracts them.
     """
     n = params.n
     osc = nu_norm * params.delta
@@ -172,19 +188,24 @@ def _reduced_integrals(params, nu_norm, spec, level):
     r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, nr,
                          spec.singularity_split)
     t, wa = _angular_rule(n, na)
-    R = r[:, None]
-    T = t[None, :]
-    x = nu_norm * R * T
+    t2 = t * t
+    x = np.multiply.outer(nu_norm * r, t)
     sin_half = np.sin(0.5 * x)
-    cosm1_r2 = -2.0 * sin_half * sin_half / (R * R)   # (cos(x) - 1) / r^2
-    sinc_x = np.sinc(x / np.pi)                        # sin(x) / x
-    t2 = T * T
+    sin_x = np.sin(x)
+    x2 = x * x
+    x4 = x2 * x2
+    small = np.abs(x) < 1e-2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc_x = np.where(small, 1.0 - x2 / 6.0 + x4 / 120.0, sin_x / x)
+        sxx = np.where(small, -1.0 / 6.0 + x2 / 120.0 - x4 / 5040.0,
+                       (sin_x - x) / (x2 * x))
+    # (cos(x) - 1) / r^2, with the 1/r^2 moved onto the radial weights
+    W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
+    m, A, B = (-2.0 * wr / (r * r)) @ ((sin_half * sin_half) @ W)
     return {
-        "m": wr @ cosm1_r2 @ wa,
-        "A": wr @ (t2 * cosm1_r2) @ wa,
-        "B": wr @ ((1.0 - t2) / max(n - 1, 1) * cosm1_r2) @ wa,
-        "s1": nu_norm * (wr @ (t2 * sinc_x) @ wa),
-        "lam2": nu_norm**2 * (wr @ (t2 * t2 * _sin_x_minus_x_over_x3(x)) @ wa),
+        "m": m, "A": A, "B": B,
+        "s1": nu_norm * (wr @ (sinc_x @ (t2 * wa))),
+        "lam2": nu_norm**2 * (wr @ (sxx @ (t2 * t2 * wa))),
     }
 
 
@@ -238,12 +259,14 @@ def _refine(spec, tol, compute):
     ``compute`` returns a dict of named values (scalars or arrays).  Each
     value gets its own error estimate, the largest entrywise difference
     between its two finest levels.  Returns {name: (value_at_finest,
-    err_est)}.  With a tolerance, stops early once every estimate is within
-    it, and raises AccuracyNotReached when one still exceeds it after the
-    last level.
+    err_est)}.  Without a tolerance only the two finest levels are
+    computed.  With one, the pass starts at level 0, stops early once every
+    estimate is within it, and raises AccuracyNotReached when one still
+    exceeds it after the last level.
     """
     prev = None
-    for level in range(spec.refinement_levels + 1):
+    first = 0 if tol is not None else spec.refinement_levels - 1
+    for level in range(first, spec.refinement_levels + 1):
         cur = compute(level)
         if prev is not None:
             errs = {name: float(np.max(np.abs(np.asarray(cur[name])
@@ -270,6 +293,11 @@ def _freq(params, nu):
     if not math.isfinite(nn):
         raise InvalidParams(
             f"frequency vector and its norm must be finite, got {v.tolist()}")
+    # checked before any grid is sized: node counts grow with the phase
+    if not nn * params.delta <= MAX_PHASE:
+        raise InvalidParams(
+            f"|nu| delta = {nn * params.delta:.6g} exceeds the oracle's reach "
+            f"MAX_PHASE = {MAX_PHASE:g}")
     return v, nn
 
 
@@ -374,15 +402,14 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
     def compute(level):
         nr = max(spec.radial_points, 16) << level
         na = max(spec.angular_points, 16) << level
-        r, wr = _radial_rule(delta, n - 1.0 - beta, nr, spec.singularity_split)
+        _, wr = _radial_rule(delta, n - 1.0 - beta, nr, spec.singularity_split)
         t, wa = _angular_rule(n, na)
-        ones = np.ones((r.size, t.size))
-        t2 = (t * t)[None, :]
-        devs = [abs(wr @ (ones * t2) @ wa - expected)]
+        radial = wr.sum()
+        t2 = t * t
+        devs = [abs(radial * (t2 @ wa) - expected)]
         if n > 1:
             # transverse diagonal; off-diagonal entries vanish by symmetry
-            b = wr @ (ones * ((1.0 - t2) / (n - 1))) @ wa
-            devs.append(abs(b - expected))
+            devs.append(abs(radial * ((1.0 - t2) / (n - 1) @ wa) - expected))
         return {"deviation": max(devs) / expected}
 
     return _refine(spec, tol, compute)["deviation"][0]

@@ -141,6 +141,17 @@ def eigenfield(k, torus, x, which="parallel", j=2):
     return phase * basis[j - 1].astype(complex)
 
 
+def _clean_mode(dim, k, c):
+    """(integer mode key, complex coefficient vector), checked against dim."""
+    key = _mode_key(k)
+    val = np.asarray(c, dtype=complex).reshape(-1)
+    if len(key) != dim or val.size != dim:
+        raise InvalidParams(
+            f"mode {key} / coefficient of size {val.size} do not "
+            f"match dim = {dim}")
+    return key, val
+
+
 @dataclass
 class FourierField:
     """Truncated Fourier series of a vector field on the torus.
@@ -155,15 +166,7 @@ class FourierField:
     coeffs: dict
 
     def __post_init__(self):
-        clean = {}
-        for k, c in self.coeffs.items():
-            key = _mode_key(k)
-            val = np.atleast_1d(np.asarray(c, dtype=complex))
-            if len(key) != self.dim or val.size != self.dim:
-                raise InvalidParams(
-                    f"mode {key} / coefficient of size {val.size} do not "
-                    f"match dim = {self.dim}")
-            clean[key] = val
+        clean = dict(_clean_mode(self.dim, k, c) for k, c in self.coeffs.items())
         if clean and not np.isfinite(np.concatenate(list(clean.values()))).all():
             bad = next(k for k, c in clean.items() if not np.isfinite(c).all())
             raise InvalidParams(f"coefficient of mode {bad} is not finite")
@@ -191,19 +194,20 @@ class FourierField:
         """Build a real (conjugate-symmetric) field from one half-spectrum.
 
         Every given mode k also populates -k with the conjugate
-        coefficient; a k = 0 entry is forced real.
+        coefficient; a k = 0 entry is forced real.  Each mode is validated
+        once, here, rather than again by ``__post_init__``.
         """
         coeffs = {}
         for k, c in half.items():
-            key = _mode_key(k)
-            val = np.atleast_1d(np.asarray(c, dtype=complex))
+            key, val = _clean_mode(dim, k, c)
             neg = tuple(-ki for ki in key)
             if key == neg:
                 coeffs[key] = val.real.astype(complex)
             else:
                 coeffs[key] = val
                 coeffs[neg] = np.conj(val)
-        return cls(dim, coeffs)
+        rows = np.array(list(coeffs.values())).reshape(len(coeffs), dim)
+        return cls._from_rows(dim, list(coeffs), rows)
 
     def conjugate_asymmetry(self):
         """Max deviation from coeff(-k) = conj(coeff(k)) over all modes."""

@@ -140,6 +140,14 @@ class TestNonFiniteInput:
         ["verify", "--count", "1", "--tol", "nan", "--out", "r.json"],
         ["verify", "--count", "1", "--tol", "-1", "--out", "r.json"],
         ["verify", "--count", "1", "--n", "9", "--out", "r.json"],
+        ["verify", "--count", "1", "--n", "0", "--out", "r.json"],
+        ["verify", "--count", "1", "--mu", "inf", "--out", "r.json"],
+        ["verify", "--count", "1", "--mu", "nan", "--out", "r.json"],
+        ["verify", "--count", "1", "--mu", "1e308", "--out", "r.json"],
+        ["verify", "--count", "1", "--mu", "1e308", "--lambda-star", "0",
+         "--out", "r.json"],
+        # |nu| delta past the oracle's reach, rejected before any grid
+        ["verify", "--count", "1", "--delta", "1e4", "--out", "r.json"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):
@@ -217,8 +225,13 @@ class TestLazyOracleImport:
         src = os.path.dirname(os.path.dirname(perispec.__file__))
         code = ("import sys, perispec, perispec.cli\n"
                 "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
+                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
                 "from perispec.oracle import lambda1_quad\n"
-                "assert perispec.lambda1_quad is lambda1_quad\n")
+                "assert perispec.lambda1_quad is lambda1_quad\n"
+                "from perispec.hypergeom import PfqParams, pfq\n"
+                "res = pfq(PfqParams((1.0, 1.5), (2.0, 2.5, 0.5)), -4e4)\n"
+                "assert res.precision_bits == 64, res\n"
+                "assert 'mpmath' in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)

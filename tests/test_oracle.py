@@ -314,3 +314,151 @@ class TestNonFiniteInput:
     def test_rejected(self, call, bad):
         with pytest.raises(InvalidParams):
             call(self._P, self._MAT, [bad, 1.0])
+
+
+class TestReach:
+    # |nu| delta just above MAX_PHASE = 400; the grid would be sized from it
+    _P, _MAT = NonlocalParams(3, 2.0, 1.0), Material(1.0, 0.5)
+    _NU = [200.001, 0.0, 0.0]
+
+    def test_cap_is_stated(self):
+        assert perispec.oracle.MAX_PHASE == 400.0
+
+    @pytest.mark.parametrize("call", [
+        lambda p, m, v: quadrature_bundle(p, m, v),
+        lambda p, m, v: scalar_multiplier_quad(p, v),
+        lambda p, m, v: tensor_bond_quad(p, m, v),
+        lambda p, m, v: tensor_state_quad(p, m, v),
+        lambda p, m, v: lambda1_quad(p, m, v),
+        lambda p, m, v: lambda2_quad(p, m, v),
+        lambda p, m, v: apply_to_plane_wave(p, m, v, [1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0]),
+    ], ids=["bundle", "scalar", "bond", "state", "lambda1", "lambda2",
+            "plane_wave"])
+    def test_rejected_before_any_grid(self, call, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a rule was built past the reach")
+        monkeypatch.setattr(perispec.oracle, "_radial_rule", no_rule)
+        monkeypatch.setattr(perispec.oracle, "_angular_rule", no_rule)
+        with pytest.raises(InvalidParams, match="MAX_PHASE"):
+            call(self._P, self._MAT, self._NU)
+
+
+def _full_grid_reduced(params, nu_norm, spec, level):
+    """Reference kernel: the unfolded symmetric angular rule, with every
+    integrand formed on the full grid and contracted on its own."""
+    n = params.n
+    osc = nu_norm * params.delta
+    nr = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16) << level
+    na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
+    r, wr = perispec.oracle._radial_rule(params.delta, n + 1.0 - params.beta,
+                                          nr, spec.singularity_split)
+    if n == 1:
+        t, wa = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+    else:
+        h = (n - 1) / 2.0
+        t, wa = perispec.oracle._gauss_rule(na, h - 1.0, h - 1.0)
+        wa = wa * (2.0 * math.pi**h / math.gamma(h))
+    R, T = r[:, None], t[None, :]
+    x = nu_norm * R * T
+    sin_half = np.sin(0.5 * x)
+    cosm1_r2 = -2.0 * sin_half * sin_half / (R * R)   # (cos(x) - 1) / r^2
+    sxx = np.empty_like(x)
+    small = np.abs(x) < 1e-2
+    xs2 = x[small] ** 2
+    sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs2 * xs2 / 5040.0
+    xl = x[~small]
+    sxx[~small] = (np.sin(xl) - xl) / xl**3
+    t2 = T * T
+    return {
+        "m": wr @ cosm1_r2 @ wa,
+        "A": wr @ (t2 * cosm1_r2) @ wa,
+        "B": wr @ ((1.0 - t2) / max(n - 1, 1) * cosm1_r2) @ wa,
+        "s1": nu_norm * (wr @ (t2 * np.sinc(x / np.pi)) @ wa),
+        "lam2": nu_norm**2 * (wr @ (t2 * t2 * sxx) @ wa),
+    }
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= max(1e-12 * np.max(np.abs(want)),
+                                             1e-15)
+
+
+class TestFoldedKernel:
+    @staticmethod
+    def _case(n):
+        rng = np.random.default_rng(100 + n)
+        p = NonlocalParams(n, rng.uniform(0.5, 3.0),
+                           rng.uniform(-1.0, n + 1.9))
+        nu = rng.standard_normal(n)
+        return p, Material(1.3, -0.4), nu * (rng.uniform(1.0, 15.0)
+                                             / np.linalg.norm(nu))
+
+    def test_angular_rule_folds_by_index(self):
+        t, wa = perispec.oracle._angular_rule(1, 64)
+        assert t.tolist() == [1.0] and wa.tolist() == [2.0]
+        for n in range(2, 9):
+            for npts in (16, 17):
+                t, wa = perispec.oracle._angular_rule(n, npts)
+                assert t.size == (npts + 1) // 2
+                assert (t >= -1e-15).all()
+                # total weight is |S^(n-1)|
+                assert_allclose(wa.sum(), 2.0 * math.pi ** (n / 2.0)
+                                / math.gamma(n / 2.0), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("points", [16, 17])
+    def test_reduced_integrals_match_full_grid(self, n, points):
+        p, _, nu = self._case(n)
+        nn = float(np.linalg.norm(nu))
+        spec = QuadratureSpec(radial_points=points, angular_points=points)
+        for level in (0, 1):
+            got = perispec.oracle._reduced_integrals(p, nn, spec, level)
+            want = _full_grid_reduced(p, nn, spec, level)
+            for key in want:
+                assert _close(got[key], want[key]), (key, level)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("tol", [None, 1.0])
+    def test_bundle_matches_full_grid(self, n, tol, monkeypatch):
+        # odd base counts: with tol set, level 0 runs on an odd grid
+        p, mat, nu = self._case(n)
+        spec = QuadratureSpec(radial_points=33, angular_points=33)
+        got = quadrature_bundle(p, mat, nu, spec, tol)
+        monkeypatch.setattr(perispec.oracle, "_reduced_integrals",
+                            _full_grid_reduced)
+        want = quadrature_bundle(p, mat, nu, spec, tol)
+        assert set(got) == set(want)
+        for name in want:
+            assert _close(got[name][0], want[name][0]), name
+
+    def test_refine_levels(self):
+        # successive levels differ by 1: tol = 1 stops after level 1, and
+        # tol = 0.5 runs every level and then raises
+        spec = QuadratureSpec(refinement_levels=2)
+        for tol, levels in ((None, [1, 2]), (1.0, [0, 1]), (0.5, [0, 1, 2])):
+            seen = []
+
+            def compute(level):
+                seen.append(level)
+                return {"v": float(level)}
+            try:
+                value, err = perispec.oracle._refine(spec, tol, compute)["v"]
+                assert (value, err) == (float(levels[-1]), 1.0)
+            except AccuracyNotReached:
+                assert tol == 0.5
+            assert seen == levels, tol
+
+    def test_exact_zeros_survive(self):
+        mat = Material(1.5, 1.5)
+        for n in range(1, 9):
+            p = NonlocalParams(n, 1.0, 1.0)
+            for name, (value, err) in quadrature_bundle(
+                    p, mat, np.zeros(n)).items():
+                value = np.asarray(value)
+                assert not value.any() and not np.signbit(value).any(), name
+                assert err == 0.0
+            state, err = quadrature_bundle(p, mat, np.ones(n))["state"]
+            assert not state.any() and not np.signbit(state).any()
+            assert err == 0.0

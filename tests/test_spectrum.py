@@ -156,9 +156,32 @@ class TestFourierField:
         assert field.conjugate_asymmetry() == 0.0
         assert np.all(field.coeffs[(0, 0)].imag == 0.0)
 
+    def test_half_spectrum_matches_full_construction(self):
+        # reference: the conjugate-completed dict validated by the constructor
+        rng = np.random.default_rng(4)
+        half = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                for k in itertools.product(range(-2, 3), repeat=3)
+                if k >= tuple(-ki for ki in k)}
+        full = {}
+        for k, c in half.items():
+            neg = tuple(-ki for ki in k)
+            full[k] = c.real.astype(complex) if k == neg else c
+            if k != neg:
+                full[neg] = np.conj(c)
+        want = FourierField(3, full)
+        got = FourierField.from_half_spectrum(3, half)
+        assert list(got.coeffs) == list(want.coeffs)
+        for k, c in want.coeffs.items():
+            assert got.coeffs[k].tolist() == c.tolist()
+        assert FourierField.from_half_spectrum(3, {}).coeffs == {}
+
     def test_dimension_validation(self):
-        with pytest.raises(InvalidParams):
-            FourierField(2, {(1,): np.array([1.0 + 0j, 0.0])})
+        for bad in ({(1,): np.array([1.0 + 0j, 0.0])},
+                    {(1, 0): np.ones(3)}):
+            with pytest.raises(InvalidParams, match="do not match dim = 2"):
+                FourierField(2, bad)
+            with pytest.raises(InvalidParams, match="do not match dim = 2"):
+                FourierField.from_half_spectrum(2, bad)
 
     def test_non_finite_coefficients_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf),
@@ -166,14 +189,14 @@ class TestFourierField:
             coeffs = {(1, 0): np.array([1.0, 2.0]), (0, 1): np.array([0.5, bad])}
             with pytest.raises(InvalidParams, match=r"\(0, 1\)"):
                 FourierField(2, coeffs)
-            with pytest.raises(InvalidParams):
+            with pytest.raises(InvalidParams, match=r"\(0, 1\)"):
                 FourierField.from_half_spectrum(2, coeffs)
 
     def test_non_integer_modes_rejected(self):
         for key in ((1.7, 0), (1.0, 0), ("1", 0)):
             with pytest.raises(InvalidParams):
                 FourierField(2, {key: np.ones(2)})
-            with pytest.raises(InvalidParams):
+            with pytest.raises(InvalidParams, match="integer entries"):
                 FourierField.from_half_spectrum(2, {key: np.ones(2)})
         with pytest.raises(InvalidParams):
             eigenfield((1.5, 0), TorusSpec((1.0, 1.0)), np.zeros(2))
