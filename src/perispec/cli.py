@@ -343,8 +343,36 @@ def build_parser():
     return parser
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv):
+    """Join ``--opt VALUE`` into ``--opt=VALUE`` when VALUE is a negative float.
+
+    argparse reads a token that starts with '-' as an option unless it
+    looks like a plain negative number such as ``-1`` or ``-.5``, so
+    ``--lambda-star -1e-3`` (``repr`` writes floats below 1e-4 in
+    e-notation) would be refused without the ``=``.
+    """
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and len(prev) > 2 and "=" not in prev
+                and token.startswith("-") and _is_float(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (PerispecError, OSError) as exc:

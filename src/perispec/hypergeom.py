@@ -9,22 +9,33 @@ f(z) = z * pFq(a; b; z).
 
 For large negative z the terms of these series grow to astronomical size
 before decaying, while the sum itself stays of moderate size; plain double
-precision then loses every significant digit.  Evaluation therefore runs a
-double-precision pass first.  When the largest term exceeds the partial sum
-by more than ``ESCALATION_RATIO``, or that pass does not converge, the
-value comes from one ``mpmath.hyper`` call at the fixed working precision
-``ESCALATED_PREC_BITS``.  mpmath detects the cancellation itself, raising
-its internal precision as needed, and switches to asymptotic expansions for
-large |z| (DLMF 16.11).  The multiplier series of this package evaluate
-this way down to z = -1e7; the eigenvalues are checked against the
-quadrature oracle at |nu| delta = 400, i.e. z = -4e4.
+precision then loses every significant digit.  Each value therefore comes
+from the first of three tiers that accepts it, judged by the cancellation
+ratio max|term| / |sum|:
 
-``pfq`` evaluates one argument with a Python-float loop.  ``pfq_many``
+1. A double-precision pass, accepted when it converged with a ratio of at
+   most ``ESCALATION_RATIO``.
+2. A double-double pass: each number is an unevaluated sum hi + lo of two
+   doubles, ~106 bits, built from error-free transforms (Dekker, "A
+   floating-point technique for extending the available precision",
+   Numer. Math. 1971; Hida, Li & Bailey, "Algorithms for quad-double
+   precision floating point arithmetic", ARITH 2001).  It runs only when
+   the double pass converged with a ratio of at most ``2 * DD_RATIO``, and
+   is accepted when it converged with a ratio of at most ``DD_RATIO``.
+3. One ``mpmath.hyper`` call at the fixed working precision
+   ``ESCALATED_PREC_BITS``.  mpmath detects the cancellation itself,
+   raising its internal precision as needed, and switches to asymptotic
+   expansions for large |z| (DLMF 16.11).  The multiplier series of this
+   package evaluate this way down to z = -1e7; the eigenvalues are checked
+   against the quadrature oracle at |nu| delta = 400, i.e. z = -4e4.
+   ``mpmath`` is imported only when an entry reaches this tier.
+
+``pfq`` evaluates one argument with Python-float loops.  ``pfq_many``
 evaluates a whole array of arguments: it validates and cancels the
-parameters once, runs the double-precision pass as one numpy loop over the
-term index, and escalates only the entries that pass does not accept.
+parameters once, runs both series passes as numpy loops over the term
+index, and hands the entries they do not accept to mpmath in one batch.
 Both repeat the same floating-point operations per argument, so their
-values are bit-identical.
+values, and the tier that serves each entry, are bit-identical.
 
 Everything here is a pure function of its arguments, with no cache;
 results are bit-identical across calls within one build.
@@ -41,18 +52,37 @@ from .errors import InvalidParams, NonConvergent
 #: Default relative tolerance used when callers do not pass one.
 DEFAULT_REL_TOL = 1e-13
 
-#: Escalate to mpmath when max|term| / |sum| exceeds this.  The
-#: double-precision pass loses roughly ``ratio * 3e-17`` in relative
-#: accuracy, so 1e3 keeps the unescalated path at ~1e-13 or better.
+#: Leave the double-precision pass when max|term| / |sum| exceeds this.
+#: That pass loses roughly ``ratio * 3e-17`` in relative accuracy, so 1e3
+#: keeps it at ~1e-13 or better.
 ESCALATION_RATIO = 1e3
 
-#: Working precision of the escalated pass.  Fixed, so results do not
-#: depend on earlier calls; a few bits above double so the value rounds
-#: correctly.
+#: Accept a double-double sum when max|term| / |sum| is at most this.  The
+#: cancellation then costs at most log2(1e13) ~ 43 of the ~106 bits,
+#: leaving ~63, ten more than a double holds.  The rounding errors of the
+#: term recurrence (~2^-104 relative per operation, a few hundred
+#: operations of random sign) take a few of those ten, so the sum still
+#: rounds to the double nearest the series value, or in rare cases to its
+#: neighbour.  On the figure grid with |nu| up to 16, every entry above
+#: ``ESCALATION_RATIO`` has a ratio below 5.5e12.
+DD_RATIO = 1e13
+
+#: ``precision_bits`` of a value from the double-double pass.
+DD_PRECISION_BITS = 106
+
+#: Working precision of the mpmath tier.  Fixed, so results do not depend
+#: on earlier calls; a few bits above double so the value rounds correctly.
 ESCALATED_PREC_BITS = 64
 
 _MAX_TERMS = 10000
 _TOL_RANGE = (1e-15, 1e-6)
+
+# the double-double pass stops on a tail below this, relative to the sum
+_DD_TOL = 2.0 ** -60
+# term ratios are computed this many at a time, while some entry still sums
+_DD_CHUNK = 64
+# Dekker's splitting constant, 2^27 + 1
+_SPLITTER = 134217729.0
 
 # mpmath's working precision is process-global state; escalated calls
 # serialize on this lock so concurrent callers stay safe
@@ -100,15 +130,20 @@ class PfqParams:
 class EvalResult:
     """Value of a series evaluation plus accounting.
 
-    On the double-precision path ``precision_bits`` is 53,
-    ``abs_error_estimate`` is the a-posteriori truncation bound from the
-    stopping rule (twice the first neglected term) and ``terms_used`` is
-    the number of terms summed.
+    ``precision_bits`` names the tier that produced the value.
 
-    On the escalated path ``precision_bits`` is ``ESCALATED_PREC_BITS``
-    (> 53), ``abs_error_estimate`` is one double ulp of the value (mpmath
-    computes it to more than double precision; rounding to a float is the
-    error left), and ``terms_used`` is the term count of the abandoned
+    Double-precision pass: 53.  ``abs_error_estimate`` is the a-posteriori
+    truncation bound from the stopping rule (twice the first neglected
+    term) and ``terms_used`` is the number of terms summed.
+
+    Double-double pass: ``DD_PRECISION_BITS`` (106).  ``abs_error_estimate``
+    is one double ulp of the value (its cancellation ratio was at most
+    ``DD_RATIO``, so the error left is the rounding to a float) and
+    ``terms_used`` is the number of terms that pass summed.
+
+    mpmath: ``ESCALATED_PREC_BITS`` (64).  ``abs_error_estimate`` is one
+    double ulp of the value (mpmath computes it to more than double
+    precision) and ``terms_used`` is the term count of the abandoned
     double-precision pass (mpmath does not report its own).
     """
 
@@ -148,8 +183,9 @@ def _cancel_common(a, b):
 def _sum_float(a, b, z, tol):
     """Double-precision series pass.
 
-    Returns (sum, err_bound, terms, max_abs_term, converged); ``converged``
-    is False when the term cap was hit or a value became non-finite.
+    Returns (sum, err_bound, terms, ratio).  ``ratio`` is max|term| / |sum|
+    when the pass converged to a finite nonzero sum, and inf when the term
+    cap was hit, a value became non-finite, or the sum is zero.
     """
     s = 1.0
     term = 1.0
@@ -165,10 +201,10 @@ def _sum_float(a, b, z, tol):
         term = term * num / den * z / (k + 1.0)
         if term == 0.0:
             # a numerator parameter hit zero: the series terminates exactly
-            return s, 0.0, k + 2, max_term, True
+            return s, 0.0, k + 2, (max_term / abs(s) if s else math.inf)
         s += term
         if not math.isfinite(s):
-            return s, math.inf, k + 2, math.inf, False
+            return s, math.inf, k + 2, math.inf
         at = abs(term)
         if at > max_term:
             max_term = at
@@ -183,10 +219,128 @@ def _sum_float(a, b, z, tol):
                     den *= bj + k + 1
                 nxt = abs(term * num / den * z / (k + 2.0))
                 if 2.0 * nxt < tol * abs(s):
-                    return s, 2.0 * nxt, k + 2, max_term, True
+                    return s, 2.0 * nxt, k + 2, max_term / abs(s)
         else:
             small_run = 0
-    return s, math.inf, _MAX_TERMS, max_term, False
+    return s, math.inf, _MAX_TERMS, math.inf
+
+
+# Double-double arithmetic.  A number is a pair (hi, lo) with
+# hi = fl(hi + lo), standing for the exact sum hi + lo.  These functions
+# use only + - * / on their arguments, so each runs unchanged on Python
+# floats and elementwise on float64 arrays, with the same bits on both:
+# IEEE 754 rounds every operation correctly, and neither fuses a multiply
+# and an add into one rounding.
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """``_two_sum`` for |a| >= |b| or a = 0, in three operations (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a, each of at most 26 bits (Dekker)."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(ah, al, bh, bl):
+    """(ah + al) + (bh + bl), accurate also when the two cancel."""
+    s, e = _two_sum(ah, bh)
+    t, f = _two_sum(al, bl)
+    s, e = _fast_two_sum(s, e + t)
+    return _fast_two_sum(s, e + f)
+
+
+def _dd_mul(ah, al, bh, bl):
+    """(ah + al) * (bh + bl)."""
+    p, e = _two_prod(ah, bh)
+    return _fast_two_sum(p, e + (ah * bl + al * bh))
+
+
+def _dd_div(ah, al, bh, bl):
+    """(ah + al) / (bh + bl): the double quotient plus one correction."""
+    q1 = ah / bh
+    ph, pl = _dd_mul(bh, bl, q1, 0.0)
+    s, e = _two_sum(ah, -ph)
+    return _fast_two_sum(q1, (s + ((e - pl) + al)) / bh)
+
+
+def _dd_ratios(a, b, start):
+    """Term ratios c_k = prod(a + k) / (prod(b + k) (k + 1)) in double-double.
+
+    For k = start, ..., start + _DD_CHUNK - 1, as two float64 arrays
+    (hi, lo); each a_i + k and b_j + k is formed exactly.  The ratios do
+    not depend on z, so one chunk serves every entry of a pass.
+    """
+    k = np.arange(start, start + _DD_CHUNK, dtype=float)
+    with np.errstate(all="ignore"):
+        num = _two_sum(a[0], k) if a else (np.ones(_DD_CHUNK), 0.0 * k)
+        for ai in a[1:]:
+            num = _dd_mul(*num, *_two_sum(ai, k))
+        den = (k + 1.0, 0.0 * k)
+        for bj in b:
+            den = _dd_mul(*den, *_two_sum(bj, k))
+        return _dd_div(*num, *den)
+
+
+def _sum_dd(a, b, z):
+    """Double-double series pass at a nonzero float z.
+
+    Term k + 1 is term k times r_k = c_k z (see ``_dd_ratios``).  The pass
+    stops once three consecutive terms are below ``_DD_TOL`` times the sum
+    and twice the next one is too.  Returns (value, terms, accepted): the
+    sum rounded to double, the number of terms summed, and whether the
+    value may be served, i.e. the pass converged to a finite nonzero sum
+    with max|term| / |sum| <= ``DD_RATIO``.
+    """
+    c_hi, r_hi, r_lo = [], [], []
+    s_hi, s_lo = 1.0, 0.0
+    t_hi, t_lo = 1.0, 0.0
+    max_term = 1.0
+    small_run = 0
+    for k in range(_MAX_TERMS):
+        if k + 1 >= len(c_hi):
+            # one array pass forms r_k = c_k z for the whole chunk
+            hi, lo = _dd_ratios(a, b, len(c_hi))
+            c_hi += hi.tolist()
+            hi, lo = _dd_mul(hi, lo, z, 0.0)
+            r_hi += hi.tolist()
+            r_lo += lo.tolist()
+        t_hi, t_lo = _dd_mul(t_hi, t_lo, r_hi[k], r_lo[k])
+        if t_hi == 0.0:
+            return s_hi, k + 2, (s_hi != 0.0
+                                 and max_term / abs(s_hi) <= DD_RATIO)
+        s_hi, s_lo = _dd_add(s_hi, s_lo, t_hi, t_lo)
+        if not math.isfinite(s_hi):
+            return s_hi, k + 2, False
+        at = abs(t_hi)
+        if at > max_term:
+            max_term = at
+        if at < _DD_TOL * abs(s_hi):
+            small_run += 1
+            if (small_run >= 3 and 2.0 * abs(t_hi * c_hi[k + 1] * z)
+                    < _DD_TOL * abs(s_hi)):
+                return s_hi, k + 2, max_term / abs(s_hi) <= DD_RATIO
+        else:
+            small_run = 0
+    return s_hi, _MAX_TERMS, False
 
 
 def _check_tol(tol):
@@ -201,19 +355,32 @@ def _check_disk(a, b, z):
             f"p = q + 1 series diverges for |z| >= 1 (z = {z})")
 
 
-def _escalate(a, b, z):
-    """Value of the cancelled series at float z from one mpmath.hyper call."""
-    import mpmath   # imported here: most calls never escalate
+def _escalate(a, b, zs):
+    """Values of the cancelled series at the floats ``zs`` from mpmath.hyper.
 
-    try:
-        with _MP_LOCK, mpmath.workprec(ESCALATED_PREC_BITS):
-            value = float(mpmath.hyper(a, b, z))
-    except mpmath.libmp.NoConvergence as exc:
-        raise NonConvergent(
-            f"mpmath.hyper did not converge (z = {z}): {exc}") from exc
-    if not math.isfinite(value):
-        raise NonConvergent(f"series value overflows a double (z = {z})")
-    return value
+    The parameters are converted to mpf once for all arguments, and every
+    call runs under one lock and one working-precision context.  An mpf
+    converted from a float holds it exactly, and ``hyper`` classifies it
+    (integer, small-denominator rational or real) just as it classifies
+    the float, so the values are those of passing the floats.
+    """
+    import mpmath   # imported here: most calls never reach this tier
+
+    values = []
+    with _MP_LOCK, mpmath.workprec(ESCALATED_PREC_BITS):
+        a_mp = [mpmath.mpf(x) for x in a]
+        b_mp = [mpmath.mpf(x) for x in b]
+        for z in zs:
+            try:
+                value = float(mpmath.hyper(a_mp, b_mp, z))
+            except mpmath.libmp.NoConvergence as exc:
+                raise NonConvergent(
+                    f"mpmath.hyper did not converge (z = {z}): {exc}") from exc
+            if not math.isfinite(value):
+                raise NonConvergent(
+                    f"series value overflows a double (z = {z})")
+            values.append(value)
+    return values
 
 
 def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
@@ -229,12 +396,17 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     target_rel_tol : float
         Truncation target in [1e-15, 1e-6] of the double-precision pass;
         its stopping rule requires three consecutive terms below it and
-        bounds the tail by twice the first neglected term.  The escalated
-        path ignores it and returns the value rounded to double.
+        bounds the tail by twice the first neglected term.  The
+        double-double and mpmath tiers ignore it and return the value
+        rounded to double.
 
     Returns
     -------
     EvalResult
+        From the first tier that accepts the value (see the module
+        docstring): the double pass (``precision_bits`` 53), the
+        double-double pass (``DD_PRECISION_BITS``, for cancellation ratios
+        up to ``DD_RATIO``) or mpmath (``ESCALATED_PREC_BITS``).
 
     Raises
     ------
@@ -252,11 +424,15 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     _check_disk(a, b, z)
     if z == 0.0:
         return EvalResult(1.0, 0.0, 1, 53)
-    s, err, terms, max_term, converged = _sum_float(
-        a, b, z, float(target_rel_tol))
-    if converged and s != 0.0 and max_term / abs(s) <= ESCALATION_RATIO:
+    s, err, terms, ratio = _sum_float(a, b, z, float(target_rel_tol))
+    if ratio <= ESCALATION_RATIO:
         return EvalResult(s, err, terms, 53)
-    value = _escalate(a, b, z)
+    if ratio <= 2.0 * DD_RATIO:
+        value, dd_terms, accepted = _sum_dd(a, b, z)
+        if accepted:
+            return EvalResult(value, math.ulp(value), dd_terms,
+                              DD_PRECISION_BITS)
+    value, = _escalate(a, b, (z,))
     return EvalResult(value, math.ulp(value), terms, ESCALATED_PREC_BITS)
 
 
@@ -264,13 +440,12 @@ def _sum_float_many(a, b, z, tol):
     """Double-precision pass over every entry of a nonzero float array z.
 
     Each entry runs ``_sum_float``'s operations in the same order, so its
-    sum and its acceptance are bit-identical to a scalar pass followed by
-    ``pfq``'s escalation test; only the loop over k is shared, and entries
-    leave it as they stop.  Returns (values, accepted): the sums, and a
-    mask of the entries that need no escalation.
+    sum and its ratio are bit-identical to a scalar pass; only the loop
+    over k is shared, and entries leave it as they stop.  Returns
+    (values, ratio), as ``_sum_float`` defines them.
     """
     values = np.empty(z.size)
-    accepted = np.zeros(z.size, dtype=bool)
+    ratio = np.full(z.size, np.inf)
     idx = np.arange(z.size)          # entries still summing
     s = np.ones(z.size)
     term = np.ones(z.size)
@@ -307,24 +482,76 @@ def _sum_float_many(a, b, z, tol):
             done = converged | ~finite
             if done.any():
                 values[idx[done]] = s[done]
-                accepted[idx[done]] = (
-                    converged & finite & (s != 0.0)
-                    & (max_term / np.abs(s) <= ESCALATION_RATIO))[done]
+                # a zero sum divides to inf, as the scalar pass reports it
+                ok = converged & finite
+                ratio[idx[ok]] = (max_term / np.abs(s))[ok]
                 keep = ~done
                 idx, z, s, term, max_term, small_run = (
                     x[keep] for x in (idx, z, s, term, max_term, small_run))
     values[idx] = s                  # term cap reached: not converged
+    return values, ratio
+
+
+def _sum_dd_many(a, b, z):
+    """``_sum_dd`` over every entry of a nonzero float array z.
+
+    One loop over k serves all entries, and entries leave it as they stop,
+    as in ``_sum_float_many``; each entry runs ``_sum_dd``'s operations in
+    the same order.  Returns (values, accepted).
+    """
+    values = np.empty(z.size)
+    accepted = np.zeros(z.size, dtype=bool)
+    idx = np.arange(z.size)          # entries still summing
+    s_hi, s_lo = np.ones(z.size), np.zeros(z.size)
+    t_hi, t_lo = np.ones(z.size), np.zeros(z.size)
+    max_term = np.ones(z.size)
+    small_run = np.zeros(z.size, dtype=np.int64)
+    c_hi, c_lo = [], []
+    with np.errstate(all="ignore"):
+        for k in range(_MAX_TERMS):
+            if not idx.size:
+                break
+            if k + 1 >= len(c_hi):
+                hi, lo = _dd_ratios(a, b, len(c_hi))
+                c_hi += hi.tolist()
+                c_lo += lo.tolist()
+            t_hi, t_lo = _dd_mul(t_hi, t_lo,
+                                 *_dd_mul(c_hi[k], c_lo[k], z, 0.0))
+            # a zero term ends the series exactly; adding it keeps s as is
+            converged = t_hi == 0.0
+            s_hi, s_lo = _dd_add(s_hi, s_lo, t_hi, t_lo)
+            at = np.abs(t_hi)
+            max_term = np.maximum(max_term, at)
+            abs_s = np.abs(s_hi)
+            small_run = np.where(at < _DD_TOL * abs_s, small_run + 1, 0)
+            tail = small_run >= 3
+            if tail.any():
+                nxt = np.abs(t_hi * c_hi[k + 1] * z)
+                converged |= tail & (2.0 * nxt < _DD_TOL * abs_s)
+            finite = np.isfinite(s_hi)
+            done = converged | ~finite
+            if done.any():
+                values[idx[done]] = s_hi[done]
+                accepted[idx[done]] = (
+                    converged & finite & (s_hi != 0.0)
+                    & (max_term / abs_s <= DD_RATIO))[done]
+                keep = ~done
+                idx, z, s_hi, s_lo, t_hi, t_lo, max_term, small_run = (
+                    x[keep] for x in (idx, z, s_hi, s_lo, t_hi, t_lo,
+                                      max_term, small_run))
+    values[idx] = s_hi               # term cap reached: not converged
     return values, accepted
 
 
 def pfq_many(params, z, target_rel_tol=DEFAULT_REL_TOL):
     """Evaluate pFq(a; b; z) at every entry of a 1-D float array z.
 
-    Validation and parameter cancellation run once per call; the
-    double-precision pass runs over all entries at once, and the entries
-    it does not accept escalate to ``mpmath.hyper`` one at a time, in
-    array order.  Every value is bit-identical to ``pfq(params, z[i],
-    target_rel_tol).value``.
+    Validation and parameter cancellation run once per call.  The
+    double-precision pass runs over all entries at once, the double-double
+    pass over the entries it routes there, and the entries neither
+    accepts go to ``mpmath.hyper`` in one batch.  Every value is
+    bit-identical to ``pfq(params, z[i], target_rel_tol).value`` and comes
+    from the same tier.
 
     Returns
     -------
@@ -334,8 +561,8 @@ def pfq_many(params, z, target_rel_tol=DEFAULT_REL_TOL):
     Raises
     ------
     NonConvergent
-        If p = q + 1 and some |z| >= 1, or as ``pfq`` for an escalated
-        entry.
+        If p = q + 1 and some |z| >= 1, or as ``pfq`` for an entry that
+        reaches mpmath.
     InvalidParams
         If target_rel_tol is out of range, or z is not a 1-D array of
         finite values.
@@ -353,11 +580,17 @@ def pfq_many(params, z, target_rel_tol=DEFAULT_REL_TOL):
         _check_disk(a, b, float(z[np.argmax(np.abs(z))]))
     out = np.ones(z.size)
     nonzero = np.flatnonzero(z != 0.0)
-    values, accepted = _sum_float_many(a, b, z[nonzero],
-                                       float(target_rel_tol))
+    values, ratio = _sum_float_many(a, b, z[nonzero], float(target_rel_tol))
     out[nonzero] = values
-    for i in nonzero[~accepted].tolist():
-        out[i] = _escalate(a, b, float(z[i]))
+    to_dd = (ratio > ESCALATION_RATIO) & (ratio <= 2.0 * DD_RATIO)
+    dd = nonzero[to_dd]
+    values, accepted = _sum_dd_many(a, b, z[dd])
+    out[dd] = values
+    to_mpmath = ratio > 2.0 * DD_RATIO
+    to_mpmath[to_dd] = ~accepted
+    rest = nonzero[to_mpmath]
+    if rest.size:
+        out[rest] = _escalate(a, b, z[rest].tolist())
     return out
 
 

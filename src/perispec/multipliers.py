@@ -15,7 +15,9 @@ kernel exponent beta -> n + 2, M converges to the multiplier of the Navier
 operator of classical linear elasticity.
 
 All functions are pure; frequency vectors are treated through |nu| and
-nu (x) nu only, so M(-nu) = M(nu) holds exactly.
+nu (x) nu only, so M(-nu) = M(nu) holds exactly.  A coefficient, matrix
+entry or eigenvalue that overflows a double (a finite but huge mu or
+lambda*) raises NonConvergent instead of being returned as inf or NaN.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, NonConvergent
 from .hypergeom import DEFAULT_REL_TOL, PfqParams, pfq, pfq_many
 
 __all__ = [
@@ -133,6 +135,17 @@ def _F(a, b, z, tol):
     return pfq(PfqParams(a, b), z, tol).value
 
 
+def _finite(value, what):
+    """``value``, checked to hold only finite numbers.
+
+    A huge finite material (mu or lambda* near 1e308) can overflow a
+    product of finite factors; that is reported instead of returned.
+    """
+    if not np.isfinite(value).all():
+        raise NonConvergent(f"{what} overflows a double")
+    return value
+
+
 def _z_of(params, nu_norm):
     return -0.25 * nu_norm * nu_norm * params.delta * params.delta
 
@@ -193,13 +206,13 @@ def _bond_coefficients(params, material, nu_norm, tol):
         (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, tol)
     a_b2 = -2.0 * material.mu * _F(
         (h,), (n / 2.0 + 2.0, h + 1.0), z, tol)
-    return a_b1, a_b2
+    return _finite(a_b1, "alpha_b1"), _finite(a_b2, "alpha_b2")
 
 
 def _state_coefficient(params, material, nu_norm, tol):
     """alpha_s at |nu| = nu_norm > 0."""
     g = gradient_factor(params, nu_norm, tol)
-    return -(material.lambda_star - material.mu) * g * g
+    return _finite(-(material.lambda_star - material.mu) * g * g, "alpha_s")
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -215,8 +228,9 @@ def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL)
     if nn == 0.0:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
     a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
-    mat = a_b1 * np.eye(params.n) + a_b2 * np.outer(v, v)
-    return TensorMultiplier(mat, a_b1, a_b2, 0.0)
+    with np.errstate(over="ignore"):
+        mat = a_b1 * np.eye(params.n) + a_b2 * np.outer(v, v)
+    return TensorMultiplier(_finite(mat, "bond multiplier"), a_b1, a_b2, 0.0)
 
 
 def tensor_multiplier_state(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -230,7 +244,9 @@ def tensor_multiplier_state(params, material, nu, target_rel_tol=DEFAULT_REL_TOL
     if nn == 0.0 or material.lambda_star == material.mu:
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
     a_s = _state_coefficient(params, material, nn, target_rel_tol)
-    return TensorMultiplier(a_s * np.outer(v, v), 0.0, 0.0, a_s)
+    with np.errstate(over="ignore"):
+        mat = a_s * np.outer(v, v)
+    return TensorMultiplier(_finite(mat, "state multiplier"), 0.0, 0.0, a_s)
 
 
 def tensor_multiplier(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -241,8 +257,9 @@ def tensor_multiplier(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
         return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
     a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
     a_s = _state_coefficient(params, material, nn, target_rel_tol)
-    mat = a_b1 * np.eye(params.n) + (a_b2 + a_s) * np.outer(v, v)
-    return TensorMultiplier(mat, a_b1, a_b2, a_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = a_b1 * np.eye(params.n) + (a_b2 + a_s) * np.outer(v, v)
+    return TensorMultiplier(_finite(mat, "multiplier"), a_b1, a_b2, a_s)
 
 
 def navier_multiplier(material, nu):
@@ -298,9 +315,10 @@ def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
         return 0.0
     merged, g_series, _ = _eigen_series(params)
     z = _z_of(params, math.sqrt(nn2))
-    return _lambda1_of(material, nn2,
-                       pfq(merged, z, target_rel_tol).value,
-                       pfq(g_series, z, target_rel_tol).value)
+    return _finite(_lambda1_of(material, nn2,
+                               pfq(merged, z, target_rel_tol).value,
+                               pfq(g_series, z, target_rel_tol).value),
+                   "lambda1")
 
 
 def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -317,7 +335,7 @@ def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_T
     nn = math.sqrt(nn2)
     a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
     a_s = _state_coefficient(params, material, nn, target_rel_tol)
-    return a_b1 + (a_b2 + a_s) * nn2
+    return _finite(a_b1 + (a_b2 + a_s) * nn2, "lambda1")
 
 
 def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -332,7 +350,9 @@ def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
         return 0.0
     _, _, series = _eigen_series(params)
     z = _z_of(params, math.sqrt(nn2))
-    return _lambda2_of(material, nn2, pfq(series, z, target_rel_tol).value)
+    return _finite(
+        _lambda2_of(material, nn2, pfq(series, z, target_rel_tol).value),
+        "lambda2")
 
 
 def _shell_series(params, shells, tol):
@@ -368,9 +388,11 @@ def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TO
     for material in materials:
         lam1 = np.zeros(shells.size)
         lam2 = np.zeros(shells.size)
-        lam1[nonzero] = _lambda1_of(material, shells_nz, f_merged, g)
-        lam2[nonzero] = _lambda2_of(material, shells_nz, f2)
-        out.append((lam1[inverse], lam2[inverse]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam1[nonzero] = _lambda1_of(material, shells_nz, f_merged, g)
+            lam2[nonzero] = _lambda2_of(material, shells_nz, f2)
+        out.append((_finite(lam1, "lambda1")[inverse],
+                    _finite(lam2, "lambda2")[inverse]))
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -148,15 +149,53 @@ class TestNonFiniteInput:
          "--out", "r.json"],
         # |nu| delta past the oracle's reach, rejected before any grid
         ["verify", "--count", "1", "--delta", "1e4", "--out", "r.json"],
+        # a finite material so large that the closed forms overflow
+        ["verify", "--count", "1", "--mu", "1e307", "--lambda-star", "0",
+         "--out", "r.json"],
+        ["figure", "--delta", "1", "--beta", "3", "--samples", "3",
+         "--mu", "1e308", "--lambda-star", "1e308", "--out", "x.csv"],
+        ["spectrum", "--n", "1", "--delta", "1", "--beta", "2",
+         "--mu", "1e308", "--lambda-star", "1e308", "--k-max", "1",
+         "--out", "x.csv"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("perispec: error:")
         assert "Traceback" not in err
         assert list(tmp_path.rglob("*")) == []
+
+
+class TestNegativeValues:
+    # argparse reads a bare -1e-3 as an option name, and repr writes floats
+    # below 1e-4 in that form
+    def test_figure_lambda_star(self, tmp_path):
+        out = tmp_path / "panel.csv"
+        assert main(["figure", "--delta", "1", "--beta", "3", "--samples",
+                     "2", "--lambda-star", "-1e-3", "--lambda-star", "-2",
+                     "--out", str(out)]) == 0
+        stars = [r["lambda_star"] for r in read_csv(out)]
+        assert stars[:3] == ["-0.001", "-2", "NA"]
+
+    def test_verify_beta(self, capsys):
+        assert main(["verify", "--count", "1", "--beta", "-1e-3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["entries"][0]["beta"] == -1e-3
+
+    def test_spectrum_lambda_star(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--n", "1", "--delta", "1", "--beta", "2",
+                     "--lambda-star", "-1e-3", "--k-max", "1",
+                     "--out", str(out)]) == 0
+        joined = tmp_path / "joined.csv"
+        assert main(["spectrum", "--n", "1", "--delta", "1", "--beta", "2",
+                     "--lambda-star=-1e-3", "--k-max", "1",
+                     "--out", str(joined)]) == 0
+        assert out.read_bytes() == joined.read_bytes()
 
 
 class TestVerifyCommand:
@@ -232,6 +271,21 @@ class TestLazyOracleImport:
                 "res = pfq(PfqParams((1.0, 1.5), (2.0, 2.5, 0.5)), -4e4)\n"
                 "assert res.precision_bits == 64, res\n"
                 "assert 'mpmath' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_figure_panel_without_mpmath(self, tmp_path):
+        # delta = 2 reaches the double-double pass, which serves every
+        # entry of the default figure range
+        import perispec
+        src = os.path.dirname(os.path.dirname(perispec.__file__))
+        code = ("import sys\n"
+                "from perispec.cli import main\n"
+                "assert main(['figure', '--delta', '2', '--beta', '3', "
+                f"'--out', {str(tmp_path / 'p.csv')!r}]) == 0\n"
+                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)

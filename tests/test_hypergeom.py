@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import perispec.hypergeom as hg
 from perispec.errors import InvalidParams, NonConvergent
-from perispec.hypergeom import (PfqParams, f_form_derivatives,
+from perispec.hypergeom import (DD_PRECISION_BITS, ESCALATED_PREC_BITS,
+                                PfqParams, f_form_derivatives,
                                 merge_linear_combination, pfq, pfq_many,
                                 pfq_minus_one, pochhammer)
 
@@ -85,8 +88,8 @@ class TestPfq:
 
     def test_oracle_cancellation_regime(self):
         # z = -(|nu| delta / 2)^2 = -225 at |nu| = 15, delta = 2: the terms
-        # peak around 1e12 while the sum is ~0.022, so the double passic
-        # alone cannot deliver; the escalated path must engage.
+        # peak around 4e6 while the sum is ~0.022, so the double pass
+        # alone cannot deliver; a higher-precision tier must engage.
         recomputed = series_oracle([1, 2], [2, 3, Fraction(7, 2)], -225)
         assert recomputed == ORACLE_CANCEL
         res = pfq(PfqParams((1.0, 2.0), (2.0, 3.0, 3.5)), -225.0)
@@ -192,7 +195,7 @@ class TestPfqMany:
                 ref = pfq(params, zi, tol)
                 assert value == ref.value
                 paths.add(ref.precision_bits)
-        assert paths == {53, 64}
+        assert paths == {53, DD_PRECISION_BITS, ESCALATED_PREC_BITS}
 
     def test_terminating_series(self):
         params = PfqParams((-2.0, 1.5), (3.0, 0.5))
@@ -237,6 +240,81 @@ class TestPfqMany:
     def test_value_overflowing_double_raises(self):
         with pytest.raises(NonConvergent):
             pfq_many(PfqParams((1.0,), (2.0,)), np.array([1.0, 1000.0]))
+
+
+class TestDoubleDouble:
+    def test_error_free_transforms(self):
+        # each pair holds the exact sum or product, on floats and arrays
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 9, 200)
+        y = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 9, 200)
+        for fn, exact in ((hg._two_sum, lambda u, v: u + v),
+                          (hg._two_prod, lambda u, v: u * v)):
+            hi, lo = fn(x, y)
+            for xi, yi, h, l in zip(x.tolist(), y.tolist(), hi.tolist(),
+                                    lo.tolist()):
+                assert fn(xi, yi) == (h, l)
+                assert Fraction(h) + Fraction(l) == exact(Fraction(xi),
+                                                          Fraction(yi))
+
+    @pytest.mark.parametrize("z", [-225.0, -256.0])
+    def test_matches_exact_rational_sum(self, z):
+        # max|term| / |sum| is ~2e8 and ~1e9 here: too deep for the double
+        # pass, within DD_RATIO, so the double-double pass serves the value
+        res = pfq(PfqParams((1.0, 2.0), (2.0, 3.0, 3.5)), z)
+        assert res.precision_bits == DD_PRECISION_BITS
+        assert res.value == series_oracle([1, 2], [2, 3, Fraction(7, 2)],
+                                          int(z))
+        assert res.abs_error_estimate == math.ulp(res.value)
+
+    def test_random_draws_within_one_ulp(self):
+        rng = np.random.default_rng(61)
+        served = 0
+        for _ in range(300):
+            p = int(rng.integers(1, 4))
+            q = int(rng.integers(p, p + 3))
+            params = PfqParams(tuple(rng.uniform(0.2, 4.0, size=p)),
+                               tuple(rng.uniform(0.3, 5.0, size=q)))
+            z = -rng.uniform(50.0, 900.0)
+            res = pfq(params, z)
+            if res.precision_bits != DD_PRECISION_BITS:
+                continue
+            served += 1
+            with mpmath.workprec(320):
+                ref = float(mpmath.hyper(
+                    [mpmath.mpf(x) for x in params.a],
+                    [mpmath.mpf(x) for x in params.b], z))
+            assert abs(res.value - ref) <= math.ulp(ref)
+        assert served >= 100
+
+    def test_correctly_rounded_where_mpmath_is_one_ulp_off(self):
+        # lambda2's 2F3 of the figure panel delta = 2, beta = 3 (n = 3) at
+        # |nu| = 14.36936936936937; the 64-bit mpmath value is 1 ulp high
+        nu = 14.36936936936937
+        z = -0.25 * nu * nu * 2.0 * 2.0
+        res = pfq(PfqParams((1.0, 1.0), (2.0, 2.0, 3.5)), z)
+        assert res.value == 0.06301083284069973
+        assert res.precision_bits == DD_PRECISION_BITS
+
+    def test_deep_cancellation_skips_the_double_double_pass(self, monkeypatch):
+        # the double pass measures a ratio far above 2 DD_RATIO at z = -4e4,
+        # so the value goes straight to mpmath
+        sum_dd_many = hg._sum_dd_many
+
+        def refuse(*args):
+            raise AssertionError("double-double pass ran")
+
+        def only_empty(a, b, z):
+            assert not z.size, "double-double pass ran"
+            return sum_dd_many(a, b, z)
+
+        monkeypatch.setattr(hg, "_sum_dd", refuse)
+        monkeypatch.setattr(hg, "_sum_dd_many", only_empty)
+        params = PfqParams((1.0, 1.5), (2.0, 2.5, 0.5))
+        res = pfq(params, -4e4)
+        assert res.precision_bits == ESCALATED_PREC_BITS
+        assert pfq_many(params, np.array([-4e4, -1.0])).tolist() == [
+            res.value, pfq(params, -1.0).value]
 
 
 class TestPfqMinusOne:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import perispec.oracle as oracle
-from perispec.errors import InvalidParams
+from perispec.errors import InvalidParams, NonConvergent
 from perispec.multipliers import (Material, NonlocalParams, eigen_decomposition,
                                   eigenvalue_parallel, eigenvalue_parallel_split,
                                   eigenvalue_transverse, eigenvalues,
@@ -327,6 +328,25 @@ class TestBatchEigenvalues:
             one1, one2 = eigenvalues(p, mat, nu)
             assert np.array_equal(lam1, one1) and np.array_equal(lam2, one2)
         assert eigenvalues_by_material(p, [], nu) == []
+
+    def test_overflow_raises(self):
+        # finite but huge materials overflow products of finite factors
+        p = NonlocalParams(3, 1.0, 3.0)
+        huge = Material(1e308, 1e308)
+        nu = np.array([[0.0, 0.0, 0.0], [7.5, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match="overflows"):
+                eigenvalues_by_material(p, [Material(1.0, 0.0), huge], nu)
+            for closed_form in (tensor_multiplier_bond, tensor_multiplier,
+                                eigenvalue_parallel, eigenvalue_parallel_split,
+                                eigenvalue_transverse):
+                with pytest.raises(NonConvergent, match="overflows"):
+                    closed_form(p, huge, nu[1])
+            # alpha_s is finite, its rank-one matrix is not
+            with pytest.raises(NonConvergent, match="overflows"):
+                tensor_multiplier_state(p, Material(1.0, 1.7e308),
+                                        np.array([3.0, 1.0, 0.0]))
 
     def test_shape_validation(self):
         p = NonlocalParams(3, 1.0, 2.0)
