@@ -8,9 +8,9 @@ periodic boxes (:mod:`perispec.spectrum`).  The series engine lives in
 :mod:`perispec.hypergeom`; the ``perispec`` command (:mod:`perispec.cli`)
 exposes figure data, a verification sweep, and spectrum tables.
 
-The oracle's names are re-exported lazily (PEP 562): ``perispec.oracle``,
-and with it ``scipy``, is imported on first access to one of them, so
-``import perispec`` and the closed-form paths do not pay for it.
+The oracle's names are re-exported lazily (PEP 562): ``perispec.oracle``
+is imported on first access to one of them, so ``import perispec`` and
+the closed-form paths do not pay for it.
 """
 
 from .errors import (AccuracyNotReached, DegenerateEigenvalue, InvalidParams,

@@ -16,6 +16,7 @@ exactly; identical invocations produce byte-identical files.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -81,28 +82,37 @@ class FigureJob:
 FIGURE_HEADER = "n,delta,beta,mu,lambda_star,nu_norm,lambda1,lambda2"
 
 
-def figure_rows(job):
-    """Yield CSV rows for one panel.
+def figure_values(job):
+    """Evaluate one panel: (|nu| grid, lambda1 per lambda*, lambda2) as arrays.
 
-    One lambda1 row per (lambda_star, sample); since lambda2 does not
-    depend on lambda*, it is emitted once per sample in a trailing row
-    whose lambda_star field is the sentinel NA.  The frequency is taken
-    along the first axis (rotation invariance makes the direction
-    immaterial); the series are evaluated once over the whole grid and
-    combined per lambda*.
+    The frequency is taken along the first axis (rotation invariance makes
+    the direction immaterial); the series are evaluated once over the whole
+    grid and combined per lambda*.
     """
     params = NonlocalParams(job.n, job.delta, job.beta)
     grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
     nu = np.zeros((job.samples, job.n))
     nu[:, 0] = grid
-    prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
-    heads = [f"{prefix},{_fmt(s)}" for s in job.lambda_star_list]
     materials = [Material(job.mu, s) for s in job.lambda_star_list]
     # lambda2 comes from the first pair; lambda* = 0 stands in for no curves
     lams = mt.eigenvalues_by_material(
         params, materials or [Material(job.mu, 0.0)], nu)
-    lam1 = [l1.tolist() for l1, _ in lams]
-    lam2 = lams[0][1].tolist()
+    return grid, [l1 for l1, _ in lams], lams[0][1]
+
+
+def figure_rows(job, values=None):
+    """Yield CSV rows for one panel, from ``values`` = figure_values(job).
+
+    One lambda1 row per (lambda_star, sample); since lambda2 does not
+    depend on lambda*, it is emitted once per sample in a trailing row
+    whose lambda_star field is the sentinel NA.  Without ``values`` the
+    panel is evaluated here.
+    """
+    grid, lam1, lam2 = figure_values(job) if values is None else values
+    prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
+    heads = [f"{prefix},{_fmt(s)}" for s in job.lambda_star_list]
+    lam1 = [l1.tolist() for l1 in lam1]
+    lam2 = lam2.tolist()
     for i, nu_norm in enumerate(grid):
         nu_cell = _fmt(nu_norm)
         for head, col in zip(heads, lam1):
@@ -124,8 +134,18 @@ def _write_lines(path, lines):
         raise
 
 
-def write_figure_csv(job, path):
-    _write_lines(path, [FIGURE_HEADER] + list(figure_rows(job)))
+def write_figure_csv(job, path, values=None):
+    _write_lines(path, [FIGURE_HEADER] + list(figure_rows(job, values)))
+
+
+def _missing_dirs(path):
+    """The directories os.makedirs(path) would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 def _cmd_figure(args):
@@ -139,13 +159,29 @@ def _cmd_figure(args):
         write_figure_csv(FigureJob(delta=args.delta, beta=args.beta, **base),
                          args.out)
         return 0
-    # validate every panel before creating the output directory
+    # validate and evaluate every panel before creating the output directory
     jobs = [FigureJob(delta=delta, beta=beta, **base)
             for delta in FIGURE_DELTAS for beta in figure_betas(args.n)]
+    values = [figure_values(job) for job in jobs]
+    new_dirs = _missing_dirs(args.out)
     os.makedirs(args.out, exist_ok=True)
-    for job in jobs:
-        name = f"figure_delta{job.delta:g}_beta{job.beta:g}.csv"
-        write_figure_csv(job, os.path.join(args.out, name))
+    new_files = []
+    try:
+        for job, vals in zip(jobs, values):
+            name = f"figure_delta{job.delta:g}_beta{job.beta:g}.csv"
+            path = os.path.join(args.out, name)
+            if not os.path.exists(path):
+                new_files.append(path)
+            write_figure_csv(job, path, vals)
+    except BaseException:
+        # remove what this call created; files it overwrote stay
+        for path in new_files:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        for path in new_dirs:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     return 0
 
 
@@ -220,7 +256,7 @@ def run_verification(seed, count, tol, overrides=None):
     |nu| delta exceeds oracle.MAX_PHASE = 400 raises InvalidParams.
     Returns the report dict.
     """
-    from . import oracle   # imported here: scipy loads only for verify
+    from . import oracle   # imported here: only verify needs the oracle
 
     if count < 1:
         raise InvalidParams(f"count must be >= 1, got {count}")

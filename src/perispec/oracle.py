@@ -26,9 +26,13 @@ r^(n+1-beta) times a smooth function, so the radial rule is Gauss-Jacobi
 with exactly that weight on an inner panel near 0 plus Gauss-Legendre on
 the outer panel; this keeps spectral convergence uniformly in beta < n+2,
 including kernels just short of the integrability limit.  Node counts
-scale with the phase |nu| delta so oscillatory integrands stay resolved;
-the oracle's reach is therefore stated as |nu| delta <= MAX_PHASE, and a
-larger phase is rejected before any grid is built.
+scale with the phase each rule's interval sees (singularity_split
+|nu| delta on the inner panel, |nu| delta on the outer panel and the
+sphere) so oscillatory integrands stay resolved; the oracle's reach is
+therefore stated as |nu| delta <= MAX_PHASE, and a larger phase is
+rejected before any grid is built.  Every Gauss rule is built here with
+numpy alone (Newton's method in theta = arccos x on the three-term
+recurrence), so the oracle depends on no special-function library.
 
 One refinement pass per frequency (:func:`quadrature_bundle`) integrates
 every quantity on the same grids.  Each quantity reports its own
@@ -42,9 +46,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import AccuracyNotReached, InvalidParams, ZeroFrequency
+from .errors import (AccuracyNotReached, InvalidParams, NonConvergent,
+                     ZeroFrequency)
 
 __all__ = [
     "QuadratureSpec", "quadrature_bundle", "scalar_multiplier_quad",
@@ -66,10 +70,14 @@ MAX_PHASE = 400.0
 class QuadratureSpec:
     """Resolution knobs for the ball quadrature.
 
-    radial_points / angular_points are the base counts at the coarsest
-    refinement level (each level doubles them); singularity_split is the
-    fraction of delta where the radial interval splits into the
-    singular-weight inner panel and the smooth outer panel;
+    radial_points / angular_points are floors on the base node counts of
+    the outer radial panel and of the sphere rule at the coarsest
+    refinement level (each level doubles them; both also grow with the
+    phase |nu| delta).  The inner radial panel is sized from its own phase
+    singularity_split * |nu| delta alone, since its Gauss-Jacobi weight
+    takes the singular factor exactly; singularity_split is the fraction
+    of delta where the radial interval splits into that singular-weight
+    inner panel and the smooth outer panel;
     refinement_levels is the number of doublings performed beyond the
     base grid.  With a tolerance all refinement_levels + 1 grids may be
     evaluated; without one only the two finest are, since the value and its
@@ -105,39 +113,169 @@ def _scaling_constant(n, delta, beta):
             / (math.pi ** (n / 2.0) * delta ** (n + 2 - beta)))
 
 
+#: Largest |a| = |b| seeded from the asymptotic node guess; past about
+#: |a| = 20 that guess converges to wrong nodes, so larger ones (unused by
+#: the oracle, whose sphere rules have a = b <= 2.5) take the eigenvalue seed.
+_ASYMPTOTIC_SEED_MAX = 5.0
+
+#: Newton passes allowed per rule; the seeds above converge within 5.
+_NEWTON_PASSES = 10
+
+
+def _jacobi_recurrence(npts, a, b):
+    """Coefficients of p_{k+1} = (2x - c_k) p_k - d_k p_{k-1}, p_0 = 1.
+
+    p_k = 2^k times the monic Jacobi polynomial of degree k; c_k/2 and
+    sqrt(d_k)/2 are the diagonal and off-diagonal of the Jacobi matrix.
+    The k = 0 and k = 1 entries are written out where the general form is
+    0/0 (a + b = 0 or -1).
+    """
+    c = [2.0 * (b - a) / (a + b + 2.0)]
+    d = [0.0, 16.0 * (1.0 + a) * (1.0 + b)
+         / ((a + b + 2.0) ** 2 * (a + b + 3.0))]
+    for k in range(1, npts):
+        s = 2.0 * k + a + b
+        c.append(2.0 * (b * b - a * a) / (s * (s + 2.0)))
+        if k > 1:
+            d.append(16.0 * k * (k + a) * (k + b) * (k + a + b)
+                     / (s * s * (s + 1.0) * (s - 1.0)))
+    return c, d
+
+
+def _jacobi_values(x, c, d):
+    """(p_N, p_{N-1}, log scale) at x, vectorised over the nodes.
+
+    Every 32 steps both values are divided by |p_k| + |p_{k-1}| per node
+    and the log of that factor is accumulated, so no exponent pair can
+    overflow or underflow them; Newton steps use only their ratio.
+    """
+    x2 = x + x
+    p0, p1 = np.ones_like(x), x2 - c[0]
+    log_scale = 0.0
+    for k in range(1, len(c)):
+        p0, p1 = p1, (x2 - c[k]) * p1 - d[k] * p0
+        if not k % 32:
+            scale = np.abs(p1) + np.abs(p0)
+            p0, p1 = p0 / scale, p1 / scale
+            log_scale = log_scale + np.log(scale)
+    return p1, p0, log_scale
+
+
+def _jacobi_mass(a, b):
+    """2^(a+b+1) B(a+1, b+1), the integral of (1-x)^a (1+x)^b over [-1, 1]."""
+    if a + b + 2.0 < 171.0:
+        return (2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+                / math.gamma(a + b + 2.0))
+    # Gamma overflows here; lgamma loses a few ulps per unit of its value
+    return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+
+
 @lru_cache(maxsize=256)
 def _gauss_rule(npts, a, b):
     """Read-only Gauss nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
 
-    ``(0, 0)`` gives Gauss-Legendre from ``roots_legendre``, any other pair
-    Gauss-Jacobi from ``roots_jacobi``.  Rules repeat across refinement
-    levels and frequencies, so each is built once; callers pass both
-    exponents, so each rule has a single cache key.
+    Nodes ascend.  Built with numpy alone (Golub & Welsch 1969; Hale &
+    Townsend 2013): Newton's method on P_N^(a,b)(cos theta) in theta, with
+    P_N and P_{N-1} from the three-term recurrence over all nodes at once.
+    Seeds: for a == b the asymptotic guess theta_k ~ phi_k +
+    (1/4 - a^2)(cot(phi_k/2) - tan(phi_k/2)) / (2N + 2a + 1)^2 with
+    phi_k = (2k + a - 1/2) pi / (2N + 2a + 1), on the nodes x > 0 only
+    (the rest by symmetry, the middle one of odd N exactly 0); otherwise
+    the eigenvalues of the Jacobi matrix.  The weights are
+    1 / (dP_N/dtheta)^2, which keeps the 1 - x^2 factor of the usual
+    formula out of the arithmetic, scaled to the exact mass
+    2^(a+b+1) B(a+1, b+1).  The Newton pass stops once its step is too
+    small to matter, |step| (|g| + N) <= 1e-8 with g = P''/P' at a node
+    (theta form of the Jacobi ODE); the weights take that last step into
+    account through the same ODE, so no further pass is made.  Rules repeat
+    across refinement levels and frequencies, so each is built once.
     """
-    if a == 0.0 and b == 0.0:
-        x, w = roots_legendre(npts)
+    c, d = _jacobi_recurrence(npts, a, b)
+    s = 2.0 * npts + a + b
+    # P_N / P_{N-1} in the scaling of p, folded into the derivative formula
+    # (s (1-x^2) dP_N/dx = N ((a-b) - s x) P_N + 2 (N+a)(N+b) P_{N-1})
+    if npts > 1:
+        e = 8.0 * npts * (npts + a) * (npts + b) * (npts + a + b) / (s * (s - 1.0))
     else:
-        x, w = roots_jacobi(npts, a, b)
+        e = 8.0 * (1.0 + a) * (1.0 + b) / (a + b + 2.0)
+    half = npts // 2
+    symmetric = a == b and abs(a) <= _ASYMPTOTIC_SEED_MAX
+    if symmetric:
+        k = np.arange(1, npts - half + 1)
+        phi = (2.0 * k + a - 0.5) * (math.pi / (s + 1.0))
+        tan = np.tan(0.5 * phi)
+        theta = phi + (0.25 - a * a) * (1.0 / tan - tan) / (s + 1.0) ** 2
+    else:
+        jacobi = np.diag(0.5 * np.array(c))
+        jacobi += np.diag(0.5 * np.sqrt(d[1:npts]), 1)
+        x = np.linalg.eigvalsh(jacobi, UPLO="U")
+        theta = np.arccos(np.clip(x, -1.0, 1.0))
+    for _ in range(_NEWTON_PASSES):
+        x = np.cos(theta)
+        sin = np.sin(theta)
+        pn, pm, log_scale = _jacobi_values(x, c, d)
+        # -s sin(theta) dP_N/dtheta, in the scaling of p
+        dpn = npts * ((a - b) - s * x) * pn + e * pm
+        step = s * sin * pn / dpn
+        theta = theta + step
+        g = ((b - a) - (a + b + 1.0) * x) / sin
+        if np.max(np.abs(step) * (np.abs(g) + npts)) <= 1e-8:
+            break
+    else:
+        raise NonConvergent(
+            f"Gauss-Jacobi nodes for N = {npts}, (a, b) = ({a}, {b}) did not "
+            f"converge in {_NEWTON_PASSES} Newton passes")
+    # dP_N/dtheta at the new nodes: P'' = g P' - N (N+a+b+1) P in theta, and
+    # P = -step P' here; the stopping rule puts every term past the first
+    # order below 1e-16 relative
+    dpn *= 1.0 + step * g
+    log_w = 2.0 * (np.log(sin) - np.log(np.abs(dpn)) - log_scale)
+    w = np.exp(log_w - log_w.max())
+    x = np.cos(theta)
+    if symmetric:
+        if npts % 2:
+            x[-1] = 0.0
+        x = np.concatenate([-x[:half], x[::-1]])
+        w = np.concatenate([w[:half], w[::-1]])
+    w *= _jacobi_mass(a, b) / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def _radial_rule(delta, gamma_exp, npts, split):
+def _radial_rule(delta, gamma_exp, n_in, n_out, split):
     """Nodes/weights with int_0^delta r^gamma_exp F(r) dr ~ sum W_i F(r_i).
 
-    Inner panel [0, split*delta]: Gauss-Jacobi with weight (1+x)^gamma_exp,
-    which absorbs the endpoint singularity exactly.  Outer panel: plain
-    Gauss-Legendre with the weight multiplied back in.
+    Inner panel [0, split*delta], n_in nodes: Gauss-Jacobi with weight
+    (1+x)^gamma_exp, which absorbs the endpoint singularity exactly.  Outer
+    panel, n_out nodes: plain Gauss-Legendre with the weight multiplied
+    back in.
     """
     a = split * delta
-    xj, wj = _gauss_rule(npts, 0.0, gamma_exp)
+    xj, wj = _gauss_rule(n_in, 0.0, gamma_exp)
     r_in = a * (xj + 1.0) / 2.0
     w_in = wj * (a / 2.0) ** (gamma_exp + 1.0)
-    xl, wl = _gauss_rule(npts, 0.0, 0.0)
+    xl, wl = _gauss_rule(n_out, 0.0, 0.0)
     r_out = a + (delta - a) * (xl + 1.0) / 2.0
     w_out = wl * (delta - a) / 2.0 * r_out**gamma_exp
     return np.concatenate([r_in, r_out]), np.concatenate([w_in, w_out])
+
+
+def _grid_points(spec, osc, level):
+    """Node counts (inner radial, outer radial, angular) at phase ``osc``.
+
+    Each keeps O(1) nodes per oscillation period of cos(|nu| r t) over its
+    own interval: the inner radial panel sees the phase split * osc, the
+    outer panel and the sphere rule the whole of it.  radial_points and
+    angular_points are floors on the outer and angular base counts; the
+    inner panel needs none, since its Gauss-Jacobi weight takes the
+    singular factor exactly.  Each refinement level doubles all three.
+    """
+    n_in = int(math.ceil(0.8 * spec.singularity_split * osc)) + 16
+    n_out = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16)
+    n_ang = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16)
+    return n_in << level, n_out << level, n_ang << level
 
 
 def _angular_rule(n, npts):
@@ -181,11 +319,8 @@ def _reduced_integrals(params, nu_norm, spec, level):
     three bond integrals are stacked so one matrix product contracts them.
     """
     n = params.n
-    osc = nu_norm * params.delta
-    # keep >= O(1) nodes per oscillation period of cos(|nu| r t)
-    nr = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16) << level
-    na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
-    r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, nr,
+    n_in, n_out, na = _grid_points(spec, nu_norm * params.delta, level)
+    r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, n_in, n_out,
                          spec.singularity_split)
     t, wa = _angular_rule(n, na)
     t2 = t * t
@@ -400,9 +535,9 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
     expected = 2.0 / _scaling_constant(n, delta, beta + 2.0)
 
     def compute(level):
-        nr = max(spec.radial_points, 16) << level
-        na = max(spec.angular_points, 16) << level
-        _, wr = _radial_rule(delta, n - 1.0 - beta, nr, spec.singularity_split)
+        n_in, n_out, na = _grid_points(spec, 0.0, level)
+        _, wr = _radial_rule(delta, n - 1.0 - beta, n_in, n_out,
+                             spec.singularity_split)
         t, wa = _angular_rule(n, na)
         radial = wr.sum()
         t2 = t * t

@@ -68,6 +68,32 @@ class TestFigureCommand:
         files = sorted(out.glob("figure_*.csv"))
         assert len(files) == 12
 
+    def test_grid_write_failure_leaves_nothing_new(self, tmp_path,
+                                                    monkeypatch):
+        # the third panel fails to write: the panels and directories this
+        # call created go, what was there before stays
+        import perispec.cli
+        real_write, calls = perispec.cli._write_lines, []
+
+        def failing_write(path, lines):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_write(path, lines)
+
+        monkeypatch.setattr(perispec.cli, "_write_lines", failing_write)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("x")
+        for out in (tmp_path / "new" / "grid", kept):
+            calls.clear()
+            assert main(["figure", "--samples", "2", "--nu-max", "2",
+                         "--out", str(out)]) == 2
+            assert len(calls) == 3
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) \
+            == [kept.relative_to(tmp_path), (kept / "notes.txt").relative_to(
+                tmp_path)]
+
     def test_near_local_panel_tracks_navier(self, tmp_path):
         # the (delta, beta) = (1e-3, n+2-1e-3) panel of the default grid
         out = tmp_path / "panel.csv"
@@ -154,6 +180,9 @@ class TestNonFiniteInput:
          "--out", "r.json"],
         ["figure", "--delta", "1", "--beta", "3", "--samples", "3",
          "--mu", "1e308", "--lambda-star", "1e308", "--out", "x.csv"],
+        # grid mode evaluates every panel before creating the directory
+        ["figure", "--samples", "3", "--mu", "1e308", "--lambda-star",
+         "1e308", "--out", "gridx"],
         ["spectrum", "--n", "1", "--delta", "1", "--beta", "2",
          "--mu", "1e308", "--lambda-star", "1e308", "--k-max", "1",
          "--out", "x.csv"],
@@ -271,6 +300,20 @@ class TestLazyOracleImport:
                 "res = pfq(PfqParams((1.0, 1.5), (2.0, 2.5, 0.5)), -4e4)\n"
                 "assert res.precision_bits == 64, res\n"
                 "assert 'mpmath' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_does_not_load_scipy(self):
+        # the oracle builds its Gauss rules with numpy alone
+        import perispec
+        src = os.path.dirname(os.path.dirname(perispec.__file__))
+        code = ("import sys\n"
+                "import perispec.oracle\n"
+                "from perispec.cli import run_verification\n"
+                "assert run_verification(0, 3, 1e-6)['all_pass']\n"
+                "assert 'scipy' not in sys.modules, 'scipy loaded'\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)

@@ -3,9 +3,11 @@
 import ast
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import roots_jacobi
 
 from perispec.cli import run_verification
 from perispec.errors import AccuracyNotReached, InvalidParams, ZeroFrequency
@@ -34,6 +36,103 @@ def test_oracle_imports_nothing_from_series_path():
     assert "perispec.errors" in imported
     assert not [m for m in imported
                 if m.startswith(("perispec.hypergeom", "perispec.multipliers"))]
+
+
+def _jacobi_reference(npts, a, b, x0):
+    """Gauss-Jacobi nodes polished from ``x0`` in 40-digit mpmath, and their
+    weights from the Christoffel formula
+
+        w_i = 2^(a+b+1) G(N+a+1) G(N+b+1) / (G(N+a+b+1) N! (1-x_i^2) P_N'(x_i)^2),
+
+    with P_N in the standard normalization, by its own recurrence."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        const = (2 ** (a + b + 1) * mpmath.gamma(npts + a + 1)
+                 * mpmath.gamma(npts + b + 1)
+                 / (mpmath.gamma(npts + a + b + 1) * mpmath.factorial(npts)))
+
+        def p_and_dp(x):
+            p0, p1 = mpmath.mpf(1), ((a + b + 2) * x + a - b) / 2
+            for k in range(2, npts + 1):
+                s = 2 * k + a + b
+                p0, p1 = p1, ((s - 1) * (s * (s - 2) * x + a * a - b * b) * p1
+                              - 2 * (k + a - 1) * (k + b - 1) * s * p0
+                              ) / (2 * k * (k + a + b) * (s - 2))
+            s = 2 * npts + a + b
+            dp = (npts * ((a - b) - s * x) * p1
+                  + 2 * (npts + a) * (npts + b) * p0) / (s * (1 - x * x))
+            return p1, dp
+
+        nodes, weights = [], []
+        for x in x0:
+            # two Newton steps from a double take x far past 1e-30; the
+            # derivative of the second step is then exact to that order
+            x = mpmath.mpf(float(x))
+            for _ in range(2):
+                p, dp = p_and_dp(x)
+                x -= p / dp
+            nodes.append(x)
+            weights.append(const / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("npts, a, b", [
+        (256, 0.0, -0.95), (544, 0.0, 0.0), (96, 0.0, 50.0),
+        (100, -0.5, -0.5), (300, 2.5, 2.5)])
+    def test_against_mpmath(self, npts, a, b):
+        # judged on the nodes at both ends and a spread through the middle;
+        # nodes lie in [-1, 1], so their errors are absolute
+        x, w = perispec.oracle._gauss_rule(npts, a, b)
+        idx = sorted({*range(6), *range(npts - 6, npts),
+                      *range(0, npts, npts // 16)})
+        ref_x, ref_w = _jacobi_reference(npts, a, b, x[idx])
+        ref_x = np.array([float(v) for v in ref_x])
+        ref_w = np.array([float(v) for v in ref_w])
+
+        def errors(nodes, weights):
+            return (np.max(np.abs(nodes[idx] - ref_x)),
+                    np.max(np.abs(weights[idx] / ref_w - 1.0)))
+
+        got, scipy = errors(x, w), errors(*roots_jacobi(npts, a, b))
+        for err, scipy_err in zip(got, scipy):
+            assert err <= 1e-10
+            # no farther than scipy's, up to the rounding plateau
+            assert err <= max(scipy_err, 1e-13), (got, scipy)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, -0.5), (2.5, 2.5),
+                                      (0.0, -0.95), (0.0, 3.7), (0.0, 50.0),
+                                      (1.5, -0.5)])
+    @pytest.mark.parametrize("npts", [1, 2, 3, 5, 8])
+    def test_exact_on_polynomials(self, npts, a, b):
+        # int (1-x)^a (1+x)^b x^j dx through x = 2u - 1 and Beta integrals
+        x, w = perispec.oracle._gauss_rule(npts, a, b)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            mass = float(2 ** (a + b + 1) * mpmath.beta(b + 1, a + 1))
+            for j in range(2 * npts):
+                exact = 2 ** (a + b + 1) * mpmath.fsum(
+                    mpmath.binomial(j, i) * 2**i * (-1) ** (j - i)
+                    * mpmath.beta(b + i + 1, a + 1) for i in range(j + 1))
+                assert abs(float(w @ x**j) - float(exact)) <= 1e-14 * mass, j
+
+    def test_rules_are_read_only_and_cached(self):
+        x, w = perispec.oracle._gauss_rule(16, 0.0, 1.5)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert perispec.oracle._gauss_rule(16, 0.0, 1.5)[0] is x
+
+    @pytest.mark.parametrize("delta, nu", [(1.5, [2.0, -1.0, 0.5]),
+                                           (0.7, [10.0, 3.0, -4.0])])
+    def test_bundle_at_large_radial_exponent(self, delta, nu):
+        # beta = -50: the inner radial rule is Gauss-Jacobi with b = 54
+        from perispec.cli import _CLOSED_FORMS
+        p, mat, nu = NonlocalParams(3, delta, -50.0), Material(1.2, -0.7), \
+            np.array(nu)
+        for name, (quad, _) in quadrature_bundle(p, mat, nu).items():
+            closed = np.asarray(_CLOSED_FORMS[name](p, mat, nu))
+            assert np.max(np.abs(closed - quad)) <= 1e-12 * np.max(
+                np.abs(quad)), name
 
 
 class TestQuadratureSpec:
@@ -352,7 +451,7 @@ def _full_grid_reduced(params, nu_norm, spec, level):
     nr = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16) << level
     na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
     r, wr = perispec.oracle._radial_rule(params.delta, n + 1.0 - params.beta,
-                                          nr, spec.singularity_split)
+                                          nr, nr, spec.singularity_split)
     if n == 1:
         t, wa = np.array([1.0, -1.0]), np.array([1.0, 1.0])
     else:
