@@ -1,9 +1,10 @@
 """Fourier multipliers and spectra of linear state-based peridynamic operators.
 
 The package evaluates the tensor Fourier multipliers of the operator in
-closed hypergeometric form (:mod:`perispec.multipliers`), cross-checks them
+closed hypergeometric form (:mod:`perispec.multipliers`, with
+``closed_bundle`` for every quantity at one frequency), cross-checks them
 against direct quadrature of the defining integrals
-(:mod:`perispec.oracle`), and enumerates the resulting operator spectrum on
+(:mod:`perispec.oracle`, with its twin ``quadrature_bundle``), and enumerates the resulting operator spectrum on
 periodic boxes (:mod:`perispec.spectrum`).  The series engine lives in
 :mod:`perispec.hypergeom`; the ``perispec`` command (:mod:`perispec.cli`)
 exposes figure data, a verification sweep, and spectrum tables.
@@ -20,7 +21,7 @@ from .hypergeom import (EvalResult, PfqParams, f_form_derivatives,
                         merge_linear_combination, pfq, pfq_many,
                         pfq_minus_one, pochhammer)
 from .multipliers import (EigenDecomposition, Material, NonlocalParams,
-                          TensorMultiplier, eigen_decomposition,
+                          TensorMultiplier, closed_bundle, eigen_decomposition,
                           eigenvalue_parallel, eigenvalue_parallel_split,
                           eigenvalue_transverse, eigenvalues,
                           eigenvalues_by_material, gradient_factor,

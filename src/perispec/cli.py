@@ -203,16 +203,6 @@ def _cmd_spectrum(args):
     return 0
 
 
-#: Closed-form twin of each quadrature bundle entry, as f(params, material, nu).
-_CLOSED_FORMS = {
-    "scalar": lambda p, m, nu: mt.scalar_multiplier(p, nu),
-    "bond": lambda p, m, nu: mt.tensor_multiplier_bond(p, m, nu).matrix,
-    "state": lambda p, m, nu: mt.tensor_multiplier_state(p, m, nu).matrix,
-    "lambda1": mt.eigenvalue_parallel,
-    "lambda2": mt.eigenvalue_transverse,
-}
-
-
 def _passes(closed, quad, tol):
     dev = np.abs(closed - quad)
     allow = np.maximum(tol * np.abs(quad), VERIFY_ABS_FLOOR)
@@ -245,16 +235,17 @@ def run_verification(seed, count, tol, overrides=None):
 
     Samples n in {1,2,3}, delta in [0.1, 4], beta in [-2, n+2-0.05],
     mu in [0.5, 3], lambda* in [-2 mu, 3], |nu| in [0, 20] with a random
-    direction, and compares every closed-form quantity against its
-    quadrature counterpart from one :func:`oracle.quadrature_bundle` call
-    per tuple; each check also records the oracle's error estimate as
-    ``quad_err``.  ``tol`` must be finite and >= 0 (0 leaves only the
-    absolute floor).  ``overrides`` pins named tuple components (n, delta,
-    beta, mu, lambda_star) to fixed values instead of sampling; a pinned n
-    may be any n <= oracle.MAX_DIM = 8, a larger one raises InvalidParams.
-    Pinned values are checked before any draw uses them.  A tuple whose
-    |nu| delta exceeds oracle.MAX_PHASE = 400 raises InvalidParams.
-    Returns the report dict.
+    direction, and compares each quantity of one
+    :func:`multipliers.closed_bundle` call per tuple against its twin from
+    one :func:`oracle.quadrature_bundle` call; each check also records the
+    oracle's error estimate as ``quad_err``.  ``tol`` must be finite and
+    >= 0 (0 leaves only the absolute floor).  ``overrides`` pins named
+    tuple components (n, delta, beta, mu, lambda_star) to fixed values
+    instead of sampling; a pinned n may be any n <= oracle.MAX_DIM = 8, a
+    larger one raises InvalidParams.  Pinned values are checked before any
+    draw uses them.  A tuple past the oracle's reach (|nu| delta above
+    oracle.MAX_PHASE = 400, or a kernel scale too large or small for a
+    double) raises InvalidParams.  Returns the report dict.
     """
     from . import oracle   # imported here: only verify needs the oracle
 
@@ -280,11 +271,11 @@ def run_verification(seed, count, tol, overrides=None):
         direction /= np.linalg.norm(direction)
         nu = rng.uniform(0.0, 20.0) * direction
 
+        quads = oracle.quadrature_bundle(params, material, nu)
+        closed_values = mt.closed_bundle(params, material, nu)
         checks = {}
-        for name, (quad, err) in oracle.quadrature_bundle(
-                params, material, nu).items():
-            closed = np.asarray(_CLOSED_FORMS[name](params, material, nu),
-                                dtype=float)
+        for name, (quad, err) in quads.items():
+            closed = np.asarray(closed_values[name], dtype=float)
             quad = np.asarray(quad, dtype=float)
             checks[name] = {"closed": closed.tolist(), "quad": quad.tolist(),
                             "deviation": float(np.max(np.abs(closed - quad))),

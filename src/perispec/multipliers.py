@@ -14,6 +14,11 @@ lambda2 (multiplicity n - 1) transverse to it.  As delta -> 0, or as the
 kernel exponent beta -> n + 2, M converges to the multiplier of the Navier
 operator of classical linear elasticity.
 
+Five distinct series carry every quantity.  One evaluator sums each one
+a call needs once (``pfq`` at a frequency, ``pfq_many`` over an array of
+|nu|^2 shells) and applies one formula per quantity; ``closed_bundle``,
+the twin of ``oracle.quadrature_bundle``, returns them all at once.
+
 All functions are pure; frequency vectors are treated through |nu| and
 nu (x) nu only, so M(-nu) = M(nu) holds exactly.  A coefficient, matrix
 entry or eigenvalue that overflows a double (a finite but huge mu or
@@ -32,7 +37,8 @@ __all__ = [
     "NonlocalParams", "Material", "TensorMultiplier", "EigenDecomposition",
     "scaling_constant", "scalar_multiplier", "scalar_multiplier_gradient",
     "gradient_factor", "tensor_multiplier_bond", "tensor_multiplier_state",
-    "tensor_multiplier", "navier_multiplier", "navier_eigenvalues",
+    "tensor_multiplier", "closed_bundle", "navier_multiplier",
+    "navier_eigenvalues",
     "eigenvalue_parallel", "eigenvalue_parallel_split",
     "eigenvalue_transverse", "eigenvalues", "eigenvalues_by_material",
     "orthonormal_basis", "eigen_decomposition",
@@ -131,10 +137,6 @@ def _as_frequency(params, nu):
     return v
 
 
-def _F(a, b, z, tol):
-    return pfq(PfqParams(a, b), z, tol).value
-
-
 def _finite(value, what):
     """``value``, checked to hold only finite numbers.
 
@@ -146,8 +148,93 @@ def _finite(value, what):
     return value
 
 
-def _z_of(params, nu_norm):
-    return -0.25 * nu_norm * nu_norm * params.delta * params.delta
+def _series(params):
+    """(a, b) of the five series, h = (n+2-beta)/2; ``_FORMULAS`` uses them."""
+    n = params.n
+    h = (n + 2 - params.beta) / 2.0
+    return {"m": ((1.0, h), (2.0, n / 2.0 + 1.0, h + 1.0)),
+            "g": ((h,), (n / 2.0 + 1.0, h + 1.0)),
+            "b1": ((1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0)),
+            "b2": ((h,), (n / 2.0 + 2.0, h + 1.0)),
+            "merged": ((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0))}
+
+
+#: Every closed quantity as (the series it needs, its formula), in the
+#: order ``closed_bundle`` unpacks them.  A formula takes the material,
+#: |nu|^2 formed as v @ v, |nu| and the series values, and runs unchanged
+#: on floats or on arrays of shells.  alpha_b1 squares |nu| instead of
+#: using |nu|^2: the two can differ in the last bit.
+_FORMULAS = {
+    "scalar": (("m",), lambda mat, nn2, nn, f: -nn2 * f["m"]),
+    "alpha_b1": (("b1",), lambda mat, nn2, nn, f: -mat.mu * nn**2 * f["b1"]),
+    "alpha_b2": (("b2",), lambda mat, nn2, nn, f: -2.0 * mat.mu * f["b2"]),
+    "alpha_s": (("g",), lambda mat, nn2, nn, f:
+                -(mat.lambda_star - mat.mu) * f["g"] * f["g"]),
+    "lambda1": (("merged", "g"), lambda mat, nn2, nn, f: -nn2 * (
+        3.0 * mat.mu * f["merged"]
+        + (mat.lambda_star - mat.mu) * f["g"] * f["g"])),
+    "lambda2": (("b1",), lambda mat, nn2, nn, f: -mat.mu * nn2 * f["b1"]),
+}
+
+_COEFFICIENTS = ("alpha_b1", "alpha_b2", "alpha_s")
+
+
+def _sums(params, keys, nn, tol):
+    """{key: value} of each series in ``keys`` at |nu| = nn.
+
+    A float nn is summed with ``pfq``, an array with ``pfq_many``; a
+    one-entry array would cost ~20 times a scalar call.
+    """
+    z = -0.25 * nn * nn * params.delta * params.delta
+    series = _series(params)
+    if isinstance(z, float):
+        return {key: pfq(PfqParams(*series[key]), z, tol).value for key in keys}
+    return {key: pfq_many(PfqParams(*series[key]), z, tol) for key in keys}
+
+
+def _closed(params, materials, names, nn2, tol):
+    """The closed quantities ``names`` at |nu|^2 = nn2, a list per material.
+
+    nn2 is a float or an array of shells.  Each series the names need is
+    summed once for all materials.  Where nn2 = 0 every quantity is an
+    exact 0 (the continuity limit), and a float 0 sums no series.
+    """
+    scalar = isinstance(nn2, float)
+    if scalar and nn2 == 0.0:
+        return [[0.0] * len(names) for _ in materials]
+    nn = math.sqrt(nn2) if scalar else np.sqrt(nn2)
+    f = _sums(params, dict.fromkeys(key for name in names
+                                    for key in _FORMULAS[name][0]), nn, tol)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for material in materials:
+            values = [_FORMULAS[name][1](material, nn2, nn, f) for name in names]
+            if not scalar:
+                values = [np.where(nn2 == 0.0, 0.0, x) for x in values]
+            out.append([_finite(x, name) for x, name in zip(values, names)])
+    return out
+
+
+def _at(params, material, nu, names, tol):
+    """(v, |nu|^2, value of each of ``names``) at one frequency vector nu."""
+    v = _as_frequency(params, nu)
+    nn2 = float(v @ v)
+    return (v, nn2, *_closed(params, (material,), names, nn2, tol)[0])
+
+
+def _bond_matrix(v, diag, rank1, what):
+    """diag I + rank1 nu (x) nu."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(diag * np.eye(v.size) + rank1 * np.outer(v, v), what)
+
+
+def _state_matrix(material, v, nn2, a_s):
+    """alpha_s nu (x) nu, with exact +0.0 entries at nu = 0 or lambda* = mu."""
+    if nn2 == 0.0 or material.lambda_star == material.mu:
+        # a -0.0 in alpha_s or v would carry its sign into the product
+        return np.zeros((v.size, v.size))
+    with np.errstate(over="ignore"):
+        return _finite(a_s * np.outer(v, v), "state multiplier")
 
 
 def scaling_constant(params):
@@ -155,10 +242,19 @@ def scaling_constant(params):
 
     Normalized so the second moment of the kernel over the horizon ball
     matches that of the classical operator; always positive for beta < n+2.
+    Raises NonConvergent when c does not fit a double.
     """
     n, beta = params.n, params.beta
-    return (2.0 * (n + 2 - beta) * math.gamma(n / 2.0 + 1.0)
-            / (math.pi ** (n / 2.0) * params.delta ** (n + 2 - beta)))
+    try:
+        c = (2.0 * (n + 2 - beta) * math.gamma(n / 2.0 + 1.0)
+             / (math.pi ** (n / 2.0) * params.delta ** (n + 2 - beta)))
+    except (OverflowError, ZeroDivisionError):
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise NonConvergent(
+            f"scaling constant at n = {n}, delta = {params.delta}, "
+            f"beta = {beta} does not fit a double")
+    return c
 
 
 def scalar_multiplier(params, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -167,14 +263,7 @@ def scalar_multiplier(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     m(nu) = -|nu|^2 2F3(1, h; 2, n/2+1, h+1; z) with h = (n+2-beta)/2 and
     z = -(|nu| delta / 2)^2.  Nonpositive for all nu.
     """
-    v = _as_frequency(params, nu)
-    nn2 = float(v @ v)
-    if nn2 == 0.0:
-        return 0.0
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    z = _z_of(params, math.sqrt(nn2))
-    return -nn2 * _F((1.0, h), (2.0, n / 2.0 + 1.0, h + 1.0), z, target_rel_tol)
+    return _at(params, None, nu, ("scalar",), target_rel_tol)[2]
 
 
 def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
@@ -184,35 +273,13 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
     sine transform of the kernel, which is why it enters the state part
     squared.
     """
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    z = _z_of(params, float(nu_norm))
-    return _F((h,), (n / 2.0 + 1.0, h + 1.0), z, target_rel_tol)
+    return _sums(params, ("g",), float(nu_norm), target_rel_tol)["g"]
 
 
 def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Gradient of the scalar multiplier, -2 g(|nu|) nu."""
     v = _as_frequency(params, nu)
-    nn = float(np.linalg.norm(v))
-    return -2.0 * gradient_factor(params, nn, target_rel_tol) * v
-
-
-def _bond_coefficients(params, material, nu_norm, tol):
-    """(alpha_b1, alpha_b2) at |nu| = nu_norm > 0."""
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    z = _z_of(params, nu_norm)
-    a_b1 = -material.mu * nu_norm**2 * _F(
-        (1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0), z, tol)
-    a_b2 = -2.0 * material.mu * _F(
-        (h,), (n / 2.0 + 2.0, h + 1.0), z, tol)
-    return _finite(a_b1, "alpha_b1"), _finite(a_b2, "alpha_b2")
-
-
-def _state_coefficient(params, material, nu_norm, tol):
-    """alpha_s at |nu| = nu_norm > 0."""
-    g = gradient_factor(params, nu_norm, tol)
-    return _finite(-(material.lambda_star - material.mu) * g * g, "alpha_s")
+    return -2.0 * gradient_factor(params, np.linalg.norm(v), target_rel_tol) * v
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -223,14 +290,10 @@ def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL)
     (n+2) mu m(nu).  Eigenvalues: alpha_b1 + alpha_b2 |nu|^2 along nu,
     alpha_b1 transverse.
     """
-    v = _as_frequency(params, nu)
-    nn = float(np.linalg.norm(v))
-    if nn == 0.0:
-        return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
-    with np.errstate(over="ignore"):
-        mat = a_b1 * np.eye(params.n) + a_b2 * np.outer(v, v)
-    return TensorMultiplier(_finite(mat, "bond multiplier"), a_b1, a_b2, 0.0)
+    v, _, a_b1, a_b2 = _at(params, material, nu, ("alpha_b1", "alpha_b2"),
+                           target_rel_tol)
+    return TensorMultiplier(_bond_matrix(v, a_b1, a_b2, "bond multiplier"),
+                            a_b1, a_b2, 0.0)
 
 
 def tensor_multiplier_state(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -239,27 +302,36 @@ def tensor_multiplier_state(params, material, nu, target_rel_tol=DEFAULT_REL_TOL
     alpha_s = -(lambda* - mu) [1F2(h; n/2+1, h+1; z)]^2; vanishes when
     lambda* = mu.
     """
-    v = _as_frequency(params, nu)
-    nn = float(np.linalg.norm(v))
-    if nn == 0.0 or material.lambda_star == material.mu:
-        return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_s = _state_coefficient(params, material, nn, target_rel_tol)
-    with np.errstate(over="ignore"):
-        mat = a_s * np.outer(v, v)
-    return TensorMultiplier(_finite(mat, "state multiplier"), 0.0, 0.0, a_s)
+    names = () if material.lambda_star == material.mu else ("alpha_s",)
+    v, nn2, *a_s = _at(params, material, nu, names, target_rel_tol)
+    a_s = a_s[0] if a_s else 0.0
+    return TensorMultiplier(_state_matrix(material, v, nn2, a_s),
+                            0.0, 0.0, a_s)
 
 
 def tensor_multiplier(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Full multiplier M(nu) = M_b(nu) + M_s(nu) with all coefficients."""
-    v = _as_frequency(params, nu)
-    nn = float(np.linalg.norm(v))
-    if nn == 0.0:
-        return TensorMultiplier(np.zeros((params.n, params.n)), 0.0, 0.0, 0.0)
-    a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
-    a_s = _state_coefficient(params, material, nn, target_rel_tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = a_b1 * np.eye(params.n) + (a_b2 + a_s) * np.outer(v, v)
-    return TensorMultiplier(_finite(mat, "multiplier"), a_b1, a_b2, a_s)
+    v, _, a_b1, a_b2, a_s = _at(params, material, nu, _COEFFICIENTS,
+                                target_rel_tol)
+    return TensorMultiplier(_bond_matrix(v, a_b1, a_b2 + a_s, "multiplier"),
+                            a_b1, a_b2, a_s)
+
+
+def closed_bundle(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
+    """Every closed-form quantity at frequency nu from one pass.
+
+    The twin of :func:`oracle.quadrature_bundle`, with its keys: scalar
+    (m), bond (M_b matrix), state (M_s matrix), lambda1 and lambda2.  Each
+    of the five distinct series is summed once, and every value is
+    bit-identical to its single-quantity function.  At nu = 0 every entry
+    is an exact zero.
+    """
+    v, nn2, m, a_b1, a_b2, a_s, lam1, lam2 = _at(
+        params, material, nu, _FORMULAS, target_rel_tol)
+    return {"scalar": m,
+            "bond": _bond_matrix(v, a_b1, a_b2, "bond multiplier"),
+            "state": _state_matrix(material, v, nn2, a_s),
+            "lambda1": lam1, "lambda2": lam2}
 
 
 def navier_multiplier(material, nu):
@@ -277,26 +349,6 @@ def navier_eigenvalues(material, nu_norm):
             -material.mu * nn2)
 
 
-def _eigen_series(params):
-    """Eigenvalue series at (n, beta): merged 3F4, g's 1F2, lambda2's 2F3."""
-    n = params.n
-    h = (n + 2 - params.beta) / 2.0
-    return (PfqParams((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0)),
-            PfqParams((h,), (n / 2.0 + 1.0, h + 1.0)),
-            PfqParams((1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0)))
-
-
-def _lambda1_of(material, nn2, f_merged, g):
-    """lambda1 from the merged 3F4 and g at squared norm(s) nn2 > 0."""
-    return -nn2 * (3.0 * material.mu * f_merged
-                   + (material.lambda_star - material.mu) * g * g)
-
-
-def _lambda2_of(material, nn2, f2):
-    """lambda2 from its 2F3 at squared norm(s) nn2 > 0."""
-    return -material.mu * nn2 * f2
-
-
 def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Eigenvalue of M(nu) along nu.
 
@@ -309,16 +361,7 @@ def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     decomposition directly (see ``eigenvalue_parallel_split``).
     Returns 0 for nu = 0 (continuity limit).
     """
-    v = _as_frequency(params, nu)
-    nn2 = float(v @ v)
-    if nn2 == 0.0:
-        return 0.0
-    merged, g_series, _ = _eigen_series(params)
-    z = _z_of(params, math.sqrt(nn2))
-    return _finite(_lambda1_of(material, nn2,
-                               pfq(merged, z, target_rel_tol).value,
-                               pfq(g_series, z, target_rel_tol).value),
-                   "lambda1")
+    return _at(params, material, nu, ("lambda1",), target_rel_tol)[2]
 
 
 def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -328,13 +371,8 @@ def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_T
     independent formula path; must agree with ``eigenvalue_parallel`` to
     full working accuracy.
     """
-    v = _as_frequency(params, nu)
-    nn2 = float(v @ v)
-    if nn2 == 0.0:
-        return 0.0
-    nn = math.sqrt(nn2)
-    a_b1, a_b2 = _bond_coefficients(params, material, nn, target_rel_tol)
-    a_s = _state_coefficient(params, material, nn, target_rel_tol)
+    _, nn2, a_b1, a_b2, a_s = _at(params, material, nu, _COEFFICIENTS,
+                                  target_rel_tol)
     return _finite(a_b1 + (a_b2 + a_s) * nn2, "lambda1")
 
 
@@ -344,26 +382,7 @@ def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     lambda2 = -mu |nu|^2 2F3(1, h; 2, n/2+2, h+1; z); independent of
     lambda*.  Returns 0 for nu = 0.
     """
-    v = _as_frequency(params, nu)
-    nn2 = float(v @ v)
-    if nn2 == 0.0:
-        return 0.0
-    _, _, series = _eigen_series(params)
-    z = _z_of(params, math.sqrt(nn2))
-    return _finite(
-        _lambda2_of(material, nn2, pfq(series, z, target_rel_tol).value),
-        "lambda2")
-
-
-def _shell_series(params, shells, tol):
-    """(merged 3F4, g, lambda2's 2F3) at every squared norm in ``shells``.
-
-    ``shells`` holds nonzero |nu|^2 values; z is formed from each exactly as
-    the single-frequency functions form it, and each series takes one
-    ``pfq_many`` pass over all of them.
-    """
-    z = _z_of(params, np.sqrt(shells))
-    return tuple(pfq_many(series, z, tol) for series in _eigen_series(params))
+    return _at(params, material, nu, ("lambda2",), target_rel_tol)[2]
 
 
 def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -381,19 +400,9 @@ def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TO
     # batched matmul rounds each row exactly like the scalar path's v @ v
     nn2 = np.matmul(nu[:, None, :], nu[:, :, None]).reshape(-1)
     shells, inverse = np.unique(nn2, return_inverse=True)
-    nonzero = shells != 0.0
-    shells_nz = shells[nonzero]
-    f_merged, g, f2 = _shell_series(params, shells_nz, target_rel_tol)
-    out = []
-    for material in materials:
-        lam1 = np.zeros(shells.size)
-        lam2 = np.zeros(shells.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam1[nonzero] = _lambda1_of(material, shells_nz, f_merged, g)
-            lam2[nonzero] = _lambda2_of(material, shells_nz, f2)
-        out.append((_finite(lam1, "lambda1")[inverse],
-                    _finite(lam2, "lambda2")[inverse]))
-    return out
+    return [(lam1[inverse], lam2[inverse])
+            for lam1, lam2 in _closed(params, materials, ("lambda1", "lambda2"),
+                                      shells, target_rel_tol)]
 
 
 def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -442,10 +451,6 @@ def eigen_decomposition(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     For n = 1 there is no transverse space; lambda2 is reported as the
     formula value with multiplicity 0.
     """
-    v = _as_frequency(params, nu)
-    basis = orthonormal_basis(v)
-    if float(np.linalg.norm(v)) == 0.0:
-        return EigenDecomposition(0.0, 0.0, basis)
-    lam1 = eigenvalue_parallel(params, material, v, target_rel_tol)
-    lam2 = eigenvalue_transverse(params, material, v, target_rel_tol)
-    return EigenDecomposition(lam1, lam2, basis)
+    v, _, lam1, lam2 = _at(params, material, nu, ("lambda1", "lambda2"),
+                           target_rel_tol)
+    return EigenDecomposition(lam1, lam2, orthonormal_basis(v))

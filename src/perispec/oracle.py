@@ -30,7 +30,8 @@ scale with the phase each rule's interval sees (singularity_split
 |nu| delta on the inner panel, |nu| delta on the outer panel and the
 sphere) so oscillatory integrands stay resolved; the oracle's reach is
 therefore stated as |nu| delta <= MAX_PHASE, and a larger phase is
-rejected before any grid is built.  Every Gauss rule is built here with
+rejected before any grid is built, as is a (delta, beta) whose kernel
+scale or inner radial rule does not fit a double (``_check_params``).  Every Gauss rule is built here with
 numpy alone (Newton's method in theta = arccos x on the three-term
 recurrence), so the oracle depends on no special-function library.
 
@@ -42,6 +43,7 @@ levels are computed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,12 +101,6 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-def _check_dim(params):
-    if not 1 <= params.n <= MAX_DIM:
-        raise InvalidParams(
-            f"quadrature oracle supports 1 <= n <= {MAX_DIM}, got n = {params.n}")
 
 
 def _scaling_constant(n, delta, beta):
@@ -242,6 +238,35 @@ def _gauss_rule(npts, a, b):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _check_params(params):
+    """Reject an n or a (delta, beta) the oracle cannot integrate.
+
+    Every quantity carries the kernel scale c, and the state entry is
+    (c^2/4) J (x) J with |J| <= 2 |nu| / c <= 2 MAX_PHASE / (delta c), so
+    c^2/4 must be a normal double and that bound squared must be finite.
+    So must the mass of the inner radial rule, 2^(b+1) / (b+1) with
+    b = n+1-beta.  This holds for verify's sampled range; beta = -1000
+    fails it at delta = 0.1 and 2, beta = -10000 at every delta.
+    """
+    n, delta, beta = params.n, params.delta, params.beta
+    if not 1 <= n <= MAX_DIM:
+        raise InvalidParams(
+            f"quadrature oracle supports 1 <= n <= {MAX_DIM}, got n = {n}")
+    try:
+        c = _scaling_constant(n, delta, beta)
+        j_max = 2.0 * MAX_PHASE / (delta * c)
+        fits = (sys.float_info.min <= c * c / 4.0 < math.inf
+                and j_max * j_max < math.inf
+                and _jacobi_mass(0.0, n + 1.0 - beta) < math.inf)
+    except (OverflowError, ZeroDivisionError):
+        fits = False
+    if not fits:
+        raise InvalidParams(
+            f"(delta, beta) = ({delta:g}, {beta:g}) at n = {n} is outside the "
+            f"oracle's reach: its kernel scale or inner radial rule overflows "
+            f"a double")
 
 
 def _radial_rule(delta, gamma_exp, n_in, n_out, split):
@@ -446,7 +471,7 @@ def quadrature_bundle(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     since their integral representations need nu != 0, and the others are
     exact zeros; with lambda* = mu the state entry is an exact zero.
     """
-    _check_dim(params)
+    _check_params(params)
     v, nn = _freq(params, nu)
     if nn == 0.0:
         zero = np.zeros((params.n, params.n))
@@ -526,7 +551,7 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
     that tames the other integrals is absent here).  Returns the maximum
     entrywise deviation scaled by the exact diagonal value.
     """
-    _check_dim(params)
+    _check_params(params)
     n, delta, beta = params.n, params.delta, params.beta
     if not beta < n:
         raise InvalidParams(
@@ -563,7 +588,7 @@ def apply_to_plane_wave(params, material, nu, amplitude, x, spec=DEFAULT_SPEC):
 
     Returns (complex vector, err_est).
     """
-    _check_dim(params)
+    _check_params(params)
     v, nn = _freq(params, nu)
     amplitude = np.asarray(amplitude, dtype=complex)
     x = np.atleast_1d(np.asarray(x, dtype=float))

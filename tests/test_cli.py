@@ -277,6 +277,31 @@ class TestVerifyCommand:
             assert (entry["mu"], entry["lambda_star"]) == (1.5, 1.5)
             assert entry["checks"]["state"]["quad_err"] == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ["--count", "1", "--beta", "-10000"],
+        ["--count", "1", "--beta", "-1000", "--delta", "0.1"],
+        ["--beta", "-1000", "--delta", "2", "--seed", "3", "--count", "2"],
+    ])
+    def test_kernel_scale_past_oracle_reach(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perispec: error:") and err.count("\n") == 1
+        assert "outside the oracle's reach" in err and not out.exists()
+
+    def test_deep_kernel_exponent_report_is_strict_json(self, tmp_path):
+        out = tmp_path / "r.json"
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        assert main(["verify", "--beta", "-1000", "--delta", "1", "--count",
+                     "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert len(report["entries"]) == 3
+
     def test_disagreement_exit_code(self, monkeypatch, capsys):
         import perispec.cli as cli
         failing = {"seed": 0, "count": 1, "tol": 1e-6, "abs_floor": 1e-8,

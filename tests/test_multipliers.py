@@ -9,9 +9,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
+import perispec.multipliers as multipliers
 import perispec.oracle as oracle
 from perispec.errors import InvalidParams, NonConvergent
-from perispec.multipliers import (Material, NonlocalParams, eigen_decomposition,
+from perispec.multipliers import (Material, NonlocalParams, closed_bundle,
+                                  eigen_decomposition,
                                   eigenvalue_parallel, eigenvalue_parallel_split,
                                   eigenvalue_transverse, eigenvalues,
                                   eigenvalues_by_material, gradient_factor, navier_eigenvalues,
@@ -103,6 +105,12 @@ class TestScalingConstant:
             assert_allclose(scaling_constant(doubled),
                             scaling_constant(p) / 2.0 ** (p.n + 2 - p.beta),
                             rtol=1e-13)
+
+    @pytest.mark.parametrize("delta", [4.0, 0.1])
+    def test_out_of_double_range(self, delta):
+        # delta^(n+2-beta) overflows at delta = 4 and underflows at 0.1
+        with pytest.raises(NonConvergent, match="does not fit a double"):
+            scaling_constant(NonlocalParams(3, delta, -1000.0))
 
 
 class TestScalarMultiplier:
@@ -503,6 +511,61 @@ def test_kernel_exponent_convergence_is_first_order():
         devs.append(abs(eigenvalue_parallel(p, mat, nu) - lam1_n))
     for a, b in zip(devs, devs[1:]):
         assert 1.7 <= a / b <= 2.3
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestClosedBundle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_entries_equal_single_quantity_functions(self, n):
+        rng = np.random.default_rng(40 + n)
+        axis = np.zeros(n)
+        axis[-1] = -2.5
+        # |nu| delta = 20 and 60 take the double-double and mpmath tiers
+        deep = rng.standard_normal(n)
+        nus = [np.zeros(n), axis, random_nu(rng, n),
+               20.0 * deep / np.linalg.norm(deep),
+               60.0 * deep / np.linalg.norm(deep)]
+        p = NonlocalParams(n, 1.0, n - 0.5)
+        for mat in (Material(1.3, 1.3), Material(0.8, -1.2)):
+            for nu in nus:
+                got = closed_bundle(p, mat, nu)
+                want = {
+                    "scalar": scalar_multiplier(p, nu),
+                    "bond": tensor_multiplier_bond(p, mat, nu).matrix,
+                    "state": tensor_multiplier_state(p, mat, nu).matrix,
+                    "lambda1": eigenvalue_parallel(p, mat, nu),
+                    "lambda2": eigenvalue_transverse(p, mat, nu)}
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert _same_bits(got[name], want[name]), (name, nu)
+
+    def test_state_is_positive_zero_when_lame_parameters_match(self):
+        p = NonlocalParams(3, 1.0, 2.0)
+        state = closed_bundle(p, Material(1.3, 1.3), [-2.0, 0.0, 1.0])["state"]
+        assert not np.signbit(state).any() and not state.any()
+
+    @pytest.mark.parametrize("function, nu, calls", [
+        (closed_bundle, [1.0, -2.0, 0.5], 5),
+        (closed_bundle, [0.0, 0.0, 0.0], 0),
+        (eigenvalue_parallel, [1.0, -2.0, 0.5], 2),
+        (eigenvalue_transverse, [1.0, -2.0, 0.5], 1),
+        (eigen_decomposition, [1.0, -2.0, 0.5], 3),
+    ])
+    def test_each_series_summed_once(self, monkeypatch, function, nu, calls):
+        seen, pfq = [], multipliers.pfq
+
+        def counting_pfq(series, z, tol):
+            seen.append(series)
+            return pfq(series, z, tol)
+
+        monkeypatch.setattr(multipliers, "pfq", counting_pfq)
+        function(NonlocalParams(3, 1.5, 2.0), Material(1.0, 0.5), nu)
+        assert len(seen) == calls == len(set(seen))
 
 
 class TestEigenDecomposition:

@@ -11,7 +11,7 @@ from scipy.special import roots_jacobi
 
 from perispec.cli import run_verification
 from perispec.errors import AccuracyNotReached, InvalidParams, ZeroFrequency
-from perispec.multipliers import (Material, NonlocalParams,
+from perispec.multipliers import (Material, NonlocalParams, closed_bundle,
                                   eigenvalue_parallel, eigenvalue_transverse,
                                   scaling_constant)
 import perispec.oracle
@@ -126,11 +126,11 @@ class TestGaussRule:
                                            (0.7, [10.0, 3.0, -4.0])])
     def test_bundle_at_large_radial_exponent(self, delta, nu):
         # beta = -50: the inner radial rule is Gauss-Jacobi with b = 54
-        from perispec.cli import _CLOSED_FORMS
         p, mat, nu = NonlocalParams(3, delta, -50.0), Material(1.2, -0.7), \
             np.array(nu)
+        closed_values = closed_bundle(p, mat, nu)
         for name, (quad, _) in quadrature_bundle(p, mat, nu).items():
-            closed = np.asarray(_CLOSED_FORMS[name](p, mat, nu))
+            closed = np.asarray(closed_values[name])
             assert np.max(np.abs(closed - quad)) <= 1e-12 * np.max(
                 np.abs(quad)), name
 
@@ -441,6 +441,24 @@ class TestReach:
         monkeypatch.setattr(perispec.oracle, "_angular_rule", no_rule)
         with pytest.raises(InvalidParams, match="MAX_PHASE"):
             call(self._P, self._MAT, self._NU)
+
+    # c^2 underflows at (2, -1000), c overflows at (0.1, -1000), the inner
+    # radial rule's mass overflows at (1, -10000)
+    @pytest.mark.parametrize("delta, beta", [(2.0, -1000.0), (0.1, -1000.0),
+                                             (1.0, -10000.0)])
+    @pytest.mark.parametrize("call", [
+        lambda p, m: quadrature_bundle(p, m, [1.0, -0.5, 0.25]),
+        lambda p, m: moment_identity_check(p),
+        lambda p, m: apply_to_plane_wave(p, m, [1.0, 0.0, 0.0],
+                                         [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ], ids=["bundle", "moment", "plane_wave"])
+    def test_kernel_scale_rejected_before_any_grid(self, call, delta, beta,
+                                                   monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a rule was built past the reach")
+        monkeypatch.setattr(perispec.oracle, "_radial_rule", no_rule)
+        with pytest.raises(InvalidParams, match="outside the oracle's reach"):
+            call(NonlocalParams(3, delta, beta), self._MAT)
 
 
 def _full_grid_reduced(params, nu_norm, spec, level):
