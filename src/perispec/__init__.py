@@ -18,13 +18,14 @@ from .errors import (AccuracyNotReached, DegenerateEigenvalue, InvalidParams,
                      NonConvergent, PerispecError, SingularMode,
                      ZeroFrequency, ZeroMode)
 from .hypergeom import (EvalResult, PfqParams, f_form_derivatives,
-                        merge_linear_combination, pfq, pfq_many,
+                        merge_linear_combination, pfq, pfq_batch, pfq_many,
                         pfq_minus_one, pochhammer)
 from .multipliers import (EigenDecomposition, Material, NonlocalParams,
                           TensorMultiplier, closed_bundle, eigen_decomposition,
                           eigenvalue_parallel, eigenvalue_parallel_split,
                           eigenvalue_transverse, eigenvalues,
-                          eigenvalues_by_material, gradient_factor,
+                          eigenvalues_by_material, eigenvalues_many,
+                          gradient_factor,
                           navier_eigenvalues, navier_multiplier,
                           orthonormal_basis,
                           scalar_multiplier, scalar_multiplier_gradient,

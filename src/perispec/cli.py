@@ -82,33 +82,38 @@ class FigureJob:
 FIGURE_HEADER = "n,delta,beta,mu,lambda_star,nu_norm,lambda1,lambda2"
 
 
-def figure_values(job):
-    """Evaluate one panel: (|nu| grid, lambda1 per lambda*, lambda2) as arrays.
+def figure_values(jobs):
+    """Evaluate panels: per job, (|nu| grid, lambda1 per lambda*, lambda2).
 
     The frequency is taken along the first axis (rotation invariance makes
-    the direction immaterial); the series are evaluated once over the whole
-    grid and combined per lambda*.
+    the direction immaterial).  Every series of every panel is summed in one
+    array pass over all their |nu| grids, and each panel's series are
+    combined per lambda*.  A panel's values do not depend on the panels it
+    is evaluated with.
     """
-    params = NonlocalParams(job.n, job.delta, job.beta)
-    grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
-    nu = np.zeros((job.samples, job.n))
-    nu[:, 0] = grid
-    materials = [Material(job.mu, s) for s in job.lambda_star_list]
-    # lambda2 comes from the first pair; lambda* = 0 stands in for no curves
-    lams = mt.eigenvalues_by_material(
-        params, materials or [Material(job.mu, 0.0)], nu)
-    return grid, [l1 for l1, _ in lams], lams[0][1]
+    requests, grids = [], []
+    for job in jobs:
+        grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
+        nu = np.zeros((job.samples, job.n))
+        nu[:, 0] = grid
+        # lambda2 is read from the first pair; lambda* = 0 if there is none
+        materials = [Material(job.mu, s) for s in job.lambda_star_list]
+        requests.append((NonlocalParams(job.n, job.delta, job.beta),
+                         materials or [Material(job.mu, 0.0)], nu))
+        grids.append(grid)
+    return [(grid, [l1 for l1, _ in lams], lams[0][1])
+            for grid, lams in zip(grids, mt.eigenvalues_many(requests))]
 
 
 def figure_rows(job, values=None):
-    """Yield CSV rows for one panel, from ``values`` = figure_values(job).
+    """Yield CSV rows for one panel, from ``values`` = figure_values([job])[0].
 
     One lambda1 row per (lambda_star, sample); since lambda2 does not
     depend on lambda*, it is emitted once per sample in a trailing row
     whose lambda_star field is the sentinel NA.  Without ``values`` the
     panel is evaluated here.
     """
-    grid, lam1, lam2 = figure_values(job) if values is None else values
+    grid, lam1, lam2 = figure_values([job])[0] if values is None else values
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
     heads = [f"{prefix},{_fmt(s)}" for s in job.lambda_star_list]
     lam1 = [l1.tolist() for l1 in lam1]
@@ -162,7 +167,7 @@ def _cmd_figure(args):
     # validate and evaluate every panel before creating the output directory
     jobs = [FigureJob(delta=delta, beta=beta, **base)
             for delta in FIGURE_DELTAS for beta in figure_betas(args.n)]
-    values = [figure_values(job) for job in jobs]
+    values = figure_values(jobs)
     new_dirs = _missing_dirs(args.out)
     os.makedirs(args.out, exist_ok=True)
     new_files = []

@@ -30,12 +30,19 @@ ratio max|term| / |sum|:
    against the quadrature oracle at |nu| delta = 400, i.e. z = -4e4.
    ``mpmath`` is imported only when an entry reaches this tier.
 
-``pfq`` evaluates one argument with Python-float loops.  ``pfq_many``
-evaluates a whole array of arguments: it validates and cancels the
-parameters once, runs both series passes as numpy loops over the term
-index, and hands the entries they do not accept to mpmath in one batch.
-Both repeat the same floating-point operations per argument, so their
-values, and the tier that serves each entry, are bit-identical.
+``pfq`` evaluates one argument with Python-float loops.  ``pfq_batch``
+evaluates a list of (parameters, argument array) requests in one pass: it
+validates and cancels each request's parameters once, numbers the distinct
+parameter sets, and runs each series pass as one numpy loop over the term
+index for every entry of every request.  Each entry carries the index of
+its parameter set and gathers its term factors from per-set tables, built
+64 terms at a time as the pass needs them.  Entries are taken in order of
+|z|, so entries that stop at similar term counts run together, in blocks
+of at most ``BATCH_BLOCK`` entries, which bounds the pass's working
+arrays.  The entries neither pass accepts go to mpmath batched per
+parameter set.  ``pfq_many`` is the one-request case.  Every entry repeats
+the scalar pass's floating-point operations in the same order, so its
+value, and the tier that serves it, are bit-identical to ``pfq``.
 
 Everything here is a pure function of its arguments, with no cache;
 results are bit-identical across calls within one build.
@@ -74,13 +81,18 @@ DD_PRECISION_BITS = 106
 #: on earlier calls; a few bits above double so the value rounds correctly.
 ESCALATED_PREC_BITS = 64
 
+#: Most entries a batch pass sums at once.  It caps the memory of the
+#: pass's working arrays; within that cap, bigger blocks share the per-term
+#: numpy overhead among more entries.
+BATCH_BLOCK = 4096
+
 _MAX_TERMS = 10000
 _TOL_RANGE = (1e-15, 1e-6)
 
 # the double-double pass stops on a tail below this, relative to the sum
 _DD_TOL = 2.0 ** -60
-# term ratios are computed this many at a time, while some entry still sums
-_DD_CHUNK = 64
+# term tables are built this many terms at a time, while some entry still sums
+_CHUNK = 64
 # Dekker's splitting constant, 2^27 + 1
 _SPLITTER = 134217729.0
 
@@ -285,13 +297,13 @@ def _dd_div(ah, al, bh, bl):
 def _dd_ratios(a, b, start):
     """Term ratios c_k = prod(a + k) / (prod(b + k) (k + 1)) in double-double.
 
-    For k = start, ..., start + _DD_CHUNK - 1, as two float64 arrays
+    For k = start, ..., start + _CHUNK - 1, as two float64 arrays
     (hi, lo); each a_i + k and b_j + k is formed exactly.  The ratios do
-    not depend on z, so one chunk serves every entry of a pass.
+    not depend on z, so one chunk serves every entry of its set.
     """
-    k = np.arange(start, start + _DD_CHUNK, dtype=float)
+    k = np.arange(start, start + _CHUNK, dtype=float)
     with np.errstate(all="ignore"):
-        num = _two_sum(a[0], k) if a else (np.ones(_DD_CHUNK), 0.0 * k)
+        num = _two_sum(a[0], k) if a else (np.ones(_CHUNK), 0.0 * k)
         for ai in a[1:]:
             num = _dd_mul(*num, *_two_sum(ai, k))
         den = (k + 1.0, 0.0 * k)
@@ -436,13 +448,56 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     return EvalResult(value, math.ulp(value), terms, ESCALATED_PREC_BITS)
 
 
-def _sum_float_many(a, b, z, tol):
+def _float_factors(a, b, start):
+    """prod(a + k) and prod(b + k) for k = start, ..., start + _CHUNK - 1.
+
+    Each product starts from 1.0 and takes its factors in ``_sum_float``'s
+    order, so entry k holds the bits of that pass's num and den at term k.
+    """
+    k = np.arange(start, start + _CHUNK, dtype=float)
+    num = np.ones(_CHUNK)
+    for ai in a:
+        num = num * (ai + k)
+    den = np.ones(_CHUNK)
+    for bj in b:
+        den = den * (bj + k)
+    return num, den
+
+
+class _TermTable:
+    """Per-term data of several parameter sets, built as a pass needs it.
+
+    ``build(a, b, start)`` returns a tuple of arrays over the terms start,
+    ..., start + _CHUNK - 1 of one set (``_float_factors``,
+    ``_dd_ratios``).  ``table(k)`` returns that tuple at term k, each array
+    holding one entry per set, so an entry gathers its own by its set
+    index.  The data do not depend on z, so one table serves every block of
+    a pass.
+    """
+
+    def __init__(self, params, build):
+        self._params = params        # (a, b) of each set
+        self._build = build
+        self._rows = []
+
+    def __call__(self, k):
+        while k >= len(self._rows):
+            start = len(self._rows)
+            chunks = [self._build(a, b, start) for a, b in self._params]
+            self._rows += zip(*(np.stack(part, axis=1)
+                                for part in zip(*chunks)))
+        return self._rows[k]
+
+
+def _sum_float_many(table, sets, z, tol):
     """Double-precision pass over every entry of a nonzero float array z.
 
-    Each entry runs ``_sum_float``'s operations in the same order, so its
-    sum and its ratio are bit-identical to a scalar pass; only the loop
-    over k is shared, and entries leave it as they stop.  Returns
-    (values, ratio), as ``_sum_float`` defines them.
+    Entry i sums the series of parameter set ``sets[i]``, gathering that
+    set's num and den at term k from ``table(k)``.  Each entry runs
+    ``_sum_float``'s operations in the same order, so its sum and its ratio
+    are bit-identical to a scalar pass; only the loop over k is shared, and
+    entries leave it as they stop.  Returns (values, ratio), as
+    ``_sum_float`` defines them.
     """
     values = np.empty(z.size)
     ratio = np.full(z.size, np.inf)
@@ -455,13 +510,8 @@ def _sum_float_many(a, b, z, tol):
         for k in range(_MAX_TERMS):
             if not idx.size:
                 break
-            num = 1.0
-            for ai in a:
-                num *= ai + k
-            den = 1.0
-            for bj in b:
-                den *= bj + k
-            term = term * num / den * z / (k + 1.0)
+            num, den = table(k)
+            term = term * num[sets] / den[sets] * z / (k + 1.0)
             # a zero term ends the series exactly; adding it keeps s as is
             converged = term == 0.0
             s = s + term
@@ -470,13 +520,8 @@ def _sum_float_many(a, b, z, tol):
             small_run = np.where(at < tol * np.abs(s), small_run + 1, 0)
             tail = small_run >= 3
             if tail.any():
-                num = 1.0
-                for ai in a:
-                    num *= ai + k + 1
-                den = 1.0
-                for bj in b:
-                    den *= bj + k + 1
-                nxt = np.abs(term * num / den * z / (k + 2.0))
+                num, den = table(k + 1)
+                nxt = np.abs(term * num[sets] / den[sets] * z / (k + 2.0))
                 converged |= tail & (2.0 * nxt < tol * np.abs(s))
             finite = np.isfinite(s)
             done = converged | ~finite
@@ -486,18 +531,21 @@ def _sum_float_many(a, b, z, tol):
                 ok = converged & finite
                 ratio[idx[ok]] = (max_term / np.abs(s))[ok]
                 keep = ~done
-                idx, z, s, term, max_term, small_run = (
-                    x[keep] for x in (idx, z, s, term, max_term, small_run))
+                idx, sets, z, s, term, max_term, small_run = (
+                    x[keep] for x in (idx, sets, z, s, term, max_term,
+                                      small_run))
     values[idx] = s                  # term cap reached: not converged
     return values, ratio
 
 
-def _sum_dd_many(a, b, z):
+def _sum_dd_many(table, sets, z):
     """``_sum_dd`` over every entry of a nonzero float array z.
 
-    One loop over k serves all entries, and entries leave it as they stop,
-    as in ``_sum_float_many``; each entry runs ``_sum_dd``'s operations in
-    the same order.  Returns (values, accepted).
+    Entry i sums the series of parameter set ``sets[i]``, gathering that
+    set's term ratio c_k (see ``_dd_ratios``) from ``table(k)``.  One loop
+    over k serves all entries, and entries leave it as they stop, as in
+    ``_sum_float_many``; each entry runs ``_sum_dd``'s operations in the
+    same order.  Returns (values, accepted).
     """
     values = np.empty(z.size)
     accepted = np.zeros(z.size, dtype=bool)
@@ -506,17 +554,13 @@ def _sum_dd_many(a, b, z):
     t_hi, t_lo = np.ones(z.size), np.zeros(z.size)
     max_term = np.ones(z.size)
     small_run = np.zeros(z.size, dtype=np.int64)
-    c_hi, c_lo = [], []
     with np.errstate(all="ignore"):
         for k in range(_MAX_TERMS):
             if not idx.size:
                 break
-            if k + 1 >= len(c_hi):
-                hi, lo = _dd_ratios(a, b, len(c_hi))
-                c_hi += hi.tolist()
-                c_lo += lo.tolist()
+            c_hi, c_lo = table(k)
             t_hi, t_lo = _dd_mul(t_hi, t_lo,
-                                 *_dd_mul(c_hi[k], c_lo[k], z, 0.0))
+                                 *_dd_mul(c_hi[sets], c_lo[sets], z, 0.0))
             # a zero term ends the series exactly; adding it keeps s as is
             converged = t_hi == 0.0
             s_hi, s_lo = _dd_add(s_hi, s_lo, t_hi, t_lo)
@@ -526,7 +570,7 @@ def _sum_dd_many(a, b, z):
             small_run = np.where(at < _DD_TOL * abs_s, small_run + 1, 0)
             tail = small_run >= 3
             if tail.any():
-                nxt = np.abs(t_hi * c_hi[k + 1] * z)
+                nxt = np.abs(t_hi * table(k + 1)[0][sets] * z)
                 converged |= tail & (2.0 * nxt < _DD_TOL * abs_s)
             finite = np.isfinite(s_hi)
             done = converged | ~finite
@@ -536,62 +580,101 @@ def _sum_dd_many(a, b, z):
                     converged & finite & (s_hi != 0.0)
                     & (max_term / abs_s <= DD_RATIO))[done]
                 keep = ~done
-                idx, z, s_hi, s_lo, t_hi, t_lo, max_term, small_run = (
-                    x[keep] for x in (idx, z, s_hi, s_lo, t_hi, t_lo,
+                idx, sets, z, s_hi, s_lo, t_hi, t_lo, max_term, small_run = (
+                    x[keep] for x in (idx, sets, z, s_hi, s_lo, t_hi, t_lo,
                                       max_term, small_run))
     values[idx] = s_hi               # term cap reached: not converged
     return values, accepted
 
 
-def pfq_many(params, z, target_rel_tol=DEFAULT_REL_TOL):
-    """Evaluate pFq(a; b; z) at every entry of a 1-D float array z.
+def _in_blocks(sum_pass, table, sets, z, *args):
+    """``sum_pass`` over consecutive blocks of at most ``BATCH_BLOCK`` entries.
 
-    Validation and parameter cancellation run once per call.  The
-    double-precision pass runs over all entries at once, the double-double
-    pass over the entries it routes there, and the entries neither
-    accepts go to ``mpmath.hyper`` in one batch.  Every value is
-    bit-identical to ``pfq(params, z[i], target_rel_tol).value`` and comes
-    from the same tier.
+    Returns its outputs, each concatenated over the blocks; an empty z
+    makes one empty call, so the outputs keep their dtypes.
+    """
+    parts = [sum_pass(table, sets[i:i + BATCH_BLOCK], z[i:i + BATCH_BLOCK],
+                      *args)
+             for i in range(0, max(z.size, 1), BATCH_BLOCK)]
+    return [np.concatenate(out) for out in zip(*parts)]
+
+
+def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
+    """Evaluate pFq(a; b; z) for every (PfqParams, z) pair of ``requests``.
+
+    Each z is a 1-D float array.  Validation and parameter cancellation run
+    once per request, and requests whose cancelled parameters agree share
+    one parameter set.  The double-precision pass runs over every entry of
+    every request at once, the double-double pass over the entries it
+    routes there, and the entries neither accepts go to ``mpmath.hyper``
+    in one batch per parameter set.  Every value is bit-identical to
+    ``pfq(params, z[i], target_rel_tol).value`` and comes from the same
+    tier.
 
     Returns
     -------
-    numpy.ndarray
-        float64 values, one per entry of z.
+    list of numpy.ndarray
+        One float64 array per request, with one value per entry of its z.
 
     Raises
     ------
     NonConvergent
-        If p = q + 1 and some |z| >= 1, or as ``pfq`` for an entry that
-        reaches mpmath.
+        If a request's p = q + 1 and some |z| >= 1, or as ``pfq`` for an
+        entry that reaches mpmath.
     InvalidParams
-        If target_rel_tol is out of range, or z is not a 1-D array of
+        If target_rel_tol is out of range, or a z is not a 1-D array of
         finite values.
     """
     _check_tol(target_rel_tol)
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise InvalidParams(f"z must be a 1-D array, got shape {z.shape}")
-    finite = np.isfinite(z)
-    if not finite.all():
-        bad = z[np.argmin(finite)]
-        raise InvalidParams(f"series argument z must be finite, got {bad}")
-    a, b = _cancel_common(params.a, params.b)
-    if z.size:
-        _check_disk(a, b, float(z[np.argmax(np.abs(z))]))
+    index = {}                       # cancelled (a, b) -> parameter set
+    zs, set_of = [], []
+    for params, z in requests:
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 1:
+            raise InvalidParams(f"z must be a 1-D array, got shape {z.shape}")
+        finite = np.isfinite(z)
+        if not finite.all():
+            bad = z[np.argmin(finite)]
+            raise InvalidParams(f"series argument z must be finite, got {bad}")
+        a, b = _cancel_common(params.a, params.b)
+        if z.size:
+            _check_disk(a, b, float(z[np.argmax(np.abs(z))]))
+        zs.append(z)
+        set_of.append(index.setdefault((a, b), len(index)))
+    bounds = np.cumsum([0] + [z.size for z in zs])
+    z = np.concatenate([np.empty(0)] + zs)
+    sets = np.repeat(np.array(set_of, dtype=np.intp), np.diff(bounds))
+    parameter_sets = list(index)
     out = np.ones(z.size)
-    nonzero = np.flatnonzero(z != 0.0)
-    values, ratio = _sum_float_many(a, b, z[nonzero], float(target_rel_tol))
-    out[nonzero] = values
+    # in order of |z|, the entries of a block stop at similar term counts
+    order = np.argsort(np.abs(z))
+    order = order[z[order] != 0.0]
+    values, ratio = _in_blocks(
+        _sum_float_many, _TermTable(parameter_sets, _float_factors),
+        sets[order], z[order], float(target_rel_tol))
+    out[order] = values
     to_dd = (ratio > ESCALATION_RATIO) & (ratio <= 2.0 * DD_RATIO)
-    dd = nonzero[to_dd]
-    values, accepted = _sum_dd_many(a, b, z[dd])
+    dd = order[to_dd]
+    values, accepted = _in_blocks(
+        _sum_dd_many, _TermTable(parameter_sets, _dd_ratios), sets[dd], z[dd])
     out[dd] = values
     to_mpmath = ratio > 2.0 * DD_RATIO
     to_mpmath[to_dd] = ~accepted
-    rest = nonzero[to_mpmath]
-    if rest.size:
-        out[rest] = _escalate(a, b, z[rest].tolist())
-    return out
+    rest = order[to_mpmath]
+    for j in sorted(set(sets[rest].tolist())):
+        pick = rest[sets[rest] == j]
+        out[pick] = _escalate(*parameter_sets[j], z[pick].tolist())
+    return [out[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
+
+
+def pfq_many(params, z, target_rel_tol=DEFAULT_REL_TOL):
+    """Evaluate pFq(a; b; z) at every entry of a 1-D float array z.
+
+    The one-request case of ``pfq_batch``: returns a float64 array whose
+    entries are bit-identical to ``pfq(params, z[i], target_rel_tol).value``
+    and come from the same tier, and raises as ``pfq_batch`` does.
+    """
+    return pfq_batch([(params, z)], target_rel_tol)[0]
 
 
 def pfq_minus_one(params, z, target_rel_tol=DEFAULT_REL_TOL):

@@ -15,14 +15,19 @@ kernel exponent beta -> n + 2, M converges to the multiplier of the Navier
 operator of classical linear elasticity.
 
 Five distinct series carry every quantity.  One evaluator sums each one
-a call needs once (``pfq`` at a frequency, ``pfq_many`` over an array of
-|nu|^2 shells) and applies one formula per quantity; ``closed_bundle``,
-the twin of ``oracle.quadrature_bundle``, returns them all at once.
+a call needs once and applies one formula per quantity: ``pfq`` at a
+single frequency, or one ``pfq_batch`` pass over the distinct |nu|^2
+shells of every request of an array call, so ``eigenvalues_many`` sums
+all series of all its (params, materials, frequencies) requests, such as
+the panels of a figure grid, together.  ``closed_bundle``, the twin of
+``oracle.quadrature_bundle``, returns every quantity at one frequency.
 
 All functions are pure; frequency vectors are treated through |nu| and
 nu (x) nu only, so M(-nu) = M(nu) holds exactly.  A coefficient, matrix
 entry or eigenvalue that overflows a double (a finite but huge mu or
-lambda*) raises NonConvergent instead of being returned as inf or NaN.
+lambda*) raises NonConvergent instead of being returned as inf or NaN; a
+|nu|^2 or series argument z that overflows (a huge frequency or horizon)
+raises InvalidParams.
 """
 
 import math
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NonConvergent
-from .hypergeom import DEFAULT_REL_TOL, PfqParams, pfq, pfq_many
+from .hypergeom import DEFAULT_REL_TOL, PfqParams, pfq, pfq_batch
 
 __all__ = [
     "NonlocalParams", "Material", "TensorMultiplier", "EigenDecomposition",
@@ -41,6 +46,7 @@ __all__ = [
     "navier_eigenvalues",
     "eigenvalue_parallel", "eigenvalue_parallel_split",
     "eigenvalue_transverse", "eigenvalues", "eigenvalues_by_material",
+    "eigenvalues_many",
     "orthonormal_basis", "eigen_decomposition",
 ]
 
@@ -148,6 +154,17 @@ def _finite(value, what):
     return value
 
 
+def _finite_input(value, what):
+    """``value``, a quantity formed from the inputs, checked to be finite.
+
+    A huge finite frequency or horizon overflows |nu|^2 or z; that is a
+    usage error, reported as InvalidParams naming the quantity.
+    """
+    if not np.isfinite(value).all():
+        raise InvalidParams(f"{what} overflows a double or is not finite")
+    return value
+
+
 def _series(params):
     """(a, b) of the five series, h = (n+2-beta)/2; ``_FORMULAS`` uses them."""
     n = params.n
@@ -179,47 +196,70 @@ _FORMULAS = {
 _COEFFICIENTS = ("alpha_b1", "alpha_b2", "alpha_s")
 
 
-def _sums(params, keys, nn, tol):
-    """{key: value} of each series in ``keys`` at |nu| = nn.
+def _sums(requests, keys, tol):
+    """{key: value} of each series in ``keys``, per (params, |nu|) request.
 
-    A float nn is summed with ``pfq``, an array with ``pfq_many``; a
-    one-entry array would cost ~20 times a scalar call.
+    |nu| is a float or an array of shells, the same kind in every request.
+    Floats are summed with ``pfq``; arrays go to one ``pfq_batch`` call for
+    every series of every request, since a one-entry array would cost ~20
+    times a scalar call and each array call pays per-term numpy overhead.
     """
-    z = -0.25 * nn * nn * params.delta * params.delta
-    series = _series(params)
-    if isinstance(z, float):
-        return {key: pfq(PfqParams(*series[key]), z, tol).value for key in keys}
-    return {key: pfq_many(PfqParams(*series[key]), z, tol) for key in keys}
+    calls = []
+    for params, nn in requests:
+        with np.errstate(over="ignore"):
+            z = _finite_input(-0.25 * nn * nn * params.delta * params.delta,
+                              "series argument z = -(|nu| delta / 2)^2")
+        series = _series(params)
+        calls += [(PfqParams(*series[key]), z) for key in keys]
+    if calls and isinstance(calls[0][1], float):
+        values = iter([pfq(p, z, tol).value for p, z in calls])
+    else:
+        values = iter(pfq_batch(calls, tol))
+    return [{key: next(values) for key in keys} for _ in requests]
 
 
-def _closed(params, materials, names, nn2, tol):
-    """The closed quantities ``names`` at |nu|^2 = nn2, a list per material.
+def _closed(requests, names, tol):
+    """The closed quantities ``names`` per (params, materials, |nu|^2) request.
 
-    nn2 is a float or an array of shells.  Each series the names need is
-    summed once for all materials.  Where nn2 = 0 every quantity is an
-    exact 0 (the continuity limit), and a float 0 sums no series.
+    |nu|^2 is a nonzero float or an array of shells, the same kind in every
+    request.  Each series the names need is summed once per request for
+    all its materials, and the series of all requests in one pass.  Returns
+    per request a list with one list of values per material.  Where an
+    array holds |nu|^2 = 0 every quantity is an exact 0 (the continuity
+    limit).
     """
-    scalar = isinstance(nn2, float)
-    if scalar and nn2 == 0.0:
-        return [[0.0] * len(names) for _ in materials]
-    nn = math.sqrt(nn2) if scalar else np.sqrt(nn2)
-    f = _sums(params, dict.fromkeys(key for name in names
-                                    for key in _FORMULAS[name][0]), nn, tol)
+    keys = dict.fromkeys(key for name in names for key in _FORMULAS[name][0])
+    nns = [math.sqrt(nn2) if isinstance(nn2, float) else np.sqrt(nn2)
+           for _, _, nn2 in requests]
+    sums = _sums([(params, nn) for (params, _, _), nn in zip(requests, nns)],
+                 keys, tol)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for material in materials:
-            values = [_FORMULAS[name][1](material, nn2, nn, f) for name in names]
-            if not scalar:
-                values = [np.where(nn2 == 0.0, 0.0, x) for x in values]
-            out.append([_finite(x, name) for x, name in zip(values, names)])
+        for (_, materials, nn2), nn, f in zip(requests, nns, sums):
+            per_material = []
+            for material in materials:
+                values = [_FORMULAS[name][1](material, nn2, nn, f)
+                          for name in names]
+                if not isinstance(nn2, float):
+                    values = [np.where(nn2 == 0.0, 0.0, x) for x in values]
+                per_material.append([_finite(x, name)
+                                     for x, name in zip(values, names)])
+            out.append(per_material)
     return out
 
 
 def _at(params, material, nu, names, tol):
-    """(v, |nu|^2, value of each of ``names``) at one frequency vector nu."""
+    """(v, |nu|^2, value of each of ``names``) at one frequency vector nu.
+
+    At nu = 0 every quantity is an exact 0 (the continuity limit) and no
+    series is summed.
+    """
     v = _as_frequency(params, nu)
-    nn2 = float(v @ v)
-    return (v, nn2, *_closed(params, (material,), names, nn2, tol)[0])
+    with np.errstate(over="ignore"):
+        nn2 = _finite_input(float(v @ v), "|nu|^2")
+    if nn2 == 0.0:
+        return (v, nn2, *[0.0] * len(names))
+    return (v, nn2, *_closed([(params, (material,), nn2)], names, tol)[0][0])
 
 
 def _bond_matrix(v, diag, rank1, what):
@@ -273,13 +313,15 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
     sine transform of the kernel, which is why it enters the state part
     squared.
     """
-    return _sums(params, ("g",), float(nu_norm), target_rel_tol)["g"]
+    return _sums([(params, float(nu_norm))], ("g",), target_rel_tol)[0]["g"]
 
 
 def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Gradient of the scalar multiplier, -2 g(|nu|) nu."""
     v = _as_frequency(params, nu)
-    return -2.0 * gradient_factor(params, np.linalg.norm(v), target_rel_tol) * v
+    with np.errstate(over="ignore"):
+        nn = _finite_input(np.linalg.norm(v), "|nu|")
+    return -2.0 * gradient_factor(params, nn, target_rel_tol) * v
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -385,24 +427,44 @@ def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     return _at(params, material, nu, ("lambda2",), target_rel_tol)[2]
 
 
+def eigenvalues_many(requests, target_rel_tol=DEFAULT_REL_TOL):
+    """``eigenvalues_by_material`` for each (params, materials, nu) request.
+
+    nu is an (m, n) array of frequencies for that request's params.  The
+    series do not depend on the material, so each request's are evaluated
+    once per distinct |nu|^2 for all its materials, and the series of all
+    requests in one array pass.  Returns, per request, a list of
+    (lambda1, lambda2) array pairs in the order of its materials; every
+    value equals that of the request evaluated alone.
+    """
+    shells, inverses = [], []
+    for params, materials, nu in requests:
+        nu = np.asarray(nu, dtype=float)
+        if nu.ndim != 2 or nu.shape[1] != params.n:
+            raise InvalidParams(
+                f"frequencies must be an (m, {params.n}) array, got shape "
+                f"{nu.shape}")
+        # batched matmul rounds each row exactly like the scalar path's v @ v
+        with np.errstate(over="ignore"):
+            nn2 = _finite_input(np.matmul(nu[:, None, :], nu[:, :, None]),
+                                "|nu|^2").reshape(-1)
+        unique, inverse = np.unique(nn2, return_inverse=True)
+        shells.append((params, materials, unique))
+        inverses.append(inverse)
+    closed = _closed(shells, ("lambda1", "lambda2"), target_rel_tol)
+    return [[(lam1[inverse], lam2[inverse]) for lam1, lam2 in pairs]
+            for pairs, inverse in zip(closed, inverses)]
+
+
 def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TOL):
     """``eigenvalues`` for several materials at once, one pair per material.
 
-    The series do not depend on the material, so they are evaluated once
-    per distinct |nu|^2 for all materials together and combined per
+    The one-request case of ``eigenvalues_many``: the series are evaluated
+    once per distinct |nu|^2 for all materials together and combined per
     material.  Returns a list of (lambda1, lambda2) array pairs, in the
     order of ``materials``.
     """
-    nu = np.asarray(nu, dtype=float)
-    if nu.ndim != 2 or nu.shape[1] != params.n:
-        raise InvalidParams(
-            f"frequencies must be an (m, {params.n}) array, got shape {nu.shape}")
-    # batched matmul rounds each row exactly like the scalar path's v @ v
-    nn2 = np.matmul(nu[:, None, :], nu[:, :, None]).reshape(-1)
-    shells, inverse = np.unique(nn2, return_inverse=True)
-    return [(lam1[inverse], lam2[inverse])
-            for lam1, lam2 in _closed(params, materials, ("lambda1", "lambda2"),
-                                      shells, target_rel_tol)]
+    return eigenvalues_many([(params, materials, nu)], target_rel_tol)[0]
 
 
 def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):

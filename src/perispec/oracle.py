@@ -337,11 +337,13 @@ def _reduced_integrals(params, nu_norm, spec, level):
     transverse direction), s1 (parallel sine transform component; the
     transverse ones vanish), lam2 (transverse eigenvalue integrand).
 
-    Each integrand is evaluated once on the folded (t >= 0) grid:
-    cos(x) - 1 = -2 sin^2(x/2), and one sin(x) serves both sin(x)/x and
-    (sin(x) - x)/x^3, which switch to their Taylor series below
-    |x| = 1e-2 to avoid cancellation.  The angular weights of the
-    three bond integrals are stacked so one matrix product contracts them.
+    Each integrand is evaluated once on the folded (t >= 0) grid, where
+    x >= 0: cos(x) - 1 = -2 sin^2(x/2), and one sin(x) serves both
+    sin(x)/x and (sin(x) - x)/x^3.  Both are formed over the whole grid,
+    and only the entries below x = 1e-2 (about 1%) are then overwritten
+    with their Taylor series, which avoid the cancellation there.  The
+    angular weights of the three bond integrals are stacked so one matrix
+    product contracts them.
     """
     n = params.n
     n_in, n_out, na = _grid_points(spec, nu_norm * params.delta, level)
@@ -349,19 +351,26 @@ def _reduced_integrals(params, nu_norm, spec, level):
                          spec.singularity_split)
     t, wa = _angular_rule(n, na)
     t2 = t * t
-    x = np.multiply.outer(nu_norm * r, t)
+    x = np.multiply.outer(nu_norm * r, t)      # x >= 0: t >= 0 when folded
     sin_half = np.sin(0.5 * x)
+    sin_half *= sin_half
     sin_x = np.sin(x)
-    x2 = x * x
-    x4 = x2 * x2
-    small = np.abs(x) < 1e-2
+    cube = x * x
+    cube *= x
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinc_x = np.where(small, 1.0 - x2 / 6.0 + x4 / 120.0, sin_x / x)
-        sxx = np.where(small, -1.0 / 6.0 + x2 / 120.0 - x4 / 5040.0,
-                       (sin_x - x) / (x2 * x))
+        sinc_x = sin_x / x
+        sxx = np.subtract(sin_x, x, out=sin_x)
+        sxx /= cube
+    # only the few entries below x = 1e-2 take the Taylor series
+    small = x < 1e-2
+    xs = x[small]
+    xs2 = xs * xs
+    xs4 = xs2 * xs2
+    sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
+    sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
     # (cos(x) - 1) / r^2, with the 1/r^2 moved onto the radial weights
     W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
-    m, A, B = (-2.0 * wr / (r * r)) @ ((sin_half * sin_half) @ W)
+    m, A, B = (-2.0 * wr / (r * r)) @ (sin_half @ W)
     return {
         "m": m, "A": A, "B": B,
         "s1": nu_norm * (wr @ (sinc_x @ (t2 * wa))),

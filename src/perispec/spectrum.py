@@ -64,8 +64,15 @@ class SpectrumRecord:
 
 
 def _lattice(k, torus):
-    """Lattice frequencies of the mode index row(s) k, as floats."""
-    return 2.0 * math.pi * np.asarray(k, dtype=float) / np.asarray(torus.lengths)
+    """Lattice frequencies of the mode index row(s) k, checked to be finite."""
+    with np.errstate(over="ignore"):
+        nu = (2.0 * math.pi * np.asarray(k, dtype=float)
+              / np.asarray(torus.lengths))
+    if not np.isfinite(nu).all():
+        raise InvalidParams(
+            f"lattice frequency 2 pi k / l overflows a double for edge "
+            f"lengths {torus.lengths}")
+    return nu
 
 
 def frequency_vector(k, torus):

@@ -10,9 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from perispec.cli import (FIGURE_HEADER, FigureJob, figure_rows, main,
-                          run_verification, write_figure_csv)
+from perispec.cli import (FIGURE_DELTAS, FIGURE_HEADER, FigureJob,
+                          figure_betas, figure_rows, main, run_verification,
+                          write_figure_csv)
 from perispec.errors import InvalidParams
+from perispec.hypergeom import DD_PRECISION_BITS, PfqParams, pfq
 
 
 def read_csv(path):
@@ -151,6 +153,25 @@ class TestFigureCommand:
             expected.append(singles[0][2 * i + 1])
         assert rows == expected
 
+    def test_grid_panels_equal_single_panels(self, tmp_path):
+        # the grid sums every panel's series in one pass; each panel's CSV
+        # must be the bytes of that panel run alone.  At |nu| = 15 the
+        # delta = 2 panels reach the double-double tier
+        assert pfq(PfqParams((1.0, 1.0), (2.0, 2.0, 3.5)),
+                   -225.0).precision_bits == DD_PRECISION_BITS
+        common = ["--samples", "50", "--nu-max", "15"]
+        assert main(["figure", *common, "--out", str(tmp_path / "grid")]) == 0
+        files = sorted((tmp_path / "grid").glob("figure_*.csv"))
+        assert len(files) == 12
+        for delta in FIGURE_DELTAS:
+            for beta in figure_betas(3):
+                name = f"figure_delta{delta:g}_beta{beta:g}.csv"
+                single = tmp_path / name
+                assert main(["figure", *common, "--delta", repr(delta),
+                             "--beta", repr(beta), "--out", str(single)]) == 0
+                assert ((tmp_path / "grid" / name).read_bytes()
+                        == single.read_bytes())
+
     def test_mismatched_panel_flags(self, tmp_path):
         rc = main(["figure", "--delta", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -186,6 +207,9 @@ class TestNonFiniteInput:
         ["spectrum", "--n", "1", "--delta", "1", "--beta", "2",
          "--mu", "1e308", "--lambda-star", "1e308", "--k-max", "1",
          "--out", "x.csv"],
+        # |nu|^2 overflows a double
+        ["figure", "--delta", "1", "--beta", "2", "--nu-max", "1e200",
+         "--samples", "3", "--out", "x.csv"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):

@@ -10,10 +10,11 @@ from numpy.testing import assert_allclose
 
 import perispec.hypergeom as hg
 from perispec.errors import InvalidParams, NonConvergent
-from perispec.hypergeom import (DD_PRECISION_BITS, ESCALATED_PREC_BITS,
-                                PfqParams, f_form_derivatives,
-                                merge_linear_combination, pfq, pfq_many,
-                                pfq_minus_one, pochhammer)
+from perispec.hypergeom import (BATCH_BLOCK, DD_PRECISION_BITS,
+                                ESCALATED_PREC_BITS, PfqParams,
+                                f_form_derivatives, merge_linear_combination,
+                                pfq, pfq_batch, pfq_many, pfq_minus_one,
+                                pochhammer)
 
 
 def series_oracle(a, b, z, terms=200):
@@ -242,6 +243,79 @@ class TestPfqMany:
             pfq_many(PfqParams((1.0,), (2.0,)), np.array([1.0, 1000.0]))
 
 
+def batch_requests(rng, wide):
+    """Requests of mixed (p, q) whose entries reach all three tiers.
+
+    With ``wide``, one float-tier request alone holds more entries than one
+    block of the batch pass.
+    """
+    deep = np.array([-4e4, -900.0, -225.0, -150.0, -30.0, 0.0, -0.0])
+    requests = [
+        # lambda1's merged 3F4 at n = 1, h = 1.5 cancels down to
+        # 1F2(1; 2, 2.5); the next request names that set directly
+        (PfqParams((1.0, 2.5, 1.5), (2.0, 1.5, 2.5, 2.5)),
+         np.concatenate([deep, -rng.uniform(0.0, 300.0, 9)])),
+        (PfqParams((1.0,), (2.0, 2.5)), -rng.uniform(0.0, 300.0, 7)),
+        (PfqParams((1.0, 1.5), (2.0, 2.5, 0.5)), deep),
+        # terminating series, on both sides of 0
+        (PfqParams((-2.0, 1.5), (3.0, 0.5)), np.array([5.0, -7.5, 0.0, 2.0])),
+        (PfqParams((-3.0,), (0.5, 4.0)), np.array([-600.0, 40.0])),
+        # p = q + 1 inside its disk
+        (PfqParams((1.0, 2.0), (3.0,)), rng.uniform(-0.99, 0.99, 5)),
+        (PfqParams((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),
+         -rng.uniform(0.0, 400.0, 6)),
+        (PfqParams((), (1.5,)), np.array([-0.0, 3.0, -80.0])),
+        (PfqParams((0.5,), (1.5, 2.0)), np.zeros(0)),
+    ]
+    if wide:
+        requests.append((PfqParams((0.5,), (1.5, 2.0)),
+                         rng.uniform(-30.0, 30.0, BATCH_BLOCK + 100)))
+    return requests
+
+
+class TestPfqBatch:
+    def check_against_scalar(self, requests, tol):
+        got = pfq_batch(requests, tol)
+        assert len(got) == len(requests)
+        tiers = set()
+        for (params, z), values in zip(requests, got):
+            assert values.dtype == np.float64 and values.shape == z.shape
+            for zi, value in zip(z.tolist(), values.tolist()):
+                ref = pfq(params, zi, tol)
+                assert value == ref.value
+                tiers.add(ref.precision_bits)
+        assert tiers == {53, DD_PRECISION_BITS, ESCALATED_PREC_BITS}
+
+    def test_matches_scalar_pfq_exactly(self):
+        requests = batch_requests(np.random.default_rng(71), wide=True)
+        assert sum(z.size for _, z in requests) > BATCH_BLOCK
+        self.check_against_scalar(requests, 1e-13)
+
+    def test_many_small_blocks(self, monkeypatch):
+        # blocks of 4 split every tier's entries across blocks
+        monkeypatch.setattr(hg, "BATCH_BLOCK", 4)
+        self.check_against_scalar(
+            batch_requests(np.random.default_rng(72), wide=False), 1e-9)
+
+    def test_requests_alone_match_the_batch(self):
+        requests = batch_requests(np.random.default_rng(73), wide=False)
+        for (params, z), values in zip(requests, pfq_batch(requests)):
+            assert pfq_many(params, z).tolist() == values.tolist()
+
+    def test_empty_and_validation(self):
+        assert pfq_batch([]) == []
+        good = (PfqParams((1.0,), (2.0, 2.5)), np.array([-1.0]))
+        with pytest.raises(InvalidParams):
+            pfq_batch([good, (good[0], np.array([-1.0, math.nan]))])
+        with pytest.raises(InvalidParams):
+            pfq_batch([good, (good[0], np.ones((2, 2)))])
+        with pytest.raises(InvalidParams):
+            pfq_batch([good], target_rel_tol=1e-3)
+        with pytest.raises(NonConvergent):
+            pfq_batch([good, (PfqParams((1.0, 2.0), (3.0,)),
+                              np.array([0.5, -1.5]))])
+
+
 class TestDoubleDouble:
     def test_error_free_transforms(self):
         # each pair holds the exact sum or product, on floats and arrays
@@ -304,9 +378,9 @@ class TestDoubleDouble:
         def refuse(*args):
             raise AssertionError("double-double pass ran")
 
-        def only_empty(a, b, z):
+        def only_empty(table, sets, z):
             assert not z.size, "double-double pass ran"
-            return sum_dd_many(a, b, z)
+            return sum_dd_many(table, sets, z)
 
         monkeypatch.setattr(hg, "_sum_dd", refuse)
         monkeypatch.setattr(hg, "_sum_dd_many", only_empty)

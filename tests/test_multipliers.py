@@ -16,7 +16,8 @@ from perispec.multipliers import (Material, NonlocalParams, closed_bundle,
                                   eigen_decomposition,
                                   eigenvalue_parallel, eigenvalue_parallel_split,
                                   eigenvalue_transverse, eigenvalues,
-                                  eigenvalues_by_material, gradient_factor, navier_eigenvalues,
+                                  eigenvalues_by_material, eigenvalues_many,
+                                  gradient_factor, navier_eigenvalues,
                                   navier_multiplier, orthonormal_basis,
                                   scalar_multiplier,
                                   scalar_multiplier_gradient, scaling_constant,
@@ -336,6 +337,44 @@ class TestBatchEigenvalues:
             one1, one2 = eigenvalues(p, mat, nu)
             assert np.array_equal(lam1, one1) and np.array_equal(lam2, one2)
         assert eigenvalues_by_material(p, [], nu) == []
+
+    def test_requests_match_single_calls(self):
+        # requests of mixed n, delta and beta share one series pass; the
+        # first two share every series (same n and beta), and n = 1 at
+        # h = 1.5 cancels the merged 3F4 down to a 1F2
+        grid = np.linspace(0.0, 15.0, 30)
+        requests = []
+        for n, delta, beta in ((3, 2.0, 4.0), (3, 1.0, 4.0), (1, 0.5, 0.0),
+                               (2, 1e-3, 4.0 - 1e-3)):
+            nu = np.zeros((grid.size, n))
+            nu[:, 0] = grid
+            mats = [Material(1.2, s) for s in (-1.5, 0.25)]
+            requests.append((NonlocalParams(n, delta, beta), mats, nu))
+        got = eigenvalues_many(requests)
+        assert len(got) == len(requests)
+        for (p, mats, nu), pairs in zip(requests, got):
+            alone = eigenvalues_by_material(p, mats, nu)
+            assert len(pairs) == len(alone) == len(mats)
+            for (lam1, lam2), (one1, one2) in zip(pairs, alone):
+                assert np.array_equal(lam1, one1)
+                assert np.array_equal(lam2, one2)
+        assert eigenvalues_many([]) == []
+
+    @pytest.mark.parametrize("evaluate, quantity", [
+        (lambda p, mat: eigenvalue_parallel(p, mat, [1e200, 0.0]),
+         r"\|nu\|\^2"),
+        (lambda p, mat: eigenvalues(p, mat, [[1e200, 0.0]]), r"\|nu\|\^2"),
+        (lambda p, mat: eigenvalues(NonlocalParams(2, 1e300, 2.0), mat,
+                                    [[1.0, 0.0]]), "series argument z"),
+        (lambda p, mat: scalar_multiplier_gradient(p, [1e200, 0.0]),
+         r"\|nu\|"),
+    ], ids=["scalar-nu", "batch-nu", "batch-z", "gradient-nu"])
+    def test_overflowing_input_names_the_quantity(self, evaluate, quantity):
+        # a huge frequency or horizon is a usage error, not a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match=quantity):
+                evaluate(NonlocalParams(2, 1.0, 2.0), Material(1.0, 0.0))
 
     def test_overflow_raises(self):
         # finite but huge materials overflow products of finite factors

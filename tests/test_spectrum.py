@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ class TestSpectrumTable:
             with pytest.raises(InvalidParams):
                 spectrum_table(p, Material(1.0, 1.0), torus, bad)
         assert len(spectrum_table(p, Material(1.0, 1.0), torus, np.int64(1))) == 9
+
+    def test_overflowing_lattice_frequency(self):
+        p = NonlocalParams(2, 1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="lattice frequency"):
+                spectrum_table(p, Material(1.0, 0.0),
+                               TorusSpec((1e-320, 1.0)), 1)
 
     def test_near_local_limit(self):
         p = NonlocalParams(3, 1e-3, 2.0)
