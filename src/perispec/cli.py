@@ -48,6 +48,12 @@ def figure_betas(n):
 #: |closed - quad| <= max(tol * |quad|, VERIFY_ABS_FLOOR).
 VERIFY_ABS_FLOOR = 1e-8
 
+#: Most |nu| samples a figure panel accepts: its stated size reach.  A grid
+#: holds every panel's values before it writes, and peaks at ~390 MB
+#: resident at the cap; larger counts are rejected before any array is
+#: built.
+MAX_SAMPLES = 100_000
+
 
 def _fmt(x):
     return f"{float(x):.17g}"
@@ -71,8 +77,10 @@ class FigureJob:
                  self.nu_norm_max) + tuple(self.lambda_star_list)
         if not all(math.isfinite(x) for x in reals):
             raise InvalidParams(f"figure parameters must be finite, got {reals}")
-        if self.samples < 2:
-            raise InvalidParams(f"samples must be >= 2, got {self.samples}")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise InvalidParams(
+                f"samples must lie in [2, MAX_SAMPLES = {MAX_SAMPLES}], got "
+                f"{self.samples}")
         if not (0.0 <= self.nu_norm_min < self.nu_norm_max):
             raise InvalidParams(
                 f"need 0 <= nu_norm_min < nu_norm_max, got "

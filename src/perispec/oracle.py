@@ -39,7 +39,11 @@ One refinement pass per frequency (:func:`quadrature_bundle`) integrates
 every quantity on the same grids.  Each quantity reports its own
 per-quantity Richardson-style error estimate (difference of its two finest
 refinement levels) alongside its value; without a tolerance only those two
-levels are computed.
+levels are computed.  Every oracle path evaluates a level through
+``_reduced_integrals``, which sweeps the radial x angular grid in blocks of
+radial rows (``BLOCK_POINTS``), so its working memory is that of one block
+and the per-row sums, not of the whole grid, at every phase up to
+MAX_PHASE.
 """
 
 import math
@@ -66,6 +70,27 @@ MAX_DIM = 8
 #: with the phase in both t and r; the closed forms are cross-checked up to
 #: here.
 MAX_PHASE = 400.0
+
+#: Grid points (radial rows times folded angular nodes) that one block of
+#: ``_reduced_integrals`` aims to hold; it bounds the oracle's working
+#: memory at every phase up to MAX_PHASE.  A block holds at least 16 rows
+#: and the last one also takes the remainder, so at MAX_PHASE (1,232
+#: folded angular nodes at the finest default level) a block holds 16 to
+#: 31 rows, at most 38,192 points.
+BLOCK_POINTS = 8192
+
+
+def _block_rows(na):
+    """Radial rows per block for ``na`` angular nodes: a multiple of 16.
+
+    Each row's angular contraction is a BLAS product whose bits can depend
+    on how the rows are tiled; blocks of whole 16-row tiles keep them equal
+    to those of one product over the whole grid whenever that product runs
+    the same kernel.  OpenBLAS's dgemm switches kernels for a whole grid
+    above ~333,000 points (phases above ~150 at the finest default level),
+    where the bond integrals m, A and B can move by an ulp.
+    """
+    return max(16, BLOCK_POINTS // na // 16 * 16)
 
 
 @dataclass(frozen=True)
@@ -339,11 +364,15 @@ def _reduced_integrals(params, nu_norm, spec, level):
 
     Each integrand is evaluated once on the folded (t >= 0) grid, where
     x >= 0: cos(x) - 1 = -2 sin^2(x/2), and one sin(x) serves both
-    sin(x)/x and (sin(x) - x)/x^3.  Both are formed over the whole grid,
-    and only the entries below x = 1e-2 (about 1%) are then overwritten
-    with their Taylor series, which avoid the cancellation there.  The
-    angular weights of the three bond integrals are stacked so one matrix
-    product contracts them.
+    sin(x)/x and (sin(x) - x)/x^3.  The grid is swept in blocks of
+    ``_block_rows`` radial rows, so the working memory is that of one
+    block (``BLOCK_POINTS``) at any phase.  Within a block both quotients
+    are formed over every entry, and only the entries below x = 1e-2
+    (about 1%) are then overwritten with their Taylor series, which avoid
+    the cancellation there.  Each block contracts its integrands with the
+    angular weights into per-row values (the weights of the three bond
+    integrals stacked, so one matrix product serves them); the radial
+    weights then contract those rows over the whole radial grid at once.
     """
     n = params.n
     n_in, n_out, na = _grid_points(spec, nu_norm * params.delta, level)
@@ -351,30 +380,41 @@ def _reduced_integrals(params, nu_norm, spec, level):
                          spec.singularity_split)
     t, wa = _angular_rule(n, na)
     t2 = t * t
-    x = np.multiply.outer(nu_norm * r, t)      # x >= 0: t >= 0 when folded
-    sin_half = np.sin(0.5 * x)
-    sin_half *= sin_half
-    sin_x = np.sin(x)
-    cube = x * x
-    cube *= x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinc_x = sin_x / x
-        sxx = np.subtract(sin_x, x, out=sin_x)
-        sxx /= cube
-    # only the few entries below x = 1e-2 take the Taylor series
-    small = x < 1e-2
-    xs = x[small]
-    xs2 = xs * xs
-    xs4 = xs2 * xs2
-    sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
-    sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
-    # (cos(x) - 1) / r^2, with the 1/r^2 moved onto the radial weights
     W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
-    m, A, B = (-2.0 * wr / (r * r)) @ (sin_half @ W)
+    w_sinc, w_sxx = t2 * wa, t2 * t2 * wa
+    bond = np.empty((r.size, 3))
+    sinc_rows = np.empty(r.size)
+    sxx_rows = np.empty(r.size)
+    step = _block_rows(t.size)
+    # the last block takes the remainder: a 1-row product is a dot, not gemv
+    starts = list(range(0, max(r.size - step, 0) + 1, step))
+    for rows in map(slice, starts, starts[1:] + [r.size]):
+        x = np.multiply.outer(nu_norm * r[rows], t)   # x >= 0: t >= 0
+        sin_half = np.sin(0.5 * x)
+        sin_half *= sin_half
+        bond[rows] = sin_half @ W
+        sin_x = np.sin(x)
+        cube = x * x
+        cube *= x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinc_x = sin_x / x
+            sxx = np.subtract(sin_x, x, out=sin_x)
+            sxx /= cube
+        # only the few entries below x = 1e-2 take the Taylor series
+        small = x < 1e-2
+        xs = x[small]
+        xs2 = xs * xs
+        xs4 = xs2 * xs2
+        sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
+        sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
+        sinc_rows[rows] = sinc_x @ w_sinc
+        sxx_rows[rows] = sxx @ w_sxx
+    # (cos(x) - 1) / r^2, with the 1/r^2 moved onto the radial weights
+    m, A, B = (-2.0 * wr / (r * r)) @ bond
     return {
         "m": m, "A": A, "B": B,
-        "s1": nu_norm * (wr @ (sinc_x @ (t2 * wa))),
-        "lam2": nu_norm**2 * (wr @ (sxx @ (t2 * t2 * wa))),
+        "s1": nu_norm * (wr @ sinc_rows),
+        "lam2": nu_norm**2 * (wr @ sxx_rows),
     }
 
 

@@ -27,6 +27,12 @@ __all__ = [
 
 _EIGENVALUE_FLOOR = 1e-14
 
+#: Most lattice modes, (2 k_max + 1)^n, that ``spectrum_table`` accepts:
+#: its stated size reach.  ``spectrum --n 3 --k-max 30`` (226,981 modes)
+#: fits, and the ``spectrum`` command peaks at ~175 MB resident near the
+#: cap; a larger box is rejected before any mode is built.
+MAX_MODES = 250_000
+
 
 @dataclass(frozen=True)
 class TorusSpec:
@@ -102,13 +108,19 @@ def spectrum_table(params, material, torus, k_max):
     """Eigenvalues for every mode in the box {-k_max, ..., k_max}^n.
 
     Records are ordered lexicographically in k. The k = 0 record carries
-    eigenvalue 0 (constant fields are in the operator kernel).
+    eigenvalue 0 (constant fields are in the operator kernel).  A box of
+    more than MAX_MODES modes raises InvalidParams before any is built.
     """
     _check_torus(params, torus)
     if not isinstance(k_max, numbers.Integral):
         raise InvalidParams(f"k_max must be an integer, got {k_max!r}")
     if k_max < 0:
         raise InvalidParams(f"k_max must be >= 0, got {k_max}")
+    modes = (2 * k_max + 1) ** params.n
+    if modes > MAX_MODES:
+        raise InvalidParams(
+            f"k_max = {k_max} at n = {params.n} asks for {modes} modes, above "
+            f"the spectrum's reach MAX_MODES = {MAX_MODES}")
     ks = list(itertools.product(range(-k_max, k_max + 1), repeat=params.n))
     nu = _lattice(ks, torus)
     lam1, lam2 = eigenvalues(params, material, nu)

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+import perispec.cli
+import perispec.spectrum
 from perispec.cli import (FIGURE_DELTAS, FIGURE_HEADER, FigureJob,
                           figure_betas, figure_rows, main, run_verification,
                           write_figure_csv)
@@ -28,6 +30,47 @@ class TestFigureJob:
             FigureJob(3, 1.0, (0.0,), 1.0, 2.0, 0.0, 15.0, samples=1)
         with pytest.raises(InvalidParams):
             FigureJob(3, 1.0, (0.0,), 1.0, 2.0, 5.0, 2.0, samples=10)
+
+
+class TestSizeReach:
+    def test_samples_cap(self):
+        assert perispec.cli.MAX_SAMPLES == 100_000
+        job = FigureJob(3, 1.0, (0.0,), 1.0, 2.0, 0.0, 15.0,
+                        samples=perispec.cli.MAX_SAMPLES)
+        assert job.samples == 100_000
+        with pytest.raises(InvalidParams, match="MAX_SAMPLES = 100000"):
+            FigureJob(3, 1.0, (0.0,), 1.0, 2.0, 0.0, 15.0, samples=100_001)
+
+    @pytest.mark.parametrize("samples", ["100001", "10000000000"])
+    @pytest.mark.parametrize("panel", [["--delta", "1", "--beta", "3"], []],
+                             ids=["panel", "grid"])
+    def test_samples_rejected_before_any_array(self, samples, panel, tmp_path,
+                                               monkeypatch, capsys):
+        def no_values(jobs):
+            raise AssertionError("a panel was evaluated past the reach")
+
+        monkeypatch.setattr(perispec.cli, "figure_values", no_values)
+        out = tmp_path / "out"
+        assert main(["figure", "--samples", samples, "--out", str(out)]
+                    + panel) == 2
+        err = capsys.readouterr().err
+        assert "MAX_SAMPLES = 100000" in err and samples in err
+        assert not out.exists()
+
+    def test_modes_rejected_before_any_mode(self, tmp_path, monkeypatch,
+                                            capsys):
+        class NoProduct:
+            @staticmethod
+            def product(*args, **kwargs):
+                raise AssertionError("modes were built past the reach")
+
+        monkeypatch.setattr(perispec.spectrum, "itertools", NoProduct)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--n", "3", "--delta", "0.5", "--beta", "3",
+                     "--k-max", "31", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "250047 modes" in err and "MAX_MODES = 250000" in err
+        assert not out.exists()
 
 
 class TestFigureCommand:

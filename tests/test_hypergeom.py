@@ -391,6 +391,28 @@ class TestDoubleDouble:
             res.value, pfq(params, -1.0).value]
 
 
+    def test_tail_check_looks_at_the_next_ratio(self):
+        # each pair (b + 1; b) weights term k by (b + k) / b, so the pairs
+        # at b = -36 + d, -37 + d, -38 + d (d = 2^-46) make terms 36-38
+        # about 1e-22 of the sum, far below _DD_TOL, so the tail check runs
+        # at term 38.  Term 39 is back to 2.5e-10 of the sum.  Only the
+        # ratio c_38 from term 38 to term 39 shows that; the ratio c_37 just
+        # used does not, and stopping there moves the value.
+        d = 2.0**-46
+        pairs = [-36.0 + d, -37.0 + d, -38.0 + d]
+        a = (1.0, 2.0) + tuple(b + 1.0 for b in pairs)
+        b = (2.0, 3.0, 3.5) + tuple(pairs)
+        params = PfqParams(a, b)
+        exact = series_oracle([Fraction(x) for x in a],
+                              [Fraction(x) for x in b], -225, terms=300)
+        res = pfq(params, -225.0)
+        assert res.precision_bits == DD_PRECISION_BITS
+        assert res.value == exact
+        assert res.terms_used > 40
+        assert pfq_many(params, np.array([-225.0, -225.0])).tolist() == [
+            exact, exact]
+
+
 class TestPfqMinusOne:
     def test_zero_argument(self):
         res = pfq_minus_one(PfqParams((1.0, 2.0), (2.0, 2.0, 2.5)), 0.0)

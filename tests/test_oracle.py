@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,8 +16,8 @@ from perispec.multipliers import (Material, NonlocalParams, closed_bundle,
                                   eigenvalue_parallel, eigenvalue_transverse,
                                   scaling_constant)
 import perispec.oracle
-from perispec.oracle import (QuadratureSpec, apply_to_plane_wave, lambda1_quad,
-                             lambda2_quad, moment_identity_check,
+from perispec.oracle import (DEFAULT_SPEC, QuadratureSpec, apply_to_plane_wave,
+                             lambda1_quad, lambda2_quad, moment_identity_check,
                              quadrature_bundle, scalar_multiplier_quad,
                              tensor_bond_quad, tensor_state_quad)
 
@@ -579,3 +580,95 @@ class TestFoldedKernel:
             state, err = quadrature_bundle(p, mat, np.ones(n))["state"]
             assert not state.any() and not np.signbit(state).any()
             assert err == 0.0
+
+
+def _one_shot_reduced(params, nu_norm, spec, level):
+    """Reference kernel: ``_reduced_integrals`` with the whole grid as one
+    block, each integrand formed over it and contracted in one product."""
+    n = params.n
+    n_in, n_out, na = perispec.oracle._grid_points(
+        spec, nu_norm * params.delta, level)
+    r, wr = perispec.oracle._radial_rule(params.delta, n + 1.0 - params.beta,
+                                          n_in, n_out, spec.singularity_split)
+    t, wa = perispec.oracle._angular_rule(n, na)
+    t2 = t * t
+    x = np.multiply.outer(nu_norm * r, t)
+    sin_half = np.sin(0.5 * x)
+    sin_half *= sin_half
+    sin_x = np.sin(x)
+    cube = x * x
+    cube *= x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc_x = sin_x / x
+        sxx = np.subtract(sin_x, x, out=sin_x)
+        sxx /= cube
+    small = x < 1e-2
+    xs = x[small]
+    xs2 = xs * xs
+    xs4 = xs2 * xs2
+    sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
+    sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
+    W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
+    m, A, B = (-2.0 * wr / (r * r)) @ (sin_half @ W)
+    return {
+        "m": m, "A": A, "B": B,
+        "s1": nu_norm * (wr @ (sinc_x @ (t2 * wa))),
+        "lam2": nu_norm**2 * (wr @ (sxx @ (t2 * t2 * wa))),
+    }
+
+
+class TestBlockedKernel:
+    # |nu| delta = 3 at level 0: 17 inner radial rows plus radial_points
+    # outer ones, so 47 and 80 give 64 and 97 rows; the first rows hold
+    # the x < 1e-2 entries that take the Taylor series
+    _P = NonlocalParams(3, 1.5, 1.0)
+
+    @pytest.mark.parametrize("radial_points, block_rows", [
+        (47, 128),   # fewer rows than one block
+        (47, 64),    # exactly one block
+        (47, 16),    # four whole blocks
+        (80, 16),    # the last block takes the one row left over
+        (88, 32),    # the last block takes the nine rows left over
+    ])
+    def test_blocks_match_one_shot_bitwise(self, radial_points, block_rows,
+                                           monkeypatch):
+        spec = QuadratureSpec(radial_points=radial_points, angular_points=40)
+        monkeypatch.setattr(perispec.oracle, "_block_rows",
+                            lambda na: block_rows)
+        got = perispec.oracle._reduced_integrals(self._P, 2.0, spec, 0)
+        want = _one_shot_reduced(self._P, 2.0, spec, 0)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], key
+
+    def test_default_blocks_match_one_shot_bitwise(self):
+        # verify's largest phase, |nu| delta = 80, on the two default levels:
+        # 206 rows of 136 angular nodes in blocks of 48 rows, and 412 rows
+        # of 272 in blocks of 16
+        p = NonlocalParams(3, 4.0, 2.5)
+        for level in (1, 2):
+            got = perispec.oracle._reduced_integrals(p, 20.0, DEFAULT_SPEC,
+                                                     level)
+            want = _one_shot_reduced(p, 20.0, DEFAULT_SPEC, level)
+            for key in want:
+                assert got[key] == want[key], (key, level)
+
+    def test_block_rows(self):
+        block_rows = perispec.oracle._block_rows
+        for na in (1, 16, 100, 272, 512, 513, 1232, 10**6):
+            rows = block_rows(na)
+            assert rows >= 16 and rows % 16 == 0
+            assert rows * na <= max(perispec.oracle.BLOCK_POINTS, 16 * na)
+
+    def test_bundle_memory_at_reach(self):
+        # |nu| delta = MAX_PHASE: the finest grid is 1,540 x 1,232 points,
+        # 15 MB per float array if formed whole; tracemalloc sees numpy's
+        # buffers, and the blocks keep the whole call a few MB
+        p = NonlocalParams(3, 4.0, 2.0)
+        tracemalloc.start()
+        try:
+            quadrature_bundle(p, Material(1.0, 0.5), [100.0, 0.0, 0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak

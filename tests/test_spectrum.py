@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import perispec.spectrum
 from perispec.errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                              ZeroMode)
 from perispec.multipliers import (Material, NonlocalParams,
@@ -115,6 +116,29 @@ class TestSpectrumTable:
                     lam = rec.lambda1 if j == 0 else rec.lambda2
                     res = np.linalg.norm(M @ basis[j] - lam * basis[j])
                     assert res <= 1e-9 * (1.0 + abs(lam))
+
+
+class TestSizeReach:
+    def test_cap_is_stated(self):
+        assert perispec.spectrum.MAX_MODES == 250_000
+        # spectrum --n 3 --k-max 30 and the benchmark's 21^3 box fit
+        assert 61**3 <= perispec.spectrum.MAX_MODES
+
+    # (2 k_max + 1)^n just above MAX_MODES: 250,001, 251,001 and 250,047
+    @pytest.mark.parametrize("n, k_max", [(1, 125_000), (2, 250), (3, 31),
+                                          (3, 10**12)])
+    def test_rejected_before_any_mode(self, n, k_max, monkeypatch):
+        class NoProduct:
+            @staticmethod
+            def product(*args, **kwargs):
+                raise AssertionError("modes were built past the reach")
+
+        monkeypatch.setattr(perispec.spectrum, "itertools", NoProduct)
+        p = NonlocalParams(n, 0.5, 1.0)
+        with pytest.raises(InvalidParams, match="MAX_MODES = 250000") as exc:
+            spectrum_table(p, Material(1.0, 1.0), TorusSpec((TWO_PI,) * n),
+                           k_max)
+        assert f"{(2 * k_max + 1) ** n} modes" in str(exc.value)
 
 
 class TestEigenfield:
