@@ -17,6 +17,7 @@ exactly; identical invocations produce byte-identical files.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ import numpy as np
 from . import multipliers as mt
 from .errors import InvalidParams, PerispecError
 from .multipliers import Material, NonlocalParams
-from .spectrum import TorusSpec, spectrum_table
+from .spectrum import TorusSpec, _box_spectrum
 
 #: Material curves of the reference figure: mu = 1, lambda* sweep.
 FIGURE_LAMBDA_STARS = (-1.9, -1.0, 0.0, 1.0, 2.0)
@@ -203,16 +204,15 @@ def _cmd_spectrum(args):
     material = Material(args.mu, args.lambda_star)
     lengths = args.lengths or [2.0 * math.pi] * args.n
     torus = TorusSpec(tuple(lengths))
-    records = spectrum_table(params, material, torus, args.k_max)
+    modes, nu, lam1, lam2 = _box_spectrum(params, material, torus, args.k_max)
+    # a batched matmul gives each |nu| bit for bit as np.linalg.norm per row
+    nu_norm = np.sqrt(np.matmul(nu[:, None, :], nu[:, :, None]).reshape(-1))
     header = ",".join(f"k{i + 1}" for i in range(args.n))
     header += ",nu_norm,lambda1,lambda2,multiplicity2"
-    lines = [header]
-    for rec in records:
-        cells = [str(ki) for ki in rec.k]
-        cells += [_fmt(np.linalg.norm(rec.nu_k)), _fmt(rec.lambda1),
-                  _fmt(rec.lambda2), str(rec.multiplicity2)]
-        lines.append(",".join(cells))
-    _write_lines(args.out, lines)
+    row = ",".join(["%d"] * args.n + ["%.17g"] * 3 + [str(args.n - 1)])
+    cells = zip(*modes.T.tolist(), nu_norm.tolist(), lam1.tolist(),
+                lam2.tolist())
+    _write_lines(args.out, itertools.chain([header], (row % r for r in cells)))
     return 0
 
 

@@ -7,12 +7,18 @@ The eigenvalues of the operator are therefore the multiplier eigenvalues
 lambda1(nu_k) (eigenfield along nu_k) and lambda2(nu_k) (n - 1 transverse
 eigenfields), and truncated Fourier series can be applied to and solved
 against the operator coefficient-wise.
+
+The layer works on arrays: a box or a field is an (m, n) integer mode
+array, mapped to frequencies and eigenvalues by one batched path that
+also enforces the reach MAX_PHASE, and a field's coefficients are one
+(m, n) complex array.
 """
 
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,9 +35,15 @@ _EIGENVALUE_FLOOR = 1e-14
 
 #: Most lattice modes, (2 k_max + 1)^n, that ``spectrum_table`` accepts:
 #: its stated size reach.  ``spectrum --n 3 --k-max 30`` (226,981 modes)
-#: fits, and the ``spectrum`` command peaks at ~175 MB resident near the
+#: fits, and the ``spectrum`` command peaks at ~95 MB resident near the
 #: cap; a larger box is rejected before any mode is built.
 MAX_MODES = 250_000
+
+#: Largest |nu| delta the torus layer evaluates: the series are stated to
+#: reach z = -(|nu| delta / 2)^2 = -1e7.  A larger phase is rejected before
+#: any series is summed (``spectrum --n 1 --delta 0.5 --k-max 124999``
+#: would reach z ~ -1e9 and run for minutes).
+MAX_PHASE = 2.0 * math.sqrt(1e7)
 
 
 @dataclass(frozen=True)
@@ -104,28 +116,59 @@ def _check_torus(params, torus):
             f"torus dimension {torus.dim} does not match n = {params.n}")
 
 
-def spectrum_table(params, material, torus, k_max):
-    """Eigenvalues for every mode in the box {-k_max, ..., k_max}^n.
+def _eigen(params, material, torus, modes):
+    """Frequencies and both eigenvalues of an (m, n) mode array.
 
-    Records are ordered lexicographically in k. The k = 0 record carries
-    eigenvalue 0 (constant fields are in the operator kernel).  A box of
-    more than MAX_MODES modes raises InvalidParams before any is built.
+    The one path behind ``spectrum_table``, apply, solve and the
+    ``spectrum`` command: a frequency that overflows, or a |nu| delta past
+    MAX_PHASE, raises InvalidParams before any series is summed.
+    """
+    nu = _lattice(modes, torus)
+    with np.errstate(over="ignore"):
+        phase = params.delta * math.sqrt(np.max(np.sum(nu * nu, axis=1),
+                                                initial=0.0))
+    if phase > MAX_PHASE:
+        raise InvalidParams(
+            f"|nu| delta reaches {phase:.6g}, above the series' reach "
+            f"MAX_PHASE = {MAX_PHASE:.6g} (z = -(|nu| delta / 2)^2 = -1e7)")
+    return (nu, *eigenvalues(params, material, nu))
+
+
+def _box_spectrum(params, material, torus, k_max):
+    """(modes, nu, lambda1, lambda2) of the box {-k_max, ..., k_max}^n.
+
+    Modes are lexicographic; a box of more than MAX_MODES modes raises
+    InvalidParams before any is built.
     """
     _check_torus(params, torus)
     if not isinstance(k_max, numbers.Integral):
         raise InvalidParams(f"k_max must be an integer, got {k_max!r}")
     if k_max < 0:
         raise InvalidParams(f"k_max must be >= 0, got {k_max}")
-    modes = (2 * k_max + 1) ** params.n
-    if modes > MAX_MODES:
+    n = params.n
+    count = (2 * k_max + 1) ** n
+    if count > MAX_MODES:
         raise InvalidParams(
-            f"k_max = {k_max} at n = {params.n} asks for {modes} modes, above "
+            f"k_max = {k_max} at n = {n} asks for {count} modes, above "
             f"the spectrum's reach MAX_MODES = {MAX_MODES}")
-    ks = list(itertools.product(range(-k_max, k_max + 1), repeat=params.n))
-    nu = _lattice(ks, torus)
-    lam1, lam2 = eigenvalues(params, material, nu)
+    box = itertools.product(range(-k_max, k_max + 1), repeat=n)
+    modes = np.fromiter(itertools.chain.from_iterable(box), np.int64,
+                        count * n).reshape(count, n)
+    return (modes, *_eigen(params, material, torus, modes))
+
+
+def spectrum_table(params, material, torus, k_max):
+    """Eigenvalues for every mode in the box {-k_max, ..., k_max}^n.
+
+    Records are ordered lexicographically in k. The k = 0 record carries
+    eigenvalue 0 (constant fields are in the operator kernel).  A box of
+    more than MAX_MODES modes, or reaching |nu| delta above MAX_PHASE,
+    raises InvalidParams before any series is summed.
+    """
+    modes, nu, lam1, lam2 = _box_spectrum(params, material, torus, k_max)
     return [SpectrumRecord(k, nu_k, l1, l2, params.n - 1)
-            for k, nu_k, l1, l2 in zip(ks, nu, lam1.tolist(), lam2.tolist())]
+            for k, nu_k, l1, l2 in zip(map(tuple, modes.tolist()), nu,
+                                       lam1.tolist(), lam2.tolist())]
 
 
 def eigenfield(k, torus, x, which="parallel", j=2):
@@ -160,97 +203,116 @@ def eigenfield(k, torus, x, which="parallel", j=2):
     return phase * basis[j - 1].astype(complex)
 
 
-def _clean_mode(dim, k, c):
-    """(integer mode key, complex coefficient vector), checked against dim."""
-    key = _mode_key(k)
-    val = np.asarray(c, dtype=complex).reshape(-1)
-    if len(key) != dim or val.size != dim:
-        raise InvalidParams(
-            f"mode {key} / coefficient of size {val.size} do not "
-            f"match dim = {dim}")
-    return key, val
+def _validated(dim, keys, values):
+    """(m, dim) int64 modes and finite complex coefficients, read-only.
+
+    The one check behind every FourierField, made on whole arrays: keys
+    must be integer mode tuples (or integers when dim = 1), coefficients
+    finite vectors of dim entries.  Only a failed key or shape check scans
+    the keys, to name the first bad mode.
+    """
+    m = len(keys)
+    try:
+        k = np.reshape(keys, (m, dim))
+        c = np.reshape(np.asarray(values, dtype=complex), (m, dim))
+    except ValueError:     # ragged, or not dim entries per mode
+        k = None
+    if k is None or (m and k.dtype.kind not in "iu"):
+        for key, val in zip(keys, values):
+            key, size = _mode_key(key), np.size(val)
+            if len(key) != dim or size != dim:
+                raise InvalidParams(f"mode {key} / coefficient of size "
+                                    f"{size} do not match dim = {dim}")
+        raise InvalidParams(f"mode keys do not form an (m, {dim}) array")
+    finite = np.isfinite(c).all(axis=1)
+    if not finite.all():
+        bad = tuple(k[np.argmin(finite)].tolist())
+        raise InvalidParams(f"coefficient of mode {bad} is not finite")
+    k = k.astype(np.int64)
+    k.flags.writeable = c.flags.writeable = False
+    return k, c
 
 
-@dataclass
+def _conjugate_rows(k):
+    """Row index of -k for every row k of a mode array; -1 where absent."""
+    inv = np.unique(np.concatenate([k, -k]), axis=0, return_inverse=True)[1]
+    inv = inv.reshape(2, -1)
+    index = np.full(2 * len(k), -1)
+    index[inv[0]] = np.arange(len(k))
+    return index[inv[1]]
+
+
 class FourierField:
     """Truncated Fourier series of a vector field on the torus.
 
-    ``coeffs`` maps integer mode tuples k to finite complex coefficient
-    vectors of length ``dim``.  Real-valued fields satisfy the conjugate
-    symmetry coeff(-k) = conj(coeff(k)); use :meth:`from_half_spectrum` to
-    build such a field from one half of the modes.
+    Held as an (m, dim) int64 array of modes k and an (m, dim) complex
+    array of their finite coefficients, read-only and checked by one
+    validator however the field is built.  ``coeffs``, built on first
+    access, is a read-only mapping from mode tuples of Python ints to
+    coefficient rows, in mode order.  Real fields satisfy coeff(-k) =
+    conj(coeff(k)); :meth:`from_half_spectrum` builds one from half the
+    modes.
     """
 
-    dim: int
-    coeffs: dict
+    _coeffs = None
 
-    def __post_init__(self):
-        clean = dict(_clean_mode(self.dim, k, c) for k, c in self.coeffs.items())
-        if clean and not np.isfinite(np.concatenate(list(clean.values()))).all():
-            bad = next(k for k, c in clean.items() if not np.isfinite(c).all())
-            raise InvalidParams(f"coefficient of mode {bad} is not finite")
-        self.coeffs = clean
+    def __init__(self, dim, coeffs):
+        self.dim = dim
+        self._k, self._c = _validated(dim, list(coeffs), list(coeffs.values()))
 
     @classmethod
-    def _from_rows(cls, dim, keys, rows):
-        """Field from clean mode keys and an (m, dim) complex array.
-
-        Skips the per-mode re-validation of ``__post_init__``: the keys come
-        from a validated field, so only finiteness of the rows is checked,
-        once over the whole array (an overflow must not pass silently).
-        """
-        finite = np.isfinite(rows)
-        if not finite.all():
-            bad = keys[int(np.argmin(finite.all(axis=1)))]
-            raise InvalidParams(f"coefficient of mode {bad} is not finite")
+    def _of(cls, dim, modes, values):
         field = cls.__new__(cls)
         field.dim = dim
-        field.coeffs = dict(zip(keys, rows))
+        field._k, field._c = _validated(dim, modes, values)
         return field
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = MappingProxyType(
+                dict(zip(map(tuple, self._k.tolist()), self._c)))
+        return self._coeffs
 
     @classmethod
     def from_half_spectrum(cls, dim, half):
         """Build a real (conjugate-symmetric) field from one half-spectrum.
 
-        Every given mode k also populates -k with the conjugate
-        coefficient; a k = 0 entry is forced real.  Each mode is validated
-        once, here, rather than again by ``__post_init__``.
+        Every given mode k is followed by -k with the conjugate
+        coefficient; a k = 0 entry is forced real.  A half-spectrum that
+        holds both k and -k (k != 0) raises InvalidParams naming both.
         """
-        coeffs = {}
-        for k, c in half.items():
-            key, val = _clean_mode(dim, k, c)
-            neg = tuple(-ki for ki in key)
-            if key == neg:
-                coeffs[key] = val.real.astype(complex)
-            else:
-                coeffs[key] = val
-                coeffs[neg] = np.conj(val)
-        rows = np.array(list(coeffs.values())).reshape(len(coeffs), dim)
-        return cls._from_rows(dim, list(coeffs), rows)
+        k, c = _validated(dim, list(half), list(half.values()))
+        pair, zero = _conjugate_rows(k), ~k.any(axis=1)
+        both = np.flatnonzero((pair >= 0) & ~zero)
+        if both.size:
+            i, j = both[0], pair[both[0]]
+            raise InvalidParams(
+                f"half-spectrum holds both mode {tuple(k[i].tolist())} and "
+                f"its conjugate {tuple(k[j].tolist())}")
+        keep = np.repeat(~zero, 2)
+        keep[::2] = True       # every k; -k unless k = 0
+        c = np.where(zero[:, None], c.real, c)
+        return cls._of(dim, np.hstack([k, -k]).reshape(-1, dim)[keep],
+                       np.hstack([c, c.conj()]).reshape(-1, dim)[keep])
 
     def conjugate_asymmetry(self):
         """Max deviation from coeff(-k) = conj(coeff(k)) over all modes."""
-        worst = 0.0
-        for k, c in self.coeffs.items():
-            neg = tuple(-ki for ki in k)
-            other = self.coeffs.get(neg)
-            if other is None:
-                worst = max(worst, float(np.max(np.abs(c))))
-            else:
-                worst = max(worst, float(np.max(np.abs(np.conj(c) - other))))
-        return worst
+        pair = _conjugate_rows(self._k)
+        other = np.where((pair >= 0)[:, None], self._c[pair], 0.0)
+        return float(np.max(np.abs(self._c.conj() - other), initial=0.0))
 
     def evaluate(self, torus, x):
         """Pointwise value sum_k coeff(k) exp(i nu_k . x)."""
+        if torus.dim != self.dim:
+            raise InvalidParams(
+                f"torus dimension {torus.dim} does not match dim = {self.dim}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(self.dim, dtype=complex)
-        for k, c in self.coeffs.items():
-            out += c * np.exp(1j * float(frequency_vector(k, torus) @ x))
-        return out
+        return np.exp(1j * (_lattice(self._k, torus) @ x)) @ self._c
 
 
 def _modes(field, params, material, torus):
-    """Keys, (m, n) coefficients, unit frequencies and eigenvalues of a field.
+    """Unit frequencies and eigenvalues of a field's modes, in mode order.
 
     In one dimension lambda2 (multiplicity 0) is replaced by lambda1, so
     only lambda1 enters the rank-one forms below.  Unit frequencies are 0
@@ -259,16 +321,12 @@ def _modes(field, params, material, torus):
     _check_torus(params, torus)
     if field.dim != params.n:
         raise InvalidParams("field dimension does not match n")
-    keys = list(field.coeffs)
-    shape = (len(keys), params.n)
-    coeffs = np.array(list(field.coeffs.values())).reshape(shape)
-    nu = _lattice(np.array(keys).reshape(shape), torus)
-    lam1, lam2 = eigenvalues(params, material, nu)
+    nu, lam1, lam2 = _eigen(params, material, torus, field._k)
     if params.n == 1:
         lam2 = lam1
     norm = np.linalg.norm(nu, axis=1, keepdims=True)
     unit = np.divide(nu, norm, out=np.zeros_like(nu), where=norm > 0)
-    return keys, coeffs, unit, lam1, lam2
+    return unit, lam1, lam2
 
 
 def _rank_one(unit, coeffs, along, across):
@@ -286,9 +344,9 @@ def apply_operator(field, params, material, torus):
     truncated series; preserves conjugate symmetry since the multiplier
     matrices are real.
     """
-    keys, coeffs, unit, lam1, lam2 = _modes(field, params, material, torus)
-    out = _rank_one(unit, coeffs, lam1, lam2)
-    return FourierField._from_rows(field.dim, keys, out)
+    unit, lam1, lam2 = _modes(field, params, material, torus)
+    return FourierField._of(field.dim, field._k,
+                            _rank_one(unit, field._c, lam1, lam2))
 
 
 def solve_periodic(rhs, params, material, torus):
@@ -301,19 +359,19 @@ def solve_periodic(rhs, params, material, torus):
     first such mode in coefficient order, if any eigenvalue in range is
     numerically zero.
     """
-    keys, coeffs, unit, lam1, lam2 = _modes(rhs, params, material, torus)
+    unit, lam1, lam2 = _modes(rhs, params, material, torus)
     nonzero = unit.any(axis=1)
-    if np.any(coeffs[~nonzero] != 0):
+    if np.any(rhs._c[~nonzero] != 0):
         raise SingularMode(
             "rhs has a nonzero mean; the zero mode is not solvable")
     small = nonzero & ((np.abs(lam1) < _EIGENVALUE_FLOOR)
                        | (np.abs(lam2) < _EIGENVALUE_FLOOR))
     if small.any():
         raise DegenerateEigenvalue(
-            f"eigenvalue at mode {keys[int(np.argmax(small))]} is below "
-            f"{_EIGENVALUE_FLOOR}")
+            f"eigenvalue at mode {tuple(rhs._k[np.argmax(small)].tolist())} "
+            f"is below {_EIGENVALUE_FLOOR}")
     inv1 = np.divide(1.0, lam1, out=np.zeros_like(lam1), where=nonzero)
     inv2 = np.divide(1.0, lam2, out=np.zeros_like(lam2), where=nonzero)
-    out = _rank_one(unit, coeffs, inv1, inv2)
+    out = _rank_one(unit, rhs._c, inv1, inv2)
     out[~nonzero] = 0.0
-    return FourierField._from_rows(rhs.dim, keys, out)
+    return FourierField._of(rhs.dim, rhs._k, out)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -16,6 +17,8 @@ from perispec.cli import (FIGURE_DELTAS, FIGURE_HEADER, FigureJob,
                           figure_betas, figure_rows, main, run_verification,
                           write_figure_csv)
 from perispec.errors import InvalidParams
+from perispec.multipliers import Material, NonlocalParams
+from perispec.spectrum import TorusSpec, spectrum_table
 from perispec.hypergeom import DD_PRECISION_BITS, PfqParams, pfq
 
 
@@ -70,6 +73,18 @@ class TestSizeReach:
                      "--k-max", "31", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "250047 modes" in err and "MAX_MODES = 250000" in err
+        assert not out.exists()
+
+    def test_phase_reach_exits_fast(self, tmp_path, capsys):
+        # 249,999 modes fit MAX_MODES, but |nu| delta reaches 62,499.5
+        # (z ~ -1e9), far past the series' reach
+        out = tmp_path / "spec.csv"
+        start = time.perf_counter()
+        assert main(["spectrum", "--n", "1", "--delta", "0.5", "--beta", "2",
+                     "--k-max", "124999", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "|nu| delta reaches 62499.5" in err and "MAX_PHASE" in err
         assert not out.exists()
 
 
@@ -475,6 +490,41 @@ class TestSpectrumCommand:
         main(args + [str(a)])
         main(args + [str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n, lengths, k_max, extra", [
+        (1, None, 0, []),
+        (1, (3.3,), 200, ["--lambda-star", "-1.5"]),
+        (2, None, 0, []),
+        (2, (6.283185307179586, 5.3), 10, ["--mu", "2", "--lambda-star", "0.3"]),
+        (3, None, 0, []),
+        (3, (6.283185307179586, 5.3, 7.1), 3, []),
+        (3, (1.1, 9.7, 4.2), 4, ["--lambda-star", "-1.9"]),
+    ])
+    def test_rows_match_the_records(self, n, lengths, k_max, extra, tmp_path):
+        # reference: one formatted line per spectrum_table record, with
+        # np.linalg.norm per row and f"{x:.17g}" per cell
+        delta, beta = 0.7, n - 0.5
+        out = tmp_path / "spec.csv"
+        argv = ["spectrum", "--n", str(n), "--delta", str(delta), "--beta",
+                str(beta), "--k-max", str(k_max), "--out", str(out)] + extra
+        if lengths:
+            argv += ["--lengths", *map(repr, lengths)]
+        assert main(argv) == 0
+        opts = dict(zip(extra[::2], map(float, extra[1::2])))
+        records = spectrum_table(
+            NonlocalParams(n, delta, beta),
+            Material(opts.get("--mu", 1.0), opts.get("--lambda-star", 0.0)),
+            TorusSpec(lengths or (2.0 * np.pi,) * n), k_max)
+        lines = [",".join(f"k{i + 1}" for i in range(n))
+                 + ",nu_norm,lambda1,lambda2,multiplicity2"]
+        for rec in records:
+            cells = [str(ki) for ki in rec.k]
+            cells += [f"{np.linalg.norm(rec.nu_k):.17g}",
+                      f"{rec.lambda1:.17g}", f"{rec.lambda2:.17g}",
+                      str(rec.multiplicity2)]
+            lines.append(",".join(cells))
+        assert len(lines) == (2 * k_max + 1) ** n + 1
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_invalid_exponent_exit_code(self, tmp_path):
         rc = main(["spectrum", "--n", "2", "--delta", "0.5", "--beta", "4.0",

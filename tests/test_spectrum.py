@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import perispec.spectrum
@@ -141,6 +143,36 @@ class TestSizeReach:
         assert f"{(2 * k_max + 1) ** n} modes" in str(exc.value)
 
 
+class TestPhaseReach:
+    # at l = 2 pi the mode k = 1 has |nu| = 1 exactly, so |nu| delta = delta
+    def test_reach_is_the_series_reach(self):
+        reach = perispec.spectrum.MAX_PHASE
+        assert (reach / 2.0) ** 2 == pytest.approx(1e7, rel=1e-15)
+
+    def test_largest_admitted_box_evaluates(self):
+        p = NonlocalParams(1, perispec.spectrum.MAX_PHASE, 2.0)
+        table = spectrum_table(p, Material(1.0, 0.0), TorusSpec((TWO_PI,)), 1)
+        assert [r.k for r in table] == [(-1,), (0,), (1,)]
+        assert all(math.isfinite(r.lambda1) and r.lambda1 < 0.0
+                   for r in table if r.k != (0,))
+
+    def test_rejected_before_any_series(self, monkeypatch):
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series was summed past the reach")
+
+        monkeypatch.setattr(perispec.spectrum, "eigenvalues", no_series)
+        p = NonlocalParams(1, math.nextafter(perispec.spectrum.MAX_PHASE,
+                                           math.inf), 2.0)
+        torus = TorusSpec((TWO_PI,))
+        field = FourierField(1, {(1,): [1.0]})
+        for call in (lambda: spectrum_table(p, Material(1.0, 0.0), torus, 1),
+                     lambda: apply_operator(field, p, Material(1.0, 0.0), torus),
+                     lambda: solve_periodic(field, p, Material(1.0, 0.0), torus)):
+            with pytest.raises(InvalidParams,
+                               match=r"\|nu\| delta reaches 6324.*MAX_PHASE"):
+                call()
+
+
 class TestEigenfield:
     def test_parallel_at_origin(self):
         torus = TorusSpec((TWO_PI,) * 3)
@@ -208,6 +240,16 @@ class TestFourierField:
             assert got.coeffs[k].tolist() == c.tolist()
         assert FourierField.from_half_spectrum(3, {}).coeffs == {}
 
+    def test_half_spectrum_rejects_both_of_a_pair(self):
+        # the mode (-1, 0) would silently overwrite (1, 0)'s conjugate
+        half = {(1, 0): np.array([1 + 1j, 2]), (0, 1): np.ones(2),
+                (-1, 0): np.array([5, 7])}
+        with pytest.raises(InvalidParams,
+                           match=r"both mode \(1, 0\) and its conjugate \(-1, 0\)"):
+            FourierField.from_half_spectrum(2, half)
+        zero = FourierField.from_half_spectrum(2, {(0, 0): np.ones(2)})
+        assert list(zero.coeffs) == [(0, 0)]
+
     def test_dimension_validation(self):
         for bad in ({(1,): np.array([1.0 + 0j, 0.0])},
                     {(1, 0): np.ones(3)}):
@@ -236,6 +278,110 @@ class TestFourierField:
         field = FourierField(2, {(np.int64(2), np.int32(-1)): np.ones(2)})
         assert list(field.coeffs) == [(2, -1)]
         assert all(type(ki) is int for ki in next(iter(field.coeffs)))
+
+
+class TestFieldContract:
+    # one real field built three ways: mapping constructor, half-spectrum,
+    # and as the result of apply / solve
+    PARAMS = NonlocalParams(2, 0.6, 1.5)
+    MATERIAL = Material(1.0, 0.5)
+    TORUS = TorusSpec((TWO_PI, 4.1))
+
+    def half_and_full(self):
+        rng = np.random.default_rng(7)
+        half = {k: rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                for k in [(1, 0), (0, 0), (2, -1), (0, 3), (-1, -1)]}
+        full = {}
+        for k, c in half.items():
+            if any(k):
+                full[k] = c
+                full[tuple(-ki for ki in k)] = np.conj(c)
+            else:
+                full[k] = c.real.astype(complex)
+        return half, full
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.dim == b.dim
+        assert list(a.coeffs) == list(b.coeffs)
+        for key in a.coeffs:
+            assert all(type(ki) is int for ki in key)
+            assert a.coeffs[key].tobytes() == b.coeffs[key].tobytes()
+
+    def test_three_constructions_agree(self):
+        half, full = self.half_and_full()
+        mapped = FourierField(2, full)
+        halved = FourierField.from_half_spectrum(2, half)
+        self.assert_same(mapped, halved)
+        image = apply_operator(halved, self.PARAMS, self.MATERIAL, self.TORUS)
+        self.assert_same(image, apply_operator(mapped, self.PARAMS,
+                                               self.MATERIAL, self.TORUS))
+        self.assert_same(image, FourierField(2, image.coeffs))
+        rhs = FourierField(2, {k: c for k, c in full.items() if any(k)})
+        back = solve_periodic(rhs, self.PARAMS, self.MATERIAL, self.TORUS)
+        self.assert_same(back, FourierField(2, back.coeffs))
+        assert list(image.coeffs) == list(full)
+        assert list(back.coeffs) == list(rhs.coeffs)
+
+    def test_coeffs_is_read_only(self):
+        half, full = self.half_and_full()
+        for field in (FourierField(2, full),
+                      FourierField.from_half_spectrum(2, half),
+                      apply_operator(FourierField(2, full), self.PARAMS,
+                                     self.MATERIAL, self.TORUS)):
+            assert field.coeffs is field.coeffs
+            with pytest.raises(TypeError):
+                field.coeffs[(5, 5)] = np.ones(2)
+            with pytest.raises(AttributeError):
+                field.coeffs = {}
+            with pytest.raises(ValueError):
+                field.coeffs[(1, 0)][0] = 0.0
+
+    def test_empty_field(self):
+        empty = FourierField(2, {})
+        for field in (empty, FourierField.from_half_spectrum(2, {}),
+                      apply_operator(empty, self.PARAMS, self.MATERIAL,
+                                     self.TORUS),
+                      solve_periodic(empty, self.PARAMS, self.MATERIAL,
+                                     self.TORUS)):
+            assert field.coeffs == {}
+            assert field.conjugate_asymmetry() == 0.0
+            assert_array_equal(field.evaluate(self.TORUS, [0.1, 0.2]),
+                               np.zeros(2, dtype=complex))
+
+    def test_evaluate_matches_the_series(self):
+        half, _ = self.half_and_full()
+        field = FourierField.from_half_spectrum(2, half)
+        x = np.array([0.3, -1.2])
+        want = sum(c * np.exp(1j * (frequency_vector(k, self.TORUS) @ x))
+                   for k, c in field.coeffs.items())
+        got = field.evaluate(self.TORUS, x)
+        assert_allclose(got, want, rtol=1e-13)
+        assert np.max(np.abs(got.imag)) <= 1e-13    # a real field
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(0.1, 2.0), mu=st.floats(0.5, 2.0),
+           lambda_star=st.floats(0.0, 2.0), data=st.data())
+    def test_round_trip_on_random_tori(self, n, seed, delta, mu, lambda_star,
+                                       data):
+        beta = data.draw(st.floats(-1.0, n + 1.5))
+        lengths = data.draw(st.lists(st.floats(1.0, 8.0), min_size=n,
+                                     max_size=n))
+        params, material = NonlocalParams(n, delta, beta), Material(mu, lambda_star)
+        torus = TorusSpec(tuple(lengths))
+        rng = np.random.default_rng(seed)
+        box = [k for k in itertools.product(range(-2, 3), repeat=n) if any(k)]
+        keys = [box[i] for i in rng.permutation(len(box))[:rng.integers(1, 12)]]
+        f = FourierField(n, {k: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                             for k in keys})
+        self.assert_same(f, FourierField(n, f.coeffs))
+        back = solve_periodic(apply_operator(f, params, material, torus),
+                              params, material, torus)
+        assert list(back.coeffs) == keys
+        for k in keys:
+            assert np.max(np.abs(back.coeffs[k] - f.coeffs[k])) <= 1e-10
 
 
 class TestApplyOperator:
