@@ -145,6 +145,8 @@ class TestSizeReach:
 
 class TestPhaseReach:
     # at l = 2 pi the mode k = 1 has |nu| = 1 exactly, so |nu| delta = delta
+    # and delta = MAX_PHASE is the largest admitted horizon for k_max = 1
+
     def test_reach_is_the_series_reach(self):
         reach = perispec.spectrum.MAX_PHASE
         assert (reach / 2.0) ** 2 == pytest.approx(1e7, rel=1e-15)
