@@ -74,6 +74,10 @@ class FigureJob:
     samples: int
 
     def __post_init__(self):
+        # n sizes the frequency arrays, so it is checked before them
+        if int(self.n) != self.n or self.n < 1:
+            raise InvalidParams(
+                f"dimension n must be a positive integer, got {self.n}")
         reals = (self.mu, self.delta, self.beta, self.nu_norm_min,
                  self.nu_norm_max) + tuple(self.lambda_star_list)
         if not all(math.isfinite(x) for x in reals):

@@ -268,6 +268,13 @@ class TestNonFiniteInput:
         # |nu|^2 overflows a double
         ["figure", "--delta", "1", "--beta", "2", "--nu-max", "1e200",
          "--samples", "3", "--out", "x.csv"],
+        # a dimension below 1, in panel and in grid mode
+        ["figure", "--n", "0", "--delta", "1", "--beta", "1",
+         "--out", "x.csv"],
+        ["figure", "--n", "-2", "--delta", "1", "--beta", "1",
+         "--out", "x.csv"],
+        ["figure", "--n", "0", "--out", "grid"],
+        ["figure", "--n", "-2", "--out", "grid"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):
@@ -404,7 +411,8 @@ class TestLazyOracleImport:
                 "from perispec.oracle import lambda1_quad\n"
                 "assert perispec.lambda1_quad is lambda1_quad\n"
                 "from perispec.hypergeom import PfqParams, pfq\n"
-                "res = pfq(PfqParams((1.0, 1.5), (2.0, 2.5, 0.5)), -4e4)\n"
+                "res = pfq(PfqParams((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)), "
+                "-400.0)\n"
                 "assert res.precision_bits == 64, res\n"
                 "assert 'mpmath' in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -424,6 +432,21 @@ class TestLazyOracleImport:
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_without_mpmath(self):
+        # each seed's closed side reaches |z| of ~215-1,560, past the
+        # double-double pass, where the large-|z| tier serves every series
+        import perispec
+        src = os.path.dirname(os.path.dirname(perispec.__file__))
+        code = ("import sys\n"
+                "from perispec.cli import run_verification\n"
+                "for seed in (200, 214, 229):\n"
+                "    assert run_verification(seed, 40, 1e-6)['all_pass']\n"
+                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
     def test_figure_panel_without_mpmath(self, tmp_path):

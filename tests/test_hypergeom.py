@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 import perispec.hypergeom as hg
 from perispec.errors import InvalidParams, NonConvergent
 from perispec.hypergeom import (BATCH_BLOCK, DD_PRECISION_BITS,
-                                ESCALATED_PREC_BITS, PfqParams,
+                                ESCALATED_PREC_BITS, LARGE_Z_PRECISION_BITS,
+                                PfqParams,
                                 f_form_derivatives, merge_linear_combination,
                                 pfq, pfq_batch, pfq_many, pfq_minus_one,
                                 pochhammer)
@@ -36,6 +37,9 @@ def series_oracle(a, b, z, terms=200):
         term = term * num / den * z / (k + 1)
     return float(s)
 
+
+ALL_TIERS = {53, DD_PRECISION_BITS, LARGE_Z_PRECISION_BITS,
+             ESCALATED_PREC_BITS}
 
 # frozen oracle outputs (series_oracle re-derives them below)
 ORACLE_MODERATE = 0.8180269298807388    # a=(1,2) b=(2,2,5/2) z=-1
@@ -196,7 +200,7 @@ class TestPfqMany:
                 ref = pfq(params, zi, tol)
                 assert value == ref.value
                 paths.add(ref.precision_bits)
-        assert paths == {53, DD_PRECISION_BITS, ESCALATED_PREC_BITS}
+        assert paths == ALL_TIERS
 
     def test_terminating_series(self):
         params = PfqParams((-2.0, 1.5), (3.0, 0.5))
@@ -244,7 +248,7 @@ class TestPfqMany:
 
 
 def batch_requests(rng, wide):
-    """Requests of mixed (p, q) whose entries reach all three tiers.
+    """Requests of mixed (p, q) whose entries reach all four tiers.
 
     With ``wide``, one float-tier request alone holds more entries than one
     block of the batch pass.
@@ -284,7 +288,7 @@ class TestPfqBatch:
                 ref = pfq(params, zi, tol)
                 assert value == ref.value
                 tiers.add(ref.precision_bits)
-        assert tiers == {53, DD_PRECISION_BITS, ESCALATED_PREC_BITS}
+        assert tiers == ALL_TIERS
 
     def test_matches_scalar_pfq_exactly(self):
         requests = batch_requests(np.random.default_rng(71), wide=True)
@@ -371,8 +375,9 @@ class TestDoubleDouble:
         assert res.precision_bits == DD_PRECISION_BITS
 
     def test_deep_cancellation_skips_the_double_double_pass(self, monkeypatch):
-        # the double pass measures a ratio far above 2 DD_RATIO at z = -4e4,
-        # so the value goes straight to mpmath
+        # the double pass measures a ratio of ~2e15, far above 2 DD_RATIO,
+        # for this 3F3 at z = -400, so the value goes straight to mpmath
+        # (the large-|z| tier does not take a 3F3)
         sum_dd_many = hg._sum_dd_many
 
         def refuse(*args):
@@ -384,10 +389,10 @@ class TestDoubleDouble:
 
         monkeypatch.setattr(hg, "_sum_dd", refuse)
         monkeypatch.setattr(hg, "_sum_dd_many", only_empty)
-        params = PfqParams((1.0, 1.5), (2.0, 2.5, 0.5))
-        res = pfq(params, -4e4)
+        params = PfqParams((0.7, 1.9, 2.5), (1.1, 3.3, 4.0))
+        res = pfq(params, -400.0)
         assert res.precision_bits == ESCALATED_PREC_BITS
-        assert pfq_many(params, np.array([-4e4, -1.0])).tolist() == [
+        assert pfq_many(params, np.array([-400.0, -1.0])).tolist() == [
             res.value, pfq(params, -1.0).value]
 
 
@@ -411,6 +416,115 @@ class TestDoubleDouble:
         assert res.terms_used > 40
         assert pfq_many(params, np.array([-225.0, -225.0])).tolist() == [
             exact, exact]
+
+
+def multiplier_series(n, beta):
+    """The five series of the multipliers (``multipliers._series``)."""
+    h = (n + 2 - beta) / 2.0
+    return {"m": ((1.0, h), (2.0, n / 2.0 + 1.0, h + 1.0)),
+            "g": ((h,), (n / 2.0 + 1.0, h + 1.0)),
+            "b1": ((1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0)),
+            "b2": ((h,), (n / 2.0 + 2.0, h + 1.0)),
+            "merged": ((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0))}
+
+
+def mpmath_hyper(a, b, z, bits=200):
+    with mpmath.workprec(bits):
+        return float(mpmath.hyper([mpmath.mpf(x) for x in a],
+                                  [mpmath.mpf(x) for x in b], mpmath.mpf(z)))
+
+
+class TestLargeZ:
+    EPS = 2.0**-52
+
+    def test_multiplier_series_against_mpmath(self):
+        # seeded draws over verify's beta range, n <= 8 and z from the
+        # tier's threshold to -1e7 (spectrum.MAX_PHASE); the tier is called
+        # directly, so it is checked also where the double-double pass
+        # would serve first
+        rng = np.random.default_rng(81)
+        served = tried = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            beta = rng.uniform(-2.0, n + 2 - 0.05)
+            z = -math.exp(rng.uniform(math.log(hg.LARGE_Z_MIN),
+                                      math.log(1e7)))
+            for a, b in multiplier_series(n, beta).values():
+                a, b = hg._cancel_common(a, b)
+                form = hg._large_z_form(a, b)
+                res = hg._large_z(form, z, 1e-13)
+                tried += 1
+                if res is None:
+                    continue
+                served += 1
+                assert res.precision_bits == LARGE_Z_PRECISION_BITS
+                # max(|algebraic terms|, |oscillatory envelope|), weighted
+                # over the split of a merged series
+                scale = sum(abs(w) * hg._expansion_value(e, -z)[2]
+                            for w, e in form)
+                err = abs(res.value - mpmath_hyper(a, b, z))
+                assert err <= res.abs_error_estimate, (n, beta, z, a, b)
+                assert err <= 64.0 * (1.0 + math.sqrt(-z)) * self.EPS * scale
+        assert served >= 0.95 * tried
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("offset", [0.0, 1e-4, -3e-4])
+    def test_near_integer_h(self, n, offset):
+        # beta = n and n - 2 make h = 1 and 2.  Within LARGE_Z_MIN_GAP of
+        # them the 2F3s (1, h; ...) go to mpmath, and so does the merged
+        # series, whose split holds one.  At h = 2 exactly the numerator h
+        # cancels the denominator 2, leaving a 1F2 (m, b1) and a 2F3 with
+        # a1 - a2 = 3/2 (merged), which the tier takes; the 1F2s g and b2
+        # have no a1 - a2 and are always taken
+        for beta in (n + offset, n - 2.0 + offset):
+            h = (n + 2 - beta) / 2.0
+            for name, (a, b) in multiplier_series(n, beta).items():
+                res = pfq(PfqParams(a, b), -4e4)
+                to_mpmath = name in ("m", "b1", "merged") and h != 2.0
+                assert res.precision_bits == (
+                    ESCALATED_PREC_BITS if to_mpmath
+                    else LARGE_Z_PRECISION_BITS), (name, h)
+                assert_allclose(res.value, mpmath_hyper(a, b, -4e4),
+                                rtol=1e-11)
+
+    @pytest.mark.parametrize("n, beta", [(2, 0.3), (3, 4.2), (8, -1.7)])
+    def test_merged_series_is_evaluated_through_its_split(self, monkeypatch,
+                                                          n, beta):
+        # (1, 5/2, h; 2, 3/2, n/2+2, h+1) = (F + 2 G) / 3 with F the b1 2F3
+        # and G the b2 1F2; mpmath is never asked
+        def refuse(*args):
+            raise AssertionError("mpmath tier reached")
+
+        monkeypatch.setattr(hg, "_escalate", refuse)
+        series = multiplier_series(n, beta)
+        form = hg._large_z_form(*hg._cancel_common(*series["merged"]))
+        assert [w for w, _ in form] == [1.0 / 3.0, 2.0 / 3.0]
+        for z in (-2000.0, -4e4, -1e7):
+            got = pfq(PfqParams(*series["merged"]), z)
+            f = pfq(PfqParams(*series["b1"]), z)
+            g = pfq(PfqParams(*series["b2"]), z)
+            assert {got.precision_bits, f.precision_bits,
+                    g.precision_bits} == {LARGE_Z_PRECISION_BITS}
+            assert_allclose(got.value, (f.value + 2.0 * g.value) / 3.0,
+                            rtol=4.0 * self.EPS)
+            assert_allclose(got.value, mpmath_hyper(*series["merged"], z),
+                            rtol=1e-12 * (1.0 + math.sqrt(-z)))
+
+    def test_only_entries_bound_for_mpmath_try_it(self, monkeypatch):
+        # z = -225 is served by the double-double pass before the tier
+        def refuse(*args):
+            raise AssertionError("large-|z| tier tried")
+
+        monkeypatch.setattr(hg, "_large_z", refuse)
+        params = PfqParams(*multiplier_series(3, 1.0)["b1"])
+        assert pfq(params, -225.0).precision_bits == DD_PRECISION_BITS
+        pfq_many(params, np.array([-225.0, -3.0]))
+
+    def test_other_shapes_are_refused(self):
+        for a, b in (((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),   # 3F3
+                     ((0.5,), (1.5,)),                       # 1F1
+                     ((1.0, 2.0, 0.5), (1.5, 3.0, 2.5, 4.0))):  # no pairs
+            assert hg._large_z_form(a, b) is None
 
 
 class TestPfqMinusOne:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -434,6 +436,26 @@ class TestEigenvalues:
             split = eigenvalue_parallel_split(p, mat, nu)
             assert_allclose(merged, split, rtol=1e-10, atol=1e-30)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), phase=st.floats(0.0, 400.0),
+           delta=st.floats(0.1, 4.0), data=st.data())
+    def test_merged_and_split_forms_agree_at_large_phase(self, n, phase,
+                                                         delta, data):
+        # |nu| delta up to 400 (z down to -4e4) reaches the large-|z| tier,
+        # where the merged 3F4 goes through its split and the split form's
+        # 2F3 and 1F2s go alone
+        beta = data.draw(st.floats(-2.0, n + 2 - 0.05), label="beta")
+        mu = data.draw(st.floats(0.5, 3.0), label="mu")
+        lambda_star = data.draw(st.floats(-2.0 * mu, 3.0),
+                                label="lambda_star")
+        p = NonlocalParams(n, delta, beta)
+        mat = Material(mu, lambda_star)
+        nu = np.zeros(n)
+        nu[0] = phase / delta
+        assert_allclose(eigenvalue_parallel(p, mat, nu),
+                        eigenvalue_parallel_split(p, mat, nu),
+                        rtol=1e-10, atol=1e-30)
+
     def test_transverse_local_limit(self):
         p = NonlocalParams(3, 1e-3, 2.0)
         for lam_star in (-1.0, 0.0, 2.0):
@@ -564,7 +586,7 @@ class TestClosedBundle:
         rng = np.random.default_rng(40 + n)
         axis = np.zeros(n)
         axis[-1] = -2.5
-        # |nu| delta = 20 and 60 take the double-double and mpmath tiers
+        # |nu| delta = 20 and 60 take the double-double and large-|z| tiers
         deep = rng.standard_normal(n)
         nus = [np.zeros(n), axis, random_nu(rng, n),
                20.0 * deep / np.linalg.norm(deep),

@@ -361,8 +361,7 @@ class TestFieldContract:
         assert_allclose(got, want, rtol=1e-13)
         assert np.max(np.abs(got.imag)) <= 1e-13    # a real field
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=40)
+    @settings(deadline=None, max_examples=40)
     @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            delta=st.floats(0.1, 2.0), mu=st.floats(0.5, 2.0),
            lambda_star=st.floats(0.0, 2.0), data=st.data())
