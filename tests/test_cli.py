@@ -408,6 +408,7 @@ class TestLazyOracleImport:
         code = ("import sys, perispec, perispec.cli\n"
                 "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
                 "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+                "assert 'perispec._asymptotic' not in sys.modules\n"
                 "from perispec.oracle import lambda1_quad\n"
                 "assert perispec.lambda1_quad is lambda1_quad\n"
                 "from perispec.hypergeom import PfqParams, pfq\n"
@@ -443,7 +444,8 @@ class TestLazyOracleImport:
                 "from perispec.cli import run_verification\n"
                 "for seed in (200, 214, 229):\n"
                 "    assert run_verification(seed, 40, 1e-6)['all_pass']\n"
-                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n")
+                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+                "assert 'perispec._asymptotic' in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
@@ -451,14 +453,15 @@ class TestLazyOracleImport:
 
     def test_figure_panel_without_mpmath(self, tmp_path):
         # delta = 2 reaches the double-double pass, which serves every
-        # entry of the default figure range
+        # entry of the default figure range, so neither later tier loads
         import perispec
         src = os.path.dirname(os.path.dirname(perispec.__file__))
         code = ("import sys\n"
                 "from perispec.cli import main\n"
                 "assert main(['figure', '--delta', '2', '--beta', '3', "
                 f"'--out', {str(tmp_path / 'p.csv')!r}]) == 0\n"
-                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n")
+                "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+                "assert 'perispec._asymptotic' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)

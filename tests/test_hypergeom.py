@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import perispec._asymptotic as asy
 import perispec.hypergeom as hg
 from perispec.errors import InvalidParams, NonConvergent
 from perispec.hypergeom import (BATCH_BLOCK, DD_PRECISION_BITS,
@@ -264,6 +265,8 @@ def batch_requests(rng, wide):
         # terminating series, on both sides of 0
         (PfqParams((-2.0, 1.5), (3.0, 0.5)), np.array([5.0, -7.5, 0.0, 2.0])),
         (PfqParams((-3.0,), (0.5, 4.0)), np.array([-600.0, 40.0])),
+        # past the double-double pass on both sides of 0
+        (PfqParams((-40.5,), (1.5,)), np.array([100.0, -900.0, 60.0])),
         # p = q + 1 inside its disk
         (PfqParams((1.0, 2.0), (3.0,)), rng.uniform(-0.99, 0.99, 5)),
         (PfqParams((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),
@@ -438,21 +441,20 @@ class TestLargeZ:
     EPS = 2.0**-52
 
     def test_multiplier_series_against_mpmath(self):
-        # seeded draws over verify's beta range, n <= 8 and z from the
-        # tier's threshold to -1e7 (spectrum.MAX_PHASE); the tier is called
-        # directly, so it is checked also where the double-double pass
-        # would serve first
+        # seeded draws over verify's beta range, n <= 8 and z from about
+        # the double-double pass's reach to -1e7 (spectrum.MAX_PHASE); the
+        # tier is called directly, so it is checked also where the
+        # double-double pass would serve first
         rng = np.random.default_rng(81)
         served = tried = 0
         for _ in range(60):
             n = int(rng.integers(1, 9))
             beta = rng.uniform(-2.0, n + 2 - 0.05)
-            z = -math.exp(rng.uniform(math.log(hg.LARGE_Z_MIN),
-                                      math.log(1e7)))
+            z = -math.exp(rng.uniform(math.log(200.0), math.log(1e7)))
             for a, b in multiplier_series(n, beta).values():
                 a, b = hg._cancel_common(a, b)
-                form = hg._large_z_form(a, b)
-                res = hg._large_z(form, z, 1e-13)
+                form = asy.large_z_form(a, b)
+                res = asy.large_z(form, z, 1e-13)
                 tried += 1
                 if res is None:
                     continue
@@ -460,12 +462,82 @@ class TestLargeZ:
                 assert res.precision_bits == LARGE_Z_PRECISION_BITS
                 # max(|algebraic terms|, |oscillatory envelope|), weighted
                 # over the split of a merged series
-                scale = sum(abs(w) * hg._expansion_value(e, -z)[2]
+                scale = sum(abs(w) * asy._expansion_value(e, -z)[2]
                             for w, e in form)
                 err = abs(res.value - mpmath_hyper(a, b, z))
                 assert err <= res.abs_error_estimate, (n, beta, z, a, b)
                 assert err <= 64.0 * (1.0 + math.sqrt(-z)) * self.EPS * scale
         assert served >= 0.95 * tried
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-6])
+    def test_estimate_alone_decides_how_close_to_zero(self, tol):
+        # no |z| threshold: closer to 0 than the double-double pass's
+        # reach, the truncation estimate is what turns values down, and
+        # every value it accepts is within its error estimate
+        rng = np.random.default_rng(83)
+        served = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            beta = rng.uniform(-2.0, n + 2 - 0.05)
+            z = -math.exp(rng.uniform(0.0, math.log(400.0)))
+            for a, b in multiplier_series(n, beta).values():
+                a, b = hg._cancel_common(a, b)
+                res = asy.large_z(asy.large_z_form(a, b), z, tol)
+                if res is None:
+                    continue
+                served += 1
+                err = abs(res.value - mpmath_hyper(a, b, z))
+                assert err <= res.abs_error_estimate, (n, beta, z, a, b)
+        assert served >= 30
+        g = asy.large_z_form(*multiplier_series(3, 1.3)["g"])
+        assert asy.large_z(g, -2.0, tol) is None
+
+    @pytest.mark.parametrize("n, beta, name", [(2, 1.875, "g"),
+                                               (2, 2.375, "b2"),
+                                               (3, 4.0, "b2")])
+    def test_zero_coefficient_inside_the_series(self, n, beta, name):
+        # these parameters make the oscillatory c_1 exactly 0 while c_2,
+        # c_3, ... are not: the series goes on past the zero term
+        a, b = hg._cancel_common(*multiplier_series(n, beta)[name])
+        c = asy._expansion(a, b)[1][4]
+        assert c[1] == 0.0 and c[2] != 0.0
+        for z in (-1000.0, -4e4):
+            res = pfq(PfqParams(a, b), z)
+            assert res.precision_bits == LARGE_Z_PRECISION_BITS
+            exact = mpmath_hyper(a, b, z)
+            assert abs(res.value - exact) <= res.abs_error_estimate
+            assert_allclose(res.value, exact, rtol=1e-14)
+
+    def test_truncation_at_the_smallest_term(self):
+        # a zero term inside the series is stepped over; a series ends at
+        # its last coefficient only if it terminates
+        up_to = asy._up_to_smallest
+        assert up_to([1.0, 0.5, 0.25], 1.0, True) == ([1.0, 0.5, 0.25], 0.0)
+        assert up_to([1.0, 0.5, 0.25], 1.0, False) is None
+        assert up_to([1.0, 0.0, 0.5, 0.0, 2.0, 9.0], 1.0, False) == (
+            [1.0, 0.0, 0.5, 0.0], 2.0)
+        assert up_to([1.0, 0.0, 1e-20, 1e-21], 1.0, False) == (
+            [1.0, 0.0, 1e-20], 1e-20)
+        # the flag of each series is its own: an algebraic series that
+        # terminates does not end an oscillatory one that runs out
+        expansion = ([(1.0, 1.0, [1.0], True)],
+                     (1.0, 0.0, 1.0, 0.0, [1.0, 1.0, 1.0], False))
+        assert asy._expansion_value(expansion, 1.0) is None
+
+    @pytest.mark.parametrize("n, beta, name", [(7, 5.0, "m"),
+                                               (7, 1.0, "g"),
+                                               (7, 3.0, "b2")])
+    def test_terminating_oscillatory_series(self, n, beta, name):
+        # three zero c_k in a row make every later one 0 (the recurrence
+        # has four terms): the series ends there, with no truncation error
+        a, b = hg._cancel_common(*multiplier_series(n, beta)[name])
+        oscillatory = asy._expansion(a, b)[1]
+        assert oscillatory[5] and oscillatory[4][-1] != 0.0
+        assert len(oscillatory[4]) < asy._LARGE_Z_TERMS
+        for z in (-1000.0, -4e4):
+            res = pfq(PfqParams(a, b), z)
+            assert res.precision_bits == LARGE_Z_PRECISION_BITS
+            assert_allclose(res.value, mpmath_hyper(a, b, z), rtol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("offset", [0.0, 1e-4, -3e-4])
@@ -497,7 +569,7 @@ class TestLargeZ:
 
         monkeypatch.setattr(hg, "_escalate", refuse)
         series = multiplier_series(n, beta)
-        form = hg._large_z_form(*hg._cancel_common(*series["merged"]))
+        form = asy.large_z_form(*hg._cancel_common(*series["merged"]))
         assert [w for w, _ in form] == [1.0 / 3.0, 2.0 / 3.0]
         for z in (-2000.0, -4e4, -1e7):
             got = pfq(PfqParams(*series["merged"]), z)
@@ -511,20 +583,26 @@ class TestLargeZ:
                             rtol=1e-12 * (1.0 + math.sqrt(-z)))
 
     def test_only_entries_bound_for_mpmath_try_it(self, monkeypatch):
-        # z = -225 is served by the double-double pass before the tier
+        # z = -225 is served by the double-double pass before the tier;
+        # an entry at z > 0 bound for mpmath does not try it either, and
+        # its plan is not built
         def refuse(*args):
             raise AssertionError("large-|z| tier tried")
 
-        monkeypatch.setattr(hg, "_large_z", refuse)
+        monkeypatch.setattr(asy, "large_z", refuse)
+        monkeypatch.setattr(asy, "large_z_form", refuse)
         params = PfqParams(*multiplier_series(3, 1.0)["b1"])
         assert pfq(params, -225.0).precision_bits == DD_PRECISION_BITS
         pfq_many(params, np.array([-225.0, -3.0]))
+        positive = PfqParams((-40.5,), (1.5,))
+        assert pfq(positive, 100.0).precision_bits == ESCALATED_PREC_BITS
+        pfq_many(positive, np.array([100.0, 3.0]))
 
     def test_other_shapes_are_refused(self):
         for a, b in (((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),   # 3F3
                      ((0.5,), (1.5,)),                       # 1F1
                      ((1.0, 2.0, 0.5), (1.5, 3.0, 2.5, 4.0))):  # no pairs
-            assert hg._large_z_form(a, b) is None
+            assert asy.large_z_form(a, b) is None
 
 
 class TestPfqMinusOne:
