@@ -39,8 +39,8 @@ __version__ = "0.1.0"
 
 _ORACLE_NAMES = frozenset((
     "QuadratureSpec", "apply_to_plane_wave", "lambda1_quad", "lambda2_quad",
-    "moment_identity_check", "quadrature_bundle", "scalar_multiplier_quad",
-    "tensor_bond_quad", "tensor_state_quad"))
+    "moment_identity_check", "quadrature_bundle", "quadrature_bundles",
+    "scalar_multiplier_quad", "tensor_bond_quad", "tensor_state_quad"))
 
 
 def __getattr__(name):

@@ -23,6 +23,7 @@ that stays in the series passes do not load it.
 """
 
 import math
+from functools import lru_cache
 
 from .hypergeom import (LARGE_Z_PRECISION_BITS, EvalResult, _DD_TOL,
                         _is_nonpositive_integer)
@@ -104,12 +105,12 @@ def _expansion(a, b):
     The c_k follow the four-term recurrence of functions.wolfram.com
     (Hypergeometric2F3/06/02/03/01/0002), written in the elementary
     symmetric functions of a and b; a 1F2 is its case a_2 = b_3 = 0.
-    Returns (algebraic, oscillatory): a list of (a_j, G_j, d_j,
+    Returns (algebraic, oscillatory): a tuple of (a_j, G_j, d_j,
     terminates), and (prod Gamma(b) / (sqrt(pi) prod Gamma(a)), X,
-    cos(pi X), sin(pi X), c, terminates), with at most ``_LARGE_Z_TERMS``
-    coefficients per series; a series that terminates ends at its last
-    nonzero coefficient.  Returns None when a Gamma factor overflows or
-    hits a pole, or a d_jk divides by 0.
+    cos(pi X), sin(pi X), c, terminates), with the d_j and c tuples of at
+    most ``_LARGE_Z_TERMS`` coefficients; a series that terminates ends at
+    its last nonzero coefficient.  Returns None when a Gamma factor
+    overflows or hits a pole, or a d_jk divides by 0.
     """
     try:
         gamma_b = math.prod(math.gamma(x) for x in b)
@@ -133,7 +134,7 @@ def _expansion(a, b):
                 d.append(d[-1] * num / den)
             else:
                 terminates = False
-            algebraic.append((aj, coeff, d, terminates))
+            algebraic.append((aj, coeff, tuple(d), terminates))
         gamma_ratio = gamma_b / math.prod(math.gamma(x) for x in a)
     except (ValueError, OverflowError, ZeroDivisionError):
         return None
@@ -163,9 +164,9 @@ def _expansion(a, b):
     terminates = c[-3:] == [0.0, 0.0, 0.0]
     while terminates and c[-1] == 0.0:
         c.pop()
-    return algebraic, (gamma_ratio / math.sqrt(math.pi), ex,
-                       math.cos(math.pi * ex), math.sin(math.pi * ex), c,
-                       terminates)
+    return tuple(algebraic), (gamma_ratio / math.sqrt(math.pi), ex,
+                              math.cos(math.pi * ex), math.sin(math.pi * ex),
+                              tuple(c), terminates)
 
 
 def _expansion_value(expansion, x):
@@ -217,9 +218,16 @@ def _without(values, v):
     return values[:i] + values[i + 1:]
 
 
+@lru_cache(maxsize=8)
 def _checked_expansion(a, b):
     """``_expansion`` of a 1F2, or of a 2F3 whose a1 - a2 is at least
-    ``LARGE_Z_MIN_GAP`` from every integer; None for any other series."""
+    ``LARGE_Z_MIN_GAP`` from every integer; None for any other series.
+
+    Memoized per cancelled (a, b) for the last few series: lambda1's
+    merged 3F4 splits into the 2F3 and 1F2 of b1 and b2, so one
+    ``closed_bundle`` builds each of those once, and ``pfq_batch``, which
+    builds a plan once per parameter set anyway, keeps few of them alive.
+    The result is all tuples, so a shared one cannot be changed."""
     if (len(a), len(b)) == (2, 3):
         gap = a[0] - a[1]
         if abs(gap - round(gap)) < LARGE_Z_MIN_GAP:
@@ -232,8 +240,8 @@ def _checked_expansion(a, b):
 def large_z_form(a, b):
     """The tier's plan for the cancelled series (a, b), or None.
 
-    A plan is a list of (weight, ``_expansion``) whose weighted sum is the
-    series.  A 1F2 or 2F3 that ``_checked_expansion`` takes is one
+    A plan is a tuple of (weight, ``_expansion``) whose weighted sum is
+    the series.  A 1F2 or 2F3 that ``_checked_expansion`` takes is one
     expansion.  A 3F4 holding the pairs (s + 1; s) and (1; 2) splits in
     two: (s + 1)_k / (s)_k = 1 + k / s makes it F + z F' / s, where F is
     the 2F3 without the first pair, and z F' = G - F, with G the 1F2
@@ -242,14 +250,14 @@ def large_z_form(a, b):
     """
     if (len(a), len(b)) != (3, 4):
         expansion = _checked_expansion(a, b)
-        return None if expansion is None else [(1.0, expansion)]
+        return None if expansion is None else ((1.0, expansion),)
     for s in b:
         if s + 1.0 in a and s not in (1.0, 2.0) and 1.0 in a and 2.0 in b:
             a_f, b_f = _without(a, s + 1.0), _without(b, s)
             f = _checked_expansion(a_f, b_f)
             g = _checked_expansion(_without(a_f, 1.0), _without(b_f, 2.0))
             if f is not None and g is not None:
-                return [((s - 1.0) / s, f), (1.0 / s, g)]
+                return ((s - 1.0) / s, f), (1.0 / s, g)
     return None
 
 

@@ -254,8 +254,9 @@ def run_verification(seed, count, tol, overrides=None):
     mu in [0.5, 3], lambda* in [-2 mu, 3], |nu| in [0, 20] with a random
     direction, and compares each quantity of one
     :func:`multipliers.closed_bundle` call per tuple against its twin from
-    one :func:`oracle.quadrature_bundle` call; each check also records the
-    oracle's error estimate as ``quad_err``.  ``tol`` must be finite and
+    one :func:`oracle.quadrature_bundles` call over every tuple, drawn
+    first; each check also records the oracle's error estimate as
+    ``quad_err``.  ``seed`` must be >= 0.  ``tol`` must be finite and
     >= 0 (0 leaves only the absolute floor).  ``overrides`` pins named
     tuple components (n, delta, beta, mu, lambda_star) to fixed values
     instead of sampling; a pinned n may be any n <= oracle.MAX_DIM = 8, a
@@ -268,13 +269,14 @@ def run_verification(seed, count, tol, overrides=None):
 
     if count < 1:
         raise InvalidParams(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParams(f"tol must be finite and >= 0, got {tol}")
     overrides = overrides or {}
     _check_pinned(overrides, oracle.MAX_DIM)
     rng = np.random.default_rng(seed)
-    entries = []
-    failures = 0
+    tuples = []
     for _ in range(count):
         n = int(overrides.get("n", rng.integers(1, 4)))
         params = NonlocalParams(
@@ -286,9 +288,11 @@ def run_verification(seed, count, tol, overrides=None):
             mu, overrides.get("lambda_star", rng.uniform(-2.0 * mu, 3.0)))
         direction = rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
-        nu = rng.uniform(0.0, 20.0) * direction
-
-        quads = oracle.quadrature_bundle(params, material, nu)
+        tuples.append((params, material, rng.uniform(0.0, 20.0) * direction))
+    entries = []
+    failures = 0
+    for (params, material, nu), quads in zip(
+            tuples, oracle.quadrature_bundles(tuples)):
         closed_values = mt.closed_bundle(params, material, nu)
         checks = {}
         for name, (quad, err) in quads.items():
@@ -301,7 +305,7 @@ def run_verification(seed, count, tol, overrides=None):
         ok = all(chk["pass"] for chk in checks.values())
         failures += 0 if ok else 1
         entries.append({
-            "n": n, "delta": params.delta, "beta": params.beta,
+            "n": params.n, "delta": params.delta, "beta": params.beta,
             "mu": material.mu, "lambda_star": material.lambda_star,
             "nu": nu.tolist(), "checks": checks, "pass": ok,
         })

@@ -55,7 +55,8 @@ case.  Every entry repeats the scalar pass's floating-point operations in
 the same order, so its value, and the tier that serves it, are
 bit-identical to ``pfq``.
 
-Everything here is a pure function of its arguments, with no cache;
+Everything here is a pure function of its arguments; the one cache, of
+the large-|z| tier's plans, holds pure functions of the parameters, so
 results are bit-identical across calls within one build.
 """
 
@@ -686,8 +687,15 @@ def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
     out[order] = values
     to_dd = (ratio > ESCALATION_RATIO) & (ratio <= 2.0 * DD_RATIO)
     dd = order[to_dd]
+    # ratios only for the sets this pass sums, renumbered among themselves
+    dd_sets = np.flatnonzero(np.bincount(sets[dd],
+                                         minlength=len(parameter_sets)))
+    renumber = np.zeros(len(parameter_sets), dtype=np.intp)
+    renumber[dd_sets] = np.arange(dd_sets.size)
     values, accepted = _in_blocks(
-        _sum_dd_many, _TermTable(parameter_sets, _dd_ratios), sets[dd], z[dd])
+        _sum_dd_many,
+        _TermTable([parameter_sets[j] for j in dd_sets], _dd_ratios),
+        renumber[sets[dd]], z[dd])
     out[dd] = values
     to_mpmath = ratio > 2.0 * DD_RATIO
     to_mpmath[to_dd] = ~accepted

@@ -31,35 +31,39 @@ scale with the phase each rule's interval sees (singularity_split
 sphere) so oscillatory integrands stay resolved; the oracle's reach is
 therefore stated as |nu| delta <= MAX_PHASE, and a larger phase is
 rejected before any grid is built, as is a (delta, beta) whose kernel
-scale or inner radial rule does not fit a double (``_check_params``).  Every Gauss rule is built here with
-numpy alone (Newton's method in theta = arccos x on the three-term
-recurrence), so the oracle depends on no special-function library.
+scale or inner radial rule does not fit a double (``_check_params``).
+Every Gauss rule is built with numpy alone by :mod:`perispec._gauss`
+(Newton's method in theta = arccos x on the three-term recurrence), so
+the oracle depends on no special-function library.
 
 One refinement pass per frequency (:func:`quadrature_bundle`) integrates
-every quantity on the same grids.  Each quantity reports its own
-per-quantity Richardson-style error estimate (difference of its two finest
-refinement levels) alongside its value; without a tolerance only those two
-levels are computed.  Every oracle path evaluates a level through
-``_reduced_integrals``, which sweeps the radial x angular grid in blocks of
-radial rows (``BLOCK_POINTS``), so its working memory is that of one block
-and the per-row sums, not of the whole grid, at every phase up to
-MAX_PHASE.
+every quantity on the same grids.  :func:`quadrature_bundles` serves many
+frequencies: it checks every request first, then builds the rules of all
+their levels in one batched Newton pass per ``BUNDLE_CHUNK`` requests.
+Each quantity reports its own per-quantity Richardson-style error
+estimate (difference of its two finest refinement levels) alongside its
+value; without a tolerance only those two levels are computed.  Every
+oracle path evaluates a level through ``_reduced_integrals``, which sweeps
+the radial x angular grid in blocks of radial rows (``BLOCK_POINTS``), so
+its working memory is that of one block and the per-row sums, not of the
+whole grid, at every phase up to MAX_PHASE.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (AccuracyNotReached, InvalidParams, NonConvergent,
-                     ZeroFrequency)
+from ._gauss import RULE_CACHE_SIZE, jacobi_mass as _jacobi_mass
+from ._gauss import gauss_rule as _gauss_rule, gauss_rules as _gauss_rules
+from .errors import AccuracyNotReached, InvalidParams, ZeroFrequency
 
 __all__ = [
-    "QuadratureSpec", "quadrature_bundle", "scalar_multiplier_quad",
-    "tensor_bond_quad", "tensor_state_quad", "lambda1_quad", "lambda2_quad",
-    "moment_identity_check", "apply_to_plane_wave",
+    "QuadratureSpec", "quadrature_bundle", "quadrature_bundles",
+    "scalar_multiplier_quad", "tensor_bond_quad", "tensor_state_quad",
+    "lambda1_quad", "lambda2_quad", "moment_identity_check",
+    "apply_to_plane_wave",
 ]
 
 #: Largest dimension the oracle accepts: the range its tests cross-check
@@ -78,6 +82,11 @@ MAX_PHASE = 400.0
 #: folded angular nodes at the finest default level) a block holds 16 to
 #: 31 rows, at most 38,192 points.
 BLOCK_POINTS = 8192
+
+#: Requests whose rules one ``_gauss_rules`` call of ``quadrature_bundles``
+#: builds, so that call's working memory does not grow with the number of
+#: requests; the rule cache holds two levels of three rules for each.
+BUNDLE_CHUNK = RULE_CACHE_SIZE // 6
 
 
 def _block_rows(na):
@@ -132,137 +141,6 @@ def _scaling_constant(n, delta, beta):
     # kept local so the oracle stands alone from the closed-form module
     return (2.0 * (n + 2 - beta) * math.gamma(n / 2.0 + 1.0)
             / (math.pi ** (n / 2.0) * delta ** (n + 2 - beta)))
-
-
-#: Largest |a| = |b| seeded from the asymptotic node guess; past about
-#: |a| = 20 that guess converges to wrong nodes, so larger ones (unused by
-#: the oracle, whose sphere rules have a = b <= 2.5) take the eigenvalue seed.
-_ASYMPTOTIC_SEED_MAX = 5.0
-
-#: Newton passes allowed per rule; the seeds above converge within 5.
-_NEWTON_PASSES = 10
-
-
-def _jacobi_recurrence(npts, a, b):
-    """Coefficients of p_{k+1} = (2x - c_k) p_k - d_k p_{k-1}, p_0 = 1.
-
-    p_k = 2^k times the monic Jacobi polynomial of degree k; c_k/2 and
-    sqrt(d_k)/2 are the diagonal and off-diagonal of the Jacobi matrix.
-    The k = 0 and k = 1 entries are written out where the general form is
-    0/0 (a + b = 0 or -1).
-    """
-    c = [2.0 * (b - a) / (a + b + 2.0)]
-    d = [0.0, 16.0 * (1.0 + a) * (1.0 + b)
-         / ((a + b + 2.0) ** 2 * (a + b + 3.0))]
-    for k in range(1, npts):
-        s = 2.0 * k + a + b
-        c.append(2.0 * (b * b - a * a) / (s * (s + 2.0)))
-        if k > 1:
-            d.append(16.0 * k * (k + a) * (k + b) * (k + a + b)
-                     / (s * s * (s + 1.0) * (s - 1.0)))
-    return c, d
-
-
-def _jacobi_values(x, c, d):
-    """(p_N, p_{N-1}, log scale) at x, vectorised over the nodes.
-
-    Every 32 steps both values are divided by |p_k| + |p_{k-1}| per node
-    and the log of that factor is accumulated, so no exponent pair can
-    overflow or underflow them; Newton steps use only their ratio.
-    """
-    x2 = x + x
-    p0, p1 = np.ones_like(x), x2 - c[0]
-    log_scale = 0.0
-    for k in range(1, len(c)):
-        p0, p1 = p1, (x2 - c[k]) * p1 - d[k] * p0
-        if not k % 32:
-            scale = np.abs(p1) + np.abs(p0)
-            p0, p1 = p0 / scale, p1 / scale
-            log_scale = log_scale + np.log(scale)
-    return p1, p0, log_scale
-
-
-def _jacobi_mass(a, b):
-    """2^(a+b+1) B(a+1, b+1), the integral of (1-x)^a (1+x)^b over [-1, 1]."""
-    if a + b + 2.0 < 171.0:
-        return (2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
-                / math.gamma(a + b + 2.0))
-    # Gamma overflows here; lgamma loses a few ulps per unit of its value
-    return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-
-
-@lru_cache(maxsize=256)
-def _gauss_rule(npts, a, b):
-    """Read-only Gauss nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
-
-    Nodes ascend.  Built with numpy alone (Golub & Welsch 1969; Hale &
-    Townsend 2013): Newton's method on P_N^(a,b)(cos theta) in theta, with
-    P_N and P_{N-1} from the three-term recurrence over all nodes at once.
-    Seeds: for a == b the asymptotic guess theta_k ~ phi_k +
-    (1/4 - a^2)(cot(phi_k/2) - tan(phi_k/2)) / (2N + 2a + 1)^2 with
-    phi_k = (2k + a - 1/2) pi / (2N + 2a + 1), on the nodes x > 0 only
-    (the rest by symmetry, the middle one of odd N exactly 0); otherwise
-    the eigenvalues of the Jacobi matrix.  The weights are
-    1 / (dP_N/dtheta)^2, which keeps the 1 - x^2 factor of the usual
-    formula out of the arithmetic, scaled to the exact mass
-    2^(a+b+1) B(a+1, b+1).  The Newton pass stops once its step is too
-    small to matter, |step| (|g| + N) <= 1e-8 with g = P''/P' at a node
-    (theta form of the Jacobi ODE); the weights take that last step into
-    account through the same ODE, so no further pass is made.  Rules repeat
-    across refinement levels and frequencies, so each is built once.
-    """
-    c, d = _jacobi_recurrence(npts, a, b)
-    s = 2.0 * npts + a + b
-    # P_N / P_{N-1} in the scaling of p, folded into the derivative formula
-    # (s (1-x^2) dP_N/dx = N ((a-b) - s x) P_N + 2 (N+a)(N+b) P_{N-1})
-    if npts > 1:
-        e = 8.0 * npts * (npts + a) * (npts + b) * (npts + a + b) / (s * (s - 1.0))
-    else:
-        e = 8.0 * (1.0 + a) * (1.0 + b) / (a + b + 2.0)
-    half = npts // 2
-    symmetric = a == b and abs(a) <= _ASYMPTOTIC_SEED_MAX
-    if symmetric:
-        k = np.arange(1, npts - half + 1)
-        phi = (2.0 * k + a - 0.5) * (math.pi / (s + 1.0))
-        tan = np.tan(0.5 * phi)
-        theta = phi + (0.25 - a * a) * (1.0 / tan - tan) / (s + 1.0) ** 2
-    else:
-        jacobi = np.diag(0.5 * np.array(c))
-        jacobi += np.diag(0.5 * np.sqrt(d[1:npts]), 1)
-        x = np.linalg.eigvalsh(jacobi, UPLO="U")
-        theta = np.arccos(np.clip(x, -1.0, 1.0))
-    for _ in range(_NEWTON_PASSES):
-        x = np.cos(theta)
-        sin = np.sin(theta)
-        pn, pm, log_scale = _jacobi_values(x, c, d)
-        # -s sin(theta) dP_N/dtheta, in the scaling of p
-        dpn = npts * ((a - b) - s * x) * pn + e * pm
-        step = s * sin * pn / dpn
-        theta = theta + step
-        g = ((b - a) - (a + b + 1.0) * x) / sin
-        if np.max(np.abs(step) * (np.abs(g) + npts)) <= 1e-8:
-            break
-    else:
-        raise NonConvergent(
-            f"Gauss-Jacobi nodes for N = {npts}, (a, b) = ({a}, {b}) did not "
-            f"converge in {_NEWTON_PASSES} Newton passes")
-    # dP_N/dtheta at the new nodes: P'' = g P' - N (N+a+b+1) P in theta, and
-    # P = -step P' here; the stopping rule puts every term past the first
-    # order below 1e-16 relative
-    dpn *= 1.0 + step * g
-    log_w = 2.0 * (np.log(sin) - np.log(np.abs(dpn)) - log_scale)
-    w = np.exp(log_w - log_w.max())
-    x = np.cos(theta)
-    if symmetric:
-        if npts % 2:
-            x[-1] = 0.0
-        x = np.concatenate([-x[:half], x[::-1]])
-        w = np.concatenate([w[:half], w[::-1]])
-    w *= _jacobi_mass(a, b) / w.sum()
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 def _check_params(params):
@@ -369,7 +247,8 @@ def _reduced_integrals(params, nu_norm, spec, level):
     block (``BLOCK_POINTS``) at any phase.  Within a block both quotients
     are formed over every entry, and only the entries below x = 1e-2
     (about 1%) are then overwritten with their Taylor series, which avoid
-    the cancellation there.  Each block contracts its integrands with the
+    the cancellation there; a block whose least entry x[0, 0] is not below
+    1e-2 skips that step.  Each block contracts its integrands with the
     angular weights into per-row values (the weights of the three bond
     integrals stacked, so one matrix product serves them); the radial
     weights then contract those rows over the whole radial grid at once.
@@ -400,13 +279,15 @@ def _reduced_integrals(params, nu_norm, spec, level):
             sinc_x = sin_x / x
             sxx = np.subtract(sin_x, x, out=sin_x)
             sxx /= cube
-        # only the few entries below x = 1e-2 take the Taylor series
-        small = x < 1e-2
-        xs = x[small]
-        xs2 = xs * xs
-        xs4 = xs2 * xs2
-        sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
-        sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
+        # only the few entries below x = 1e-2 take the Taylor series; rows
+        # and columns ascend, so x[0, 0] is the least of the block
+        if x[0, 0] < 1e-2:
+            small = x < 1e-2
+            xs = x[small]
+            xs2 = xs * xs
+            xs4 = xs2 * xs2
+            sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
+            sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
         sinc_rows[rows] = sinc_x @ w_sinc
         sxx_rows[rows] = sxx @ w_sxx
     # (cos(x) - 1) / r^2, with the 1/r^2 moved onto the radial weights
@@ -510,6 +391,51 @@ def _freq(params, nu):
     return v, nn
 
 
+def _level_keys(params, nu_norm, spec, level):
+    """The keys of the Gauss rules that ``_reduced_integrals`` asks for."""
+    n = params.n
+    n_in, n_out, na = _grid_points(spec, nu_norm * params.delta, level)
+    keys = [(n_in, 0.0, n + 1.0 - params.beta), (n_out, 0.0, 0.0)]
+    h = (n - 1) / 2.0
+    return keys + [(na, h - 1.0, h - 1.0)] if n > 1 else keys
+
+
+def quadrature_bundles(requests, spec=DEFAULT_SPEC, tol=None):
+    """``quadrature_bundle`` of every (params, material, nu) of ``requests``.
+
+    Every request is checked here, before any rule is built.  Returns an
+    iterator over one {name: (value, err_est)} per request, in order, each
+    equal to that request's own ``quadrature_bundle`` and evaluated when
+    the iterator reaches it.  The rules of the two levels each request
+    evaluates first (the only two without a tolerance) are built by one
+    ``_gauss_rules`` call per ``BUNDLE_CHUNK`` requests; a finer level that
+    a tolerance reaches builds its rules when it needs them.
+    """
+    checked = []
+    for params, material, nu in requests:
+        _check_params(params)
+        checked.append((params, material, *_freq(params, nu)))
+    return _bundles(checked, spec, tol)
+
+
+def _bundles(checked, spec, tol):
+    first = 0 if tol is not None else spec.refinement_levels - 1
+    for i in range(0, len(checked), BUNDLE_CHUNK):
+        chunk = checked[i:i + BUNDLE_CHUNK]
+        _gauss_rules([key for params, _, _, nn in chunk if nn != 0.0
+                      for level in (first, first + 1)
+                      for key in _level_keys(params, nn, spec, level)])
+        for params, material, v, nn in chunk:
+            if nn == 0.0:
+                zero = np.zeros((params.n, params.n))
+                yield {"scalar": (0.0, 0.0), "bond": (zero, 0.0),
+                       "state": (zero.copy(), 0.0)}
+            else:
+                yield _refine(spec, tol, lambda level: _quantities(
+                    params, material, v, nn,
+                    _reduced_integrals(params, nn, spec, level)))
+
+
 def quadrature_bundle(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     """Every quadrature quantity at frequency nu from one refinement pass.
 
@@ -518,16 +444,10 @@ def quadrature_bundle(params, material, nu, spec=DEFAULT_SPEC, tol=None):
     grids; each err_est is that quantity's own estimate.  ``tol`` bounds
     every estimate at once.  At nu = 0 the eigenvalue entries are absent,
     since their integral representations need nu != 0, and the others are
-    exact zeros; with lambda* = mu the state entry is an exact zero.
+    exact zeros; with lambda* = mu the state entry is an exact zero.  The
+    one-request case of :func:`quadrature_bundles`.
     """
-    _check_params(params)
-    v, nn = _freq(params, nu)
-    if nn == 0.0:
-        zero = np.zeros((params.n, params.n))
-        return {"scalar": (0.0, 0.0), "bond": (zero, 0.0),
-                "state": (zero.copy(), 0.0)}
-    return _refine(spec, tol, lambda level: _quantities(
-        params, material, v, nn, _reduced_integrals(params, nn, spec, level)))
+    return next(quadrature_bundles([(params, material, nu)], spec, tol))
 
 
 def _select(name, params, material, nu, spec, tol):

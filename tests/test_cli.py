@@ -275,6 +275,8 @@ class TestNonFiniteInput:
          "--out", "x.csv"],
         ["figure", "--n", "0", "--out", "grid"],
         ["figure", "--n", "-2", "--out", "grid"],
+        # numpy's generator takes no negative seed
+        ["verify", "--count", "1", "--seed", "-1", "--out", "r.json"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
                                         capsys):
@@ -352,6 +354,10 @@ class TestVerifyCommand:
     def test_run_verification_rejects_bad_count(self):
         with pytest.raises(InvalidParams):
             run_verification(0, 0, 1e-6)
+
+    def test_run_verification_rejects_negative_seed(self):
+        with pytest.raises(InvalidParams, match="seed"):
+            run_verification(-1, 1, 1e-6)
 
     def test_zero_tol_keeps_absolute_floor(self):
         report = run_verification(0, 1, 0.0)

@@ -309,6 +309,29 @@ class TestPfqBatch:
         for (params, z), values in zip(requests, pfq_batch(requests)):
             assert pfq_many(params, z).tolist() == values.tolist()
 
+    def test_ratios_only_for_sets_the_double_double_pass_sums(self,
+                                                             monkeypatch):
+        # g at z = -60 goes to the double-double pass; b1 and m stay in the
+        # double pass, so no ratio of theirs is built
+        series = multiplier_series(3, 1.3)
+        seen = []
+        real = hg._dd_ratios
+
+        def counted(a, b, start):
+            seen.append((a, b, start))
+            return real(a, b, start)
+        monkeypatch.setattr(hg, "_dd_ratios", counted)
+        requests = [(PfqParams(*series["b1"]), np.array([-0.5, -1.0])),
+                    (PfqParams(*series["g"]), np.array([-1.0, -60.0])),
+                    (PfqParams(*series["m"]), np.array([0.0, -2.0]))]
+        got = pfq_batch(requests)
+        g = hg._cancel_common(*series["g"])
+        assert seen and {(a, b) for a, b, _ in seen} == {g}
+        assert [start for *_, start in seen] == list(range(0, 64 * len(seen),
+                                                           64))
+        for (params, z), values in zip(requests, got):
+            assert values.tolist() == [pfq(params, zi).value for zi in z]
+
     def test_empty_and_validation(self):
         assert pfq_batch([]) == []
         good = (PfqParams((1.0,), (2.0, 2.5)), np.array([-1.0]))
@@ -597,6 +620,31 @@ class TestLargeZ:
         positive = PfqParams((-40.5,), (1.5,))
         assert pfq(positive, 100.0).precision_bits == ESCALATED_PREC_BITS
         pfq_many(positive, np.array([100.0, 3.0]))
+
+    def test_plans_are_shared_and_keep_their_values(self):
+        # values of the tier from before its plans were memoized, bit for bit
+        before = {
+            (1, 0.3, "g", -1000.0): "-0x1.3a791b5e6728bp-11",
+            (1, 0.3, "b1", -1000.0): "0x1.5ea1231d948cbp-8",
+            (3, 1.3, "b2", -4e4): "0x1.40906b2b6c23bp-26",
+            (3, 1.3, "merged", -4e4): "0x1.7c67b0bc65d15p-15",
+            (2, 3.7, "merged", -4e4): "0x1.d7f03e3a5678bp-3",
+        }
+        for (n, beta, name, z), value in before.items():
+            res = pfq(PfqParams(*multiplier_series(n, beta)[name]), z)
+            assert res.precision_bits == LARGE_Z_PRECISION_BITS
+            assert res.value == float.fromhex(value), (n, beta, name, z)
+        # lambda1's merged 3F4 reuses the expansions of b1 and b2, and a
+        # shared plan is made of tuples, so no caller can change it
+        series = {name: hg._cancel_common(*ab) for name, ab in
+                  multiplier_series(3, 1.3).items()}
+        merged = asy.large_z_form(*series["merged"])
+        assert merged[0][1] is asy.large_z_form(*series["b1"])[0][1]
+        assert merged[1][1] is asy.large_z_form(*series["b2"])[0][1]
+        algebraic, oscillatory = merged[0][1]
+        assert isinstance(merged, tuple) and isinstance(algebraic, tuple)
+        assert all(isinstance(part[2], tuple) for part in algebraic)
+        assert isinstance(oscillatory[4], tuple)
 
     def test_other_shapes_are_refused(self):
         for a, b in (((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),   # 3F3

@@ -10,33 +10,50 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import roots_jacobi
 
+import perispec._gauss
 from perispec.cli import run_verification
-from perispec.errors import AccuracyNotReached, InvalidParams, ZeroFrequency
+from perispec.errors import (AccuracyNotReached, InvalidParams, NonConvergent,
+                             ZeroFrequency)
 from perispec.multipliers import (Material, NonlocalParams, closed_bundle,
                                   eigenvalue_parallel, eigenvalue_transverse,
                                   scaling_constant)
 import perispec.oracle
 from perispec.oracle import (DEFAULT_SPEC, QuadratureSpec, apply_to_plane_wave,
                              lambda1_quad, lambda2_quad, moment_identity_check,
-                             quadrature_bundle, scalar_multiplier_quad,
-                             tensor_bond_quad, tensor_state_quad)
+                             quadrature_bundle, quadrature_bundles,
+                             scalar_multiplier_quad, tensor_bond_quad,
+                             tensor_state_quad)
 
 
-def test_oracle_imports_nothing_from_series_path():
-    # the cross-check is only worth something while the two paths share no code
-    with open(perispec.oracle.__file__) as fh:
+def _imports(module):
+    with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = ".".join(filter(None, ["perispec" if node.level else "",
-                                            node.module]))
-            imported |= {module} | {f"{module}.{a.name}" for a in node.names}
+            name = ".".join(filter(None, ["perispec" if node.level else "",
+                                          node.module]))
+            imported |= {name} | {f"{name}.{a.name}" for a in node.names}
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
+    return imported
+
+
+def test_oracle_imports_nothing_from_series_path():
+    # the cross-check is only worth something while the two paths share no code
+    imported = _imports(perispec.oracle)
     assert "perispec.errors" in imported
     assert not [m for m in imported
                 if m.startswith(("perispec.hypergeom", "perispec.multipliers"))]
+
+
+def test_rule_builder_imports_only_numpy_and_errors():
+    # the oracle's Gauss rules come from here, so it is held to the same
+    assert {m.split(".")[0] for m in _imports(perispec._gauss)} == {
+        "math", "threading", "numpy", "perispec"}
+    assert {m for m in _imports(perispec._gauss)
+            if m.startswith("perispec")} <= {"perispec.errors",
+                                             "perispec.errors.NonConvergent"}
 
 
 def _jacobi_reference(npts, a, b, x0):
@@ -122,6 +139,38 @@ class TestGaussRule:
         x, w = perispec.oracle._gauss_rule(16, 0.0, 1.5)
         assert not x.flags.writeable and not w.flags.writeable
         assert perispec.oracle._gauss_rule(16, 0.0, 1.5)[0] is x
+
+    def test_batch_equals_rules_built_alone(self, monkeypatch):
+        # every node and weight keeps its bits whatever it is built with:
+        # rules of one (a, b) share the recurrence, the others gather theirs
+        keys = [(npts, a, b) for npts in (1, 2, 3, 16, 17, 544)
+                for a, b in ((0.0, 0.0), (-0.5, -0.5), (2.5, 2.5), (6.0, 6.0),
+                             (0.0, -0.95), (0.0, 50.0), (1.5, -0.5))]
+        alone = {}
+        for key in keys:
+            monkeypatch.setattr(perispec._gauss, "_RULES", {})
+            alone[key] = perispec.oracle._gauss_rules([key])[0]
+        monkeypatch.setattr(perispec._gauss, "_RULES", {})
+        asked = keys[::-1] + keys[:5]          # unsorted, with duplicates
+        got = perispec.oracle._gauss_rules(asked)
+        assert len(got) == len(asked)
+        for key, (x, w) in zip(asked, got):
+            assert_array_equal(x, alone[key][0])
+            assert_array_equal(w, alone[key][1])
+            assert not x.flags.writeable and not w.flags.writeable
+        # a duplicate key is served the same rule
+        for i in range(5):
+            assert got[len(keys) + i] is got[len(keys) - 1 - i]
+
+    def test_nonconvergence_names_the_rule(self, monkeypatch):
+        # a = -1 + 1e-9 at N = 2: the eigenvalue seed leaves Newton short
+        # of its test after every pass; the rules beside it still converge
+        monkeypatch.setattr(perispec._gauss, "_RULES", {})
+        with pytest.raises(NonConvergent,
+                           match=r"N = 2, \(a, b\) = \(-0.999999999, 3.0\)"):
+            perispec.oracle._gauss_rules([(16, 0.0, 0.0), (2, -0.999999999, 3.0),
+                                          (40, 0.0, 1.5)])
+        assert perispec._gauss._RULES == {}
 
     @pytest.mark.parametrize("delta, nu", [(1.5, [2.0, -1.0, 0.5]),
                                            (0.7, [10.0, 3.0, -4.0])])
@@ -462,6 +511,75 @@ class TestReach:
             call(NonlocalParams(3, delta, beta), self._MAT)
 
 
+class TestBundles:
+    @staticmethod
+    def _requests():
+        rng = np.random.default_rng(18)
+        requests = []
+        for n in range(1, 9):
+            nu = rng.standard_normal(n)
+            nu *= rng.uniform(1.0, 12.0) / np.linalg.norm(nu)
+            p = NonlocalParams(n, rng.uniform(0.5, 3.0),
+                               rng.uniform(-1.0, n + 1.9))
+            requests += [(p, Material(1.3, -0.4), nu),
+                         (p, Material(1.1, 1.1), nu),       # lambda* = mu
+                         (p, Material(1.3, -0.4), np.zeros(n))]
+        return requests
+
+    @pytest.mark.parametrize("tol", [None, 1.0])
+    def test_equal_to_one_request_at_a_time(self, tol, monkeypatch):
+        # with a tolerance, levels past the first two build their own rules
+        spec = QuadratureSpec(radial_points=20, angular_points=20)
+        requests = self._requests()
+        monkeypatch.setattr(perispec.oracle, "BUNDLE_CHUNK", 5)
+        got = list(quadrature_bundles(requests, spec, tol))
+        assert len(got) == len(requests)
+        for request, bundle in zip(requests, got):
+            monkeypatch.setattr(perispec._gauss, "_RULES", {})
+            want = quadrature_bundle(*request, spec, tol)
+            assert bundle.keys() == want.keys()
+            for name, (value, err) in want.items():
+                assert_array_equal(bundle[name][0], value)
+                assert bundle[name][1] == err
+
+    @pytest.mark.parametrize("bad", [
+        (NonlocalParams(3, 2.0, 1.0), [200.001, 0.0, 0.0]),   # past reach
+        (NonlocalParams(3, 0.1, -1000.0), [1.0, 0.0, 0.0]),   # c overflows
+    ])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_every_request_checked_before_any_rule(self, bad, at,
+                                                   monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a rule was built before a bad request")
+        for module, name in ((perispec.oracle, "_gauss_rules"),
+                             (perispec.oracle, "_gauss_rule"),
+                             (perispec._gauss, "_newton")):
+            monkeypatch.setattr(module, name, no_rule)
+        requests = [(NonlocalParams(3, 1.0, 1.0), Material(1.0, 0.5),
+                     [1.0, 2.0, 0.5])] * 6
+        requests.insert(at, (bad[0], Material(1.0, 0.5), bad[1]))
+        with pytest.raises(InvalidParams):
+            quadrature_bundles(requests)
+
+    def test_sweep_builds_its_rules_in_one_call(self, monkeypatch):
+        # the 40 tuples of a default sweep fit one chunk: one _gauss_rules
+        # call builds every rule, and no level builds one of its own
+        calls = {"_gauss_rules": 0, "_newton": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+        counted(perispec.oracle, "_gauss_rules")
+        counted(perispec._gauss, "_newton")
+        monkeypatch.setattr(perispec._gauss, "_RULES", {})
+        assert run_verification(5, 40, 1e-6)["all_pass"]
+        assert calls == {"_gauss_rules": 1, "_newton": 1}
+
+
 def _full_grid_reduced(params, nu_norm, spec, level):
     """Reference kernel: the unfolded symmetric angular rule, with every
     integrand formed on the full grid and contracted on its own."""
@@ -637,6 +755,22 @@ class TestBlockedKernel:
                             lambda na: block_rows)
         got = perispec.oracle._reduced_integrals(self._P, 2.0, spec, 0)
         want = _one_shot_reduced(self._P, 2.0, spec, 0)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], key
+
+    @pytest.mark.parametrize("n, angular_points", [
+        (3, 41),     # odd N: t[0] = 0 exactly, so every block takes Taylor
+        (2, 33),
+        (1, 16),     # one angular node, t = 1
+    ])
+    def test_odd_angular_and_one_dimension_bitwise(self, n, angular_points,
+                                                    monkeypatch):
+        p = NonlocalParams(n, 1.5, 1.0)
+        spec = QuadratureSpec(radial_points=80, angular_points=angular_points)
+        monkeypatch.setattr(perispec.oracle, "_block_rows", lambda na: 16)
+        got = perispec.oracle._reduced_integrals(p, 2.0, spec, 0)
+        want = _one_shot_reduced(p, 2.0, spec, 0)
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == want[key], key
