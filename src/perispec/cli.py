@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass
 
@@ -54,6 +55,11 @@ VERIFY_ABS_FLOOR = 1e-8
 #: resident at the cap; larger counts are rejected before any array is
 #: built.
 MAX_SAMPLES = 100_000
+
+#: Most tuples a verify sweep accepts: its stated size reach.  A sweep
+#: draws every tuple before it builds a rule and holds every entry of its
+#: report; larger counts are rejected before any draw.
+MAX_COUNT = 10_000
 
 
 def _fmt(x):
@@ -247,6 +253,31 @@ def _check_pinned(overrides, max_dim):
                 f"[-2 mu, 3]")
 
 
+def _draw_tuples(seed, count, overrides):
+    """Draw ``count`` verify tuples (params, material, nu) from ``seed``.
+
+    Per tuple, in this order: n, delta, beta, mu, lambda*, the n normal
+    components of the direction, then |nu|.  A pinned component still
+    consumes its draw, so pinning one leaves the draws of the others as
+    they are (a pinned n changes how many direction components follow).
+    """
+    rng = random.Random(seed)
+    tuples = []
+    for _ in range(count):
+        n = int(overrides.get("n", rng.randrange(1, 4)))
+        params = NonlocalParams(
+            n,
+            overrides.get("delta", rng.uniform(0.1, 4.0)),
+            overrides.get("beta", rng.uniform(-2.0, n + 2 - 0.05)))
+        mu = overrides.get("mu", rng.uniform(0.5, 3.0))
+        material = Material(
+            mu, overrides.get("lambda_star", rng.uniform(-2.0 * mu, 3.0)))
+        direction = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+        direction /= np.linalg.norm(direction)
+        tuples.append((params, material, rng.uniform(0.0, 20.0) * direction))
+    return tuples
+
+
 def run_verification(seed, count, tol, overrides=None):
     """Dual-path sweep over ``count`` random parameter tuples.
 
@@ -256,7 +287,10 @@ def run_verification(seed, count, tol, overrides=None):
     :func:`multipliers.closed_bundle` call per tuple against its twin from
     one :func:`oracle.quadrature_bundles` call over every tuple, drawn
     first; each check also records the oracle's error estimate as
-    ``quad_err``.  ``seed`` must be >= 0.  ``tol`` must be finite and
+    ``quad_err``.  The tuples come from Python's ``random.Random(seed)``,
+    so identical calls draw identical tuples within one Python version
+    (Python does not promise its streams across versions).  ``seed`` must
+    be >= 0 and ``count`` in [1, MAX_COUNT].  ``tol`` must be finite and
     >= 0 (0 leaves only the absolute floor).  ``overrides`` pins named
     tuple components (n, delta, beta, mu, lambda_star) to fixed values
     instead of sampling; a pinned n may be any n <= oracle.MAX_DIM = 8, a
@@ -267,28 +301,16 @@ def run_verification(seed, count, tol, overrides=None):
     """
     from . import oracle   # imported here: only verify needs the oracle
 
-    if count < 1:
-        raise InvalidParams(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_COUNT:
+        raise InvalidParams(
+            f"count must lie in [1, MAX_COUNT = {MAX_COUNT}], got {count}")
     if seed < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParams(f"tol must be finite and >= 0, got {tol}")
     overrides = overrides or {}
     _check_pinned(overrides, oracle.MAX_DIM)
-    rng = np.random.default_rng(seed)
-    tuples = []
-    for _ in range(count):
-        n = int(overrides.get("n", rng.integers(1, 4)))
-        params = NonlocalParams(
-            n,
-            overrides.get("delta", rng.uniform(0.1, 4.0)),
-            overrides.get("beta", rng.uniform(-2.0, n + 2 - 0.05)))
-        mu = overrides.get("mu", rng.uniform(0.5, 3.0))
-        material = Material(
-            mu, overrides.get("lambda_star", rng.uniform(-2.0 * mu, 3.0)))
-        direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        tuples.append((params, material, rng.uniform(0.0, 20.0) * direction))
+    tuples = _draw_tuples(seed, count, overrides)
     entries = []
     failures = 0
     for (params, material, nu), quads in zip(

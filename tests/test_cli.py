@@ -14,8 +14,8 @@ import pytest
 import perispec.cli
 import perispec.spectrum
 from perispec.cli import (FIGURE_DELTAS, FIGURE_HEADER, FigureJob,
-                          figure_betas, figure_rows, main, run_verification,
-                          write_figure_csv)
+                          _draw_tuples, figure_betas, figure_rows, main,
+                          run_verification, write_figure_csv)
 from perispec.errors import InvalidParams
 from perispec.multipliers import Material, NonlocalParams
 from perispec.spectrum import TorusSpec, spectrum_table
@@ -73,6 +73,27 @@ class TestSizeReach:
                      "--k-max", "31", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "250047 modes" in err and "MAX_MODES = 250000" in err
+        assert not out.exists()
+
+    def test_count_cap(self):
+        assert perispec.cli.MAX_COUNT == 10_000
+        with pytest.raises(InvalidParams, match="MAX_COUNT = 10000"):
+            run_verification(0, 10_001, 1e-6)
+
+    @pytest.mark.parametrize("count", ["10001", "10000000000"])
+    def test_count_rejected_before_any_draw(self, count, tmp_path,
+                                            monkeypatch, capsys):
+        class NoRandom:
+            @staticmethod
+            def Random(*args, **kwargs):
+                raise AssertionError("tuples were drawn past the reach")
+
+        monkeypatch.setattr(perispec.cli, "random", NoRandom)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--count", count, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perispec: error:") and err.count("\n") == 1
+        assert "MAX_COUNT = 10000" in err and count in err
         assert not out.exists()
 
     def test_phase_reach_exits_fast(self, tmp_path, capsys):
@@ -275,7 +296,7 @@ class TestNonFiniteInput:
          "--out", "x.csv"],
         ["figure", "--n", "0", "--out", "grid"],
         ["figure", "--n", "-2", "--out", "grid"],
-        # numpy's generator takes no negative seed
+        # perispec's own rule: random.Random would take the seed's magnitude
         ["verify", "--count", "1", "--seed", "-1", "--out", "r.json"],
     ])
     def test_usage_error_without_output(self, argv, tmp_path, monkeypatch,
@@ -407,6 +428,78 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
+def _free_and_pinned(seed, name, value, count=20):
+    return (_draw_tuples(seed, count, {}),
+            _draw_tuples(seed, count, {name: value}))
+
+
+class TestVerifySampler:
+    # the tuples a sweep checks, drawn without the sweep
+    def test_same_seed_same_tuples(self):
+        def draw(seed):
+            return [(p, m, nu.tolist())
+                    for p, m, nu in _draw_tuples(seed, 50, {})]
+        assert draw(11) == draw(11)
+        assert draw(11) != draw(12)
+
+    def test_tuples_lie_in_the_box(self):
+        dims = set()
+        for seed in range(200):
+            for p, m, nu in _draw_tuples(seed, 20, {}):
+                dims.add(p.n)
+                assert nu.shape == (p.n,)
+                assert 0.1 <= p.delta <= 4.0
+                assert -2.0 <= p.beta <= p.n + 2 - 0.05
+                assert 0.5 <= m.mu <= 3.0
+                assert -2.0 * m.mu <= m.lambda_star <= 3.0
+                norm = np.linalg.norm(nu)
+                assert 0.0 < norm <= 20.0 * (1.0 + 1e-15)
+                assert abs(np.linalg.norm(nu / norm) - 1.0) <= 1e-15
+        assert dims == {1, 2, 3}
+
+    @pytest.mark.parametrize("name, value", [
+        ("delta", 1.5), ("beta", 0.5), ("mu", 2.0), ("lambda_star", 0.25)])
+    def test_pinning_keeps_the_other_draws(self, name, value):
+        for seed in range(10):
+            free, pinned = _free_and_pinned(seed, name, value)
+            for (p0, m0, nu0), (p1, m1, nu1) in zip(free, pinned):
+                got = {"n": p1.n, "delta": p1.delta, "beta": p1.beta,
+                       "mu": m1.mu, "lambda_star": m1.lambda_star}
+                want = {"n": p0.n, "delta": p0.delta, "beta": p0.beta,
+                        "mu": m0.mu, "lambda_star": m0.lambda_star}
+                assert got[name] == value
+                if name == "mu":
+                    # lambda* keeps its unit draw on the pinned mu's range
+                    u = (m0.lambda_star + 2.0 * m0.mu) / (3.0 + 2.0 * m0.mu)
+                    assert got.pop("lambda_star") == pytest.approx(
+                        -2.0 * value + (3.0 + 2.0 * value) * u, rel=1e-12,
+                        abs=1e-12)
+                    want.pop("lambda_star")
+                got.pop(name), want.pop(name)
+                assert got == want
+                assert nu1.tolist() == nu0.tolist()
+
+    def test_pinned_n_keeps_the_draws_before_the_direction(self):
+        # a pinned n changes how many direction components are drawn, so
+        # the streams part after the first tuple whose drawn n differs
+        parted = 0
+        for seed in range(10):
+            free, pinned = _free_and_pinned(seed, "n", 2)
+            for (p0, m0, nu0), (p1, m1, nu1) in zip(free, pinned):
+                assert p1.n == 2 and nu1.shape == (2,)
+                assert (p1.delta, m1.mu, m1.lambda_star) == (
+                    p0.delta, m0.mu, m0.lambda_star)
+                # beta keeps its unit draw on the pinned n's range
+                u = (p0.beta + 2.0) / (p0.n + 4 - 0.05)
+                assert p1.beta == pytest.approx(-2.0 + (2 + 4 - 0.05) * u,
+                                                rel=1e-12, abs=1e-12)
+                if p0.n != 2:
+                    parted += 1
+                    break
+                assert nu1.tolist() == nu0.tolist()
+        assert parted > 0
+
+
 class TestLazyOracleImport:
     def test_import_does_not_load_scipy(self):
         import perispec
@@ -452,6 +545,22 @@ class TestLazyOracleImport:
                 "    assert run_verification(seed, 40, 1e-6)['all_pass']\n"
                 "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
                 "assert 'perispec._asymptotic' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_without_numpy_random(self):
+        # verify draws its tuples with the standard library; numpy.random
+        # would add ~5.5 MB to the sweep's peak resident memory
+        import perispec
+        src = os.path.dirname(os.path.dirname(perispec.__file__))
+        code = ("import sys\n"
+                "from perispec.cli import run_verification\n"
+                "for seed in (200, 214, 229):\n"
+                "    assert run_verification(seed, 40, 1e-6)['all_pass']\n"
+                "assert 'numpy' in sys.modules\n"
+                "assert 'numpy.random' not in sys.modules, 'numpy.random'\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)

@@ -1,7 +1,9 @@
 """Quadrature oracle tests: trivial anchors, parity, and self-consistency."""
 
 import ast
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import mpmath
@@ -10,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import roots_jacobi
 
+import perispec
 import perispec._gauss
 from perispec.cli import run_verification
 from perispec.errors import (AccuracyNotReached, InvalidParams, NonConvergent,
@@ -54,6 +57,21 @@ def test_rule_builder_imports_only_numpy_and_errors():
     assert {m for m in _imports(perispec._gauss)
             if m.startswith("perispec")} <= {"perispec.errors",
                                              "perispec.errors.NonConvergent"}
+
+
+def test_no_module_uses_numpy_random():
+    # verify draws its tuples with the standard library: importing
+    # numpy.random would add ~5.5 MB to its peak resident memory
+    for info in pkgutil.iter_modules(perispec.__path__):
+        module = importlib.import_module(f"perispec.{info.name}")
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        named = _imports(module) | {ast.unparse(node)
+                                    for node in ast.walk(tree)
+                                    if isinstance(node, ast.Attribute)}
+        assert not [m for m in named
+                    if m.split(".")[:2] in (["np", "random"],
+                                            ["numpy", "random"])], module
 
 
 def _jacobi_reference(npts, a, b, x0):
