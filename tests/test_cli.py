@@ -433,6 +433,11 @@ def _free_and_pinned(seed, name, value, count=20):
             _draw_tuples(seed, count, {name: value}))
 
 
+def _components(params, material):
+    return {"n": params.n, "delta": params.delta, "beta": params.beta,
+            "mu": material.mu, "lambda_star": material.lambda_star}
+
+
 class TestVerifySampler:
     # the tuples a sweep checks, drawn without the sweep
     def test_same_seed_same_tuples(self):
@@ -463,19 +468,16 @@ class TestVerifySampler:
         for seed in range(10):
             free, pinned = _free_and_pinned(seed, name, value)
             for (p0, m0, nu0), (p1, m1, nu1) in zip(free, pinned):
-                got = {"n": p1.n, "delta": p1.delta, "beta": p1.beta,
-                       "mu": m1.mu, "lambda_star": m1.lambda_star}
-                want = {"n": p0.n, "delta": p0.delta, "beta": p0.beta,
-                        "mu": m0.mu, "lambda_star": m0.lambda_star}
-                assert got[name] == value
+                got, want = _components(p1, m1), _components(p0, m0)
+                assert got.pop(name) == value
+                del want[name]
                 if name == "mu":
                     # lambda* keeps its unit draw on the pinned mu's range
                     u = (m0.lambda_star + 2.0 * m0.mu) / (3.0 + 2.0 * m0.mu)
                     assert got.pop("lambda_star") == pytest.approx(
                         -2.0 * value + (3.0 + 2.0 * value) * u, rel=1e-12,
                         abs=1e-12)
-                    want.pop("lambda_star")
-                got.pop(name), want.pop(name)
+                    del want["lambda_star"]
                 assert got == want
                 assert nu1.tolist() == nu0.tolist()
 
@@ -552,7 +554,7 @@ class TestLazyOracleImport:
 
     def test_verify_without_numpy_random(self):
         # verify draws its tuples with the standard library; numpy.random
-        # would add ~5.5 MB to the sweep's peak resident memory
+        # would add ~6 MB to the sweep's peak resident memory
         import perispec
         src = os.path.dirname(os.path.dirname(perispec.__file__))
         code = ("import sys\n"

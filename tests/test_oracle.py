@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import roots_jacobi
 
-import perispec
 import perispec._gauss
 from perispec.cli import run_verification
 from perispec.errors import (AccuracyNotReached, InvalidParams, NonConvergent,
@@ -61,7 +60,7 @@ def test_rule_builder_imports_only_numpy_and_errors():
 
 def test_no_module_uses_numpy_random():
     # verify draws its tuples with the standard library: importing
-    # numpy.random would add ~5.5 MB to its peak resident memory
+    # numpy.random would add ~6 MB to its peak resident memory
     for info in pkgutil.iter_modules(perispec.__path__):
         module = importlib.import_module(f"perispec.{info.name}")
         with open(module.__file__) as fh:
