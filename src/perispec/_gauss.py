@@ -1,17 +1,16 @@
 """Gauss-Jacobi rules for the quadrature oracle, built with numpy alone.
 
 :func:`gauss_rules` returns the nodes and weights of the weight
-(1-x)^a (1+x)^b on [-1, 1] for a list of (N, a, b) keys.  It builds every
-rule not yet cached in one Newton loop (Golub & Welsch 1969; Hale &
-Townsend 2013), whose nodes are stacked so that each step of the
-three-term recurrence serves every rule at once, and keeps the rules for
-reuse.  Each rule has the bits of building it alone.  Only
+(1-x)^a (1+x)^b on [-1, 1] for a list of (N, a, b) keys.  It builds them
+all in one Newton loop (Golub & Welsch 1969; Hale & Townsend 2013), whose
+nodes are stacked so that each step of the three-term recurrence serves
+every rule at once; each rule has the bits of building it alone.  Nothing
+is kept between calls: the caller holds the rules it was given.  Only
 :mod:`perispec.oracle` imports this module, so it shares no code with the
 series path.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -25,13 +24,6 @@ _ASYMPTOTIC_SEED_MAX = 5.0
 
 #: Newton passes allowed per rule; the seeds above converge within 5.
 _NEWTON_PASSES = 10
-
-#: Rules kept for reuse; the rule that ``gauss_rules`` asked for least
-#: recently goes first.
-RULE_CACHE_SIZE = 384
-_RULES = {}
-# guards _RULES, so concurrent callers stay safe
-_RULES_LOCK = threading.Lock()
 
 
 def _jacobi_recurrence(npts, a, b):
@@ -97,12 +89,6 @@ def jacobi_mass(a, b):
                     + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
 
 
-def gauss_rule(npts, a, b):
-    """The one-key case of ``gauss_rules``, served from its cache if there."""
-    rule = _RULES.get((npts, a, b))
-    return rule if rule is not None else gauss_rules([(npts, a, b)])[0]
-
-
 def gauss_rules(keys):
     """Read-only Gauss rules on [-1, 1], one per key (N, a, b).
 
@@ -122,25 +108,15 @@ def gauss_rules(keys):
     that last step into account through the same ODE, so no further pass
     is made.
 
-    The rules not cached are built in one loop: their nodes are stacked
+    The distinct keys are built in one loop: their nodes are stacked
     longest rule first, each Newton pass steps the recurrence once for
     all of them, rules with equal (a, b) share its coefficients, and each
     rule leaves the loop on its own test.  Every node and weight repeats
     the operations of building its rule alone, so its bits do not depend
-    on the other keys.  Rules repeat across refinement levels and
-    frequencies, so each is built once while it stays cached.
+    on the other keys; a repeated key is served the same arrays.
     """
-    with _RULES_LOCK:
-        rules = {key: _RULES[key] for key in keys if key in _RULES}
-    todo = sorted(set(keys) - rules.keys(), reverse=True)
-    if todo:
-        rules.update(zip(todo, _newton(todo)))
-    with _RULES_LOCK:
-        for key in keys:
-            _RULES.pop(key, None)
-            _RULES[key] = rules[key]
-        while len(_RULES) > RULE_CACHE_SIZE:
-            del _RULES[next(iter(_RULES))]
+    todo = sorted(set(keys), reverse=True)
+    rules = dict(zip(todo, _newton(todo))) if todo else {}
     return [rules[key] for key in keys]
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import multipliers as mt
 from .errors import InvalidParams, PerispecError
 from .multipliers import Material, NonlocalParams
-from .spectrum import TorusSpec, _box_spectrum
+from .spectrum import MAX_PHASE, TorusSpec, _box_spectrum
 
 #: Material curves of the reference figure: mu = 1, lambda* sweep.
 FIGURE_LAMBDA_STARS = (-1.9, -1.0, 0.0, 1.0, 2.0)
@@ -96,6 +96,11 @@ class FigureJob:
             raise InvalidParams(
                 f"need 0 <= nu_norm_min < nu_norm_max, got "
                 f"[{self.nu_norm_min}, {self.nu_norm_max}]")
+        # the torus layer's reach: past it the series are not stated to hold
+        if self.nu_norm_max * self.delta > MAX_PHASE:
+            raise InvalidParams(
+                f"|nu| delta reaches {self.nu_norm_max * self.delta:.6g}, "
+                f"above the series' reach MAX_PHASE = {MAX_PHASE:.6g}")
 
 
 FIGURE_HEADER = "n,delta,beta,mu,lambda_star,nu_norm,lambda1,lambda2"

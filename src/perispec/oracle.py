@@ -39,7 +39,8 @@ the oracle depends on no special-function library.
 One refinement pass per frequency (:func:`quadrature_bundle`) integrates
 every quantity on the same grids.  :func:`quadrature_bundles` serves many
 frequencies: it checks every request first, then builds the rules of all
-their levels in one batched Newton pass per ``BUNDLE_CHUNK`` requests.
+their levels in one batched Newton pass per ``BUNDLE_CHUNK`` requests;
+no rule outlives the call that built it, so calls share no state.
 Each quantity reports its own per-quantity Richardson-style error
 estimate (difference of its two finest refinement levels) alongside its
 value; without a tolerance only those two levels are computed.  Every
@@ -55,8 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gauss import RULE_CACHE_SIZE, jacobi_mass as _jacobi_mass
-from ._gauss import gauss_rule as _gauss_rule, gauss_rules as _gauss_rules
+from ._gauss import gauss_rules as _gauss_rules, jacobi_mass as _jacobi_mass
 from .errors import AccuracyNotReached, InvalidParams, ZeroFrequency
 
 __all__ = [
@@ -84,9 +84,10 @@ MAX_PHASE = 400.0
 BLOCK_POINTS = 8192
 
 #: Requests whose rules one ``_gauss_rules`` call of ``quadrature_bundles``
-#: builds, so that call's working memory does not grow with the number of
-#: requests; the rule cache holds two levels of three rules for each.
-BUNDLE_CHUNK = RULE_CACHE_SIZE // 6
+#: builds and holds (two levels of up to three rules each), so neither that
+#: Newton pass's working memory nor the rules held grow with the number of
+#: requests.
+BUNDLE_CHUNK = 64
 
 
 def _block_rows(na):
@@ -151,7 +152,11 @@ def _check_params(params):
     c^2/4 must be a normal double and that bound squared must be finite.
     So must the mass of the inner radial rule, 2^(b+1) / (b+1) with
     b = n+1-beta.  This holds for verify's sampled range; beta = -1000
-    fails it at delta = 0.1 and 2, beta = -10000 at every delta.
+    fails it at delta = 0.1 and 2, beta = -10000 at every delta.  Toward
+    the integrability limit, every beta <= n+2-1e-3 is in reach at every
+    phase up to MAX_PHASE; closer to n+2 (b nearer -1) the inner radial
+    rule may not converge, and its NonConvergent error names it.  No such
+    beta is rejected here.
     """
     n, delta, beta = params.n, params.delta, params.beta
     if not 1 <= n <= MAX_DIM:
@@ -172,30 +177,33 @@ def _check_params(params):
             f"a double")
 
 
-def _radial_rule(delta, gamma_exp, n_in, n_out, split):
+def _radial_rule(delta, gamma_exp, inner, outer, split):
     """Nodes/weights with int_0^delta r^gamma_exp F(r) dr ~ sum W_i F(r_i).
 
-    Inner panel [0, split*delta], n_in nodes: Gauss-Jacobi with weight
-    (1+x)^gamma_exp, which absorbs the endpoint singularity exactly.  Outer
-    panel, n_out nodes: plain Gauss-Legendre with the weight multiplied
-    back in.
+    Inner panel [0, split*delta]: ``inner`` is the Gauss-Jacobi rule with
+    weight (1+x)^gamma_exp, which absorbs the endpoint singularity exactly.
+    Outer panel: ``outer`` is the plain Gauss-Legendre rule, with the
+    weight multiplied back in.
     """
     a = split * delta
-    xj, wj = _gauss_rule(n_in, 0.0, gamma_exp)
+    xj, wj = inner
     r_in = a * (xj + 1.0) / 2.0
     w_in = wj * (a / 2.0) ** (gamma_exp + 1.0)
-    xl, wl = _gauss_rule(n_out, 0.0, 0.0)
+    xl, wl = outer
     r_out = a + (delta - a) * (xl + 1.0) / 2.0
     w_out = wl * (delta - a) / 2.0 * r_out**gamma_exp
     return np.concatenate([r_in, r_out]), np.concatenate([w_in, w_out])
 
 
-def _grid_points(spec, osc, level):
-    """Node counts (inner radial, outer radial, angular) at phase ``osc``.
+def _level_keys(n, gamma_exp, osc, spec, level):
+    """Keys (N, a, b) of the Gauss rules of refinement ``level``.
 
-    Each keeps O(1) nodes per oscillation period of cos(|nu| r t) over its
-    own interval: the inner radial panel sees the phase split * osc, the
-    outer panel and the sphere rule the whole of it.  radial_points and
+    In order: the inner radial rule, of weight (1+x)^gamma_exp, the outer
+    Gauss-Legendre rule and, at n >= 2, the sphere rule (n = 1 takes none).
+    Every oracle path derives its keys here alone.  Each node count keeps
+    O(1) nodes per oscillation period of cos(|nu| r t) over its own
+    interval: the inner radial panel sees the phase split * osc, the outer
+    panel and the sphere rule the whole of it.  radial_points and
     angular_points are floors on the outer and angular base counts; the
     inner panel needs none, since its Gauss-Jacobi weight takes the
     singular factor exactly.  Each refinement level doubles all three.
@@ -203,23 +211,27 @@ def _grid_points(spec, osc, level):
     n_in = int(math.ceil(0.8 * spec.singularity_split * osc)) + 16
     n_out = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16)
     n_ang = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16)
-    return n_in << level, n_out << level, n_ang << level
+    keys = [(n_in << level, 0.0, gamma_exp), (n_out << level, 0.0, 0.0)]
+    h = (n - 1) / 2.0
+    return keys + [(n_ang << level, h - 1.0, h - 1.0)] if n > 1 else keys
 
 
-def _angular_rule(n, npts):
+def _angular_rule(n, rule=None):
     """Return (t, wa): the sphere rule on S^(n-1) folded onto t = omega.e1 >= 0.
 
     Every integrand the oracle takes over the sphere is even in t, so node
     i of the symmetric rule is paired with node N-1-i, which carries the
     pair's summed weight; for odd N the middle node is kept once.  n = 1:
-    the two-point sphere {+1, -1} becomes {1} with weight 2.  n >= 2: the
-    Gauss-Jacobi rule for the weight (1-t^2)^((n-3)/2), times
-    |S^(n-2)| = 2 pi^((n-1)/2) / Gamma((n-1)/2), folded.
+    the two-point sphere {+1, -1} becomes {1} with weight 2, and no
+    ``rule`` is taken.  n >= 2: ``rule`` is the Gauss-Jacobi rule for the
+    weight (1-t^2)^((n-3)/2); it is scaled by
+    |S^(n-2)| = 2 pi^((n-1)/2) / Gamma((n-1)/2) and folded.
     """
     if n == 1:
         return np.array([1.0]), np.array([2.0])
     h = (n - 1) / 2.0
-    t, w = _gauss_rule(npts, h - 1.0, h - 1.0)
+    t, w = rule
+    npts = t.size
     half = npts // 2
     # t[npts-half:] are the upper nodes; w[half-1::-1] are their partners'
     wa = w[npts - half:] + w[half - 1::-1]
@@ -229,12 +241,13 @@ def _angular_rule(n, npts):
     return t, wa * (2.0 * math.pi**h / math.gamma(h))
 
 
-def _reduced_integrals(params, nu_norm, spec, level):
+def _reduced_integrals(params, nu_norm, spec, level, rules):
     """All rotated-frame radial-angular integrals on one shared grid.
 
-    The grid is the one of refinement ``level``.  Every integral below
-    carries the common radial weight r^(n+1-beta); the returned values are
-    therefore of the regularized smooth factors.  Keys: m (scalar
+    The grid is the one of refinement ``level``; the dict ``rules`` gains
+    any of its Gauss rules it lacks.  Every integral below carries the
+    common radial weight r^(n+1-beta); the returned values are therefore
+    of the regularized smooth factors.  Keys: m (scalar
     multiplier integrand), A and B (parallel/transverse diagonal entries of
     the bond tensor integrand; B is 0 at n = 1, where there is no
     transverse direction), s1 (parallel sine transform component; the
@@ -254,10 +267,15 @@ def _reduced_integrals(params, nu_norm, spec, level):
     weights then contract those rows over the whole radial grid at once.
     """
     n = params.n
-    n_in, n_out, na = _grid_points(spec, nu_norm * params.delta, level)
-    r, wr = _radial_rule(params.delta, n + 1.0 - params.beta, n_in, n_out,
+    gamma_exp = n + 1.0 - params.beta
+    keys = _level_keys(n, gamma_exp, nu_norm * params.delta, spec, level)
+    missing = [key for key in keys if key not in rules]
+    if missing:
+        rules.update(zip(missing, _gauss_rules(missing)))
+    inner, outer, *sphere = [rules[key] for key in keys]
+    r, wr = _radial_rule(params.delta, gamma_exp, inner, outer,
                          spec.singularity_split)
-    t, wa = _angular_rule(n, na)
+    t, wa = _angular_rule(n, *sphere)
     t2 = t * t
     W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
     w_sinc, w_sxx = t2 * wa, t2 * t2 * wa
@@ -391,15 +409,6 @@ def _freq(params, nu):
     return v, nn
 
 
-def _level_keys(params, nu_norm, spec, level):
-    """The keys of the Gauss rules that ``_reduced_integrals`` asks for."""
-    n = params.n
-    n_in, n_out, na = _grid_points(spec, nu_norm * params.delta, level)
-    keys = [(n_in, 0.0, n + 1.0 - params.beta), (n_out, 0.0, 0.0)]
-    h = (n - 1) / 2.0
-    return keys + [(na, h - 1.0, h - 1.0)] if n > 1 else keys
-
-
 def quadrature_bundles(requests, spec=DEFAULT_SPEC, tol=None):
     """``quadrature_bundle`` of every (params, material, nu) of ``requests``.
 
@@ -408,8 +417,9 @@ def quadrature_bundles(requests, spec=DEFAULT_SPEC, tol=None):
     equal to that request's own ``quadrature_bundle`` and evaluated when
     the iterator reaches it.  The rules of the two levels each request
     evaluates first (the only two without a tolerance) are built by one
-    ``_gauss_rules`` call per ``BUNDLE_CHUNK`` requests; a finer level that
-    a tolerance reaches builds its rules when it needs them.
+    ``_gauss_rules`` call per ``BUNDLE_CHUNK`` requests and held for that
+    chunk alone; a finer level that a tolerance reaches adds its rules to
+    them when it needs them.
     """
     checked = []
     for params, material, nu in requests:
@@ -422,9 +432,11 @@ def _bundles(checked, spec, tol):
     first = 0 if tol is not None else spec.refinement_levels - 1
     for i in range(0, len(checked), BUNDLE_CHUNK):
         chunk = checked[i:i + BUNDLE_CHUNK]
-        _gauss_rules([key for params, _, _, nn in chunk if nn != 0.0
-                      for level in (first, first + 1)
-                      for key in _level_keys(params, nn, spec, level)])
+        keys = [key for params, _, _, nn in chunk if nn != 0.0
+                for level in (first, first + 1)
+                for key in _level_keys(params.n, params.n + 1.0 - params.beta,
+                                       nn * params.delta, spec, level)]
+        rules = dict(zip(keys, _gauss_rules(keys)))
         for params, material, v, nn in chunk:
             if nn == 0.0:
                 zero = np.zeros((params.n, params.n))
@@ -433,7 +445,7 @@ def _bundles(checked, spec, tol):
             else:
                 yield _refine(spec, tol, lambda level: _quantities(
                     params, material, v, nn,
-                    _reduced_integrals(params, nn, spec, level)))
+                    _reduced_integrals(params, nn, spec, level, rules)))
 
 
 def quadrature_bundle(params, material, nu, spec=DEFAULT_SPEC, tol=None):
@@ -529,10 +541,11 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
     expected = 2.0 / _scaling_constant(n, delta, beta + 2.0)
 
     def compute(level):
-        n_in, n_out, na = _grid_points(spec, 0.0, level)
-        _, wr = _radial_rule(delta, n - 1.0 - beta, n_in, n_out,
+        inner, outer, *sphere = _gauss_rules(_level_keys(
+            n, n - 1.0 - beta, 0.0, spec, level))
+        _, wr = _radial_rule(delta, n - 1.0 - beta, inner, outer,
                              spec.singularity_split)
-        t, wa = _angular_rule(n, na)
+        t, wa = _angular_rule(n, *sphere)
         radial = wr.sum()
         t2 = t * t
         devs = [abs(radial * (t2 @ wa) - expected)]
@@ -571,7 +584,7 @@ def apply_to_plane_wave(params, material, nu, amplitude, x, spec=DEFAULT_SPEC):
 
     def compute(level):
         q = _quantities(params, material, v, nn,
-                        _reduced_integrals(params, nn, spec, level))
+                        _reduced_integrals(params, nn, spec, level, {}))
         return {"applied": phase * ((q["bond"] + q["state"]) @ amplitude)}
 
     return _refine(spec, None, compute)["applied"]

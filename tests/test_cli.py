@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import perispec.cli
+import perispec.multipliers
 import perispec.spectrum
 from perispec.cli import (FIGURE_DELTAS, FIGURE_HEADER, FigureJob,
                           _draw_tuples, figure_betas, figure_rows, main,
@@ -58,6 +59,35 @@ class TestSizeReach:
                     + panel) == 2
         err = capsys.readouterr().err
         assert "MAX_SAMPLES = 100000" in err and samples in err
+        assert not out.exists()
+
+    def test_figure_phase_cap(self):
+        # the series' reach, the same constant the torus layer uses
+        reach = perispec.spectrum.MAX_PHASE
+        FigureJob(3, 1.0, (0.0,), 2.0, 2.0, 0.0, reach / 2.0, samples=2)
+        with pytest.raises(InvalidParams, match="MAX_PHASE"):
+            FigureJob(3, 1.0, (0.0,), 2.0, 2.0, 0.0,
+                      np.nextafter(reach / 2.0, np.inf), samples=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--delta", "1", "--beta", "3", "--nu-max", "2e4"],
+        ["--n", "2", "--delta", "1", "--beta", "2", "--nu-max", "1e6"],
+        ["--n", "3", "--delta", "1", "--beta", "2", "--nu-max", "1e4"],
+        ["--nu-max", "4000"],    # grid mode: the delta = 2 panels pass it
+    ])
+    def test_figure_phase_rejected_before_any_series(self, argv, tmp_path,
+                                                     monkeypatch, capsys):
+        def no_series(requests):
+            raise AssertionError("a panel was evaluated past the reach")
+
+        monkeypatch.setattr(perispec.multipliers, "eigenvalues_many",
+                            no_series)
+        out = tmp_path / "out"
+        assert main(["figure", "--samples", "50", "--out", str(out)]
+                    + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perispec: error:") and err.count("\n") == 1
+        assert "MAX_PHASE" in err
         assert not out.exists()
 
     def test_modes_rejected_before_any_mode(self, tmp_path, monkeypatch,
@@ -289,6 +319,15 @@ class TestNonFiniteInput:
         # |nu|^2 overflows a double
         ["figure", "--delta", "1", "--beta", "2", "--nu-max", "1e200",
          "--samples", "3", "--out", "x.csv"],
+        ["figure", "--delta", "1e-300", "--beta", "2", "--nu-max", "1e200",
+         "--samples", "3", "--out", "x.csv"],
+        # |nu| delta past the series' reach, rejected before any series
+        ["figure", "--n", "3", "--delta", "1", "--beta", "3",
+         "--nu-max", "2e4", "--samples", "50", "--out", "x.csv"],
+        ["figure", "--n", "2", "--delta", "1", "--beta", "2",
+         "--nu-max", "1e6", "--samples", "50", "--out", "x.csv"],
+        ["figure", "--n", "3", "--delta", "1", "--beta", "2",
+         "--nu-max", "1e4", "--samples", "50", "--out", "x.csv"],
         # a dimension below 1, in panel and in grid mode
         ["figure", "--n", "0", "--delta", "1", "--beta", "1",
          "--out", "x.csv"],

@@ -4,7 +4,9 @@ import ast
 import importlib
 import math
 import pkgutil
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -52,7 +54,7 @@ def test_oracle_imports_nothing_from_series_path():
 def test_rule_builder_imports_only_numpy_and_errors():
     # the oracle's Gauss rules come from here, so it is held to the same
     assert {m.split(".")[0] for m in _imports(perispec._gauss)} == {
-        "math", "threading", "numpy", "perispec"}
+        "math", "numpy", "perispec"}
     assert {m for m in _imports(perispec._gauss)
             if m.startswith("perispec")} <= {"perispec.errors",
                                              "perispec.errors.NonConvergent"}
@@ -118,7 +120,7 @@ class TestGaussRule:
     def test_against_mpmath(self, npts, a, b):
         # judged on the nodes at both ends and a spread through the middle;
         # nodes lie in [-1, 1], so their errors are absolute
-        x, w = perispec.oracle._gauss_rule(npts, a, b)
+        x, w = perispec.oracle._gauss_rules([(npts, a, b)])[0]
         idx = sorted({*range(6), *range(npts - 6, npts),
                       *range(0, npts, npts // 16)})
         ref_x, ref_w = _jacobi_reference(npts, a, b, x[idx])
@@ -141,7 +143,7 @@ class TestGaussRule:
     @pytest.mark.parametrize("npts", [1, 2, 3, 5, 8])
     def test_exact_on_polynomials(self, npts, a, b):
         # int (1-x)^a (1+x)^b x^j dx through x = 2u - 1 and Beta integrals
-        x, w = perispec.oracle._gauss_rule(npts, a, b)
+        x, w = perispec.oracle._gauss_rules([(npts, a, b)])[0]
         assert np.all(np.diff(x) > 0) and np.all(w > 0)
         with mpmath.workdps(30):
             a, b = mpmath.mpf(a), mpmath.mpf(b)
@@ -152,22 +154,17 @@ class TestGaussRule:
                     * mpmath.beta(b + i + 1, a + 1) for i in range(j + 1))
                 assert abs(float(w @ x**j) - float(exact)) <= 1e-14 * mass, j
 
-    def test_rules_are_read_only_and_cached(self):
-        x, w = perispec.oracle._gauss_rule(16, 0.0, 1.5)
+    def test_rules_are_read_only(self):
+        x, w = perispec.oracle._gauss_rules([(16, 0.0, 1.5)])[0]
         assert not x.flags.writeable and not w.flags.writeable
-        assert perispec.oracle._gauss_rule(16, 0.0, 1.5)[0] is x
 
-    def test_batch_equals_rules_built_alone(self, monkeypatch):
+    def test_batch_equals_rules_built_alone(self):
         # every node and weight keeps its bits whatever it is built with:
         # rules of one (a, b) share the recurrence, the others gather theirs
         keys = [(npts, a, b) for npts in (1, 2, 3, 16, 17, 544)
                 for a, b in ((0.0, 0.0), (-0.5, -0.5), (2.5, 2.5), (6.0, 6.0),
                              (0.0, -0.95), (0.0, 50.0), (1.5, -0.5))]
-        alone = {}
-        for key in keys:
-            monkeypatch.setattr(perispec._gauss, "_RULES", {})
-            alone[key] = perispec.oracle._gauss_rules([key])[0]
-        monkeypatch.setattr(perispec._gauss, "_RULES", {})
+        alone = {key: perispec.oracle._gauss_rules([key])[0] for key in keys}
         asked = keys[::-1] + keys[:5]          # unsorted, with duplicates
         got = perispec.oracle._gauss_rules(asked)
         assert len(got) == len(asked)
@@ -179,15 +176,13 @@ class TestGaussRule:
         for i in range(5):
             assert got[len(keys) + i] is got[len(keys) - 1 - i]
 
-    def test_nonconvergence_names_the_rule(self, monkeypatch):
+    def test_nonconvergence_names_the_rule(self):
         # a = -1 + 1e-9 at N = 2: the eigenvalue seed leaves Newton short
         # of its test after every pass; the rules beside it still converge
-        monkeypatch.setattr(perispec._gauss, "_RULES", {})
         with pytest.raises(NonConvergent,
                            match=r"N = 2, \(a, b\) = \(-0.999999999, 3.0\)"):
             perispec.oracle._gauss_rules([(16, 0.0, 0.0), (2, -0.999999999, 3.0),
                                           (40, 0.0, 1.5)])
-        assert perispec._gauss._RULES == {}
 
     @pytest.mark.parametrize("delta, nu", [(1.5, [2.0, -1.0, 0.5]),
                                            (0.7, [10.0, 3.0, -4.0])])
@@ -527,6 +522,30 @@ class TestReach:
         with pytest.raises(InvalidParams, match="outside the oracle's reach"):
             call(NonlocalParams(3, delta, beta), self._MAT)
 
+    def test_beta_near_integrability_limit(self):
+        # beta = n+2-1e-3: the inner radial rule has b = -1 + 1e-3, in
+        # reach at every phase up to MAX_PHASE; one call builds all rules
+        requests = [(NonlocalParams(n, 2.0, n + 2 - 1e-3),
+                     Material(1.0, lambda_star), nu)
+                    for n in (1, 2, 3) for phase in (1.0, 80.0, 400.0)
+                    for lambda_star in (-1.9, 0.5, 2.0)
+                    for nu in [np.eye(n)[-1] * phase / 2.0]]
+        for (p, mat, nu), quads in zip(requests,
+                                       quadrature_bundles(requests)):
+            closed_values = closed_bundle(p, mat, nu)
+            for name in ("lambda1", "lambda2"):
+                quad = quads[name][0]
+                assert abs(closed_values[name] - quad) <= 1e-9 * abs(quad), (
+                    p.n, nu, mat.lambda_star, name)
+
+    def test_beta_past_reach_names_the_rule(self):
+        # beta = n+2-1e-7: the inner radial rule does not converge, and the
+        # error names it; nothing rejects the tuple before that
+        with pytest.raises(NonConvergent, match=r"Gauss-Jacobi nodes for "
+                           r"N = 68, \(a, b\) = \(0.0, -0.99999990"):
+            quadrature_bundle(NonlocalParams(1, 2.0, 3 - 1e-7),
+                              Material(1.0, 0.5), [0.5])
+
 
 class TestBundles:
     @staticmethod
@@ -552,7 +571,6 @@ class TestBundles:
         got = list(quadrature_bundles(requests, spec, tol))
         assert len(got) == len(requests)
         for request, bundle in zip(requests, got):
-            monkeypatch.setattr(perispec._gauss, "_RULES", {})
             want = quadrature_bundle(*request, spec, tol)
             assert bundle.keys() == want.keys()
             for name, (value, err) in want.items():
@@ -569,7 +587,6 @@ class TestBundles:
         def no_rule(*args):
             raise AssertionError("a rule was built before a bad request")
         for module, name in ((perispec.oracle, "_gauss_rules"),
-                             (perispec.oracle, "_gauss_rule"),
                              (perispec._gauss, "_newton")):
             monkeypatch.setattr(module, name, no_rule)
         requests = [(NonlocalParams(3, 1.0, 1.0), Material(1.0, 0.5),
@@ -577,6 +594,37 @@ class TestBundles:
         requests.insert(at, (bad[0], Material(1.0, 0.5), bad[1]))
         with pytest.raises(InvalidParams):
             quadrature_bundles(requests)
+
+    def test_threads_equal_serial_bitwise(self):
+        # no call shares a rule or any other state with another, so calls
+        # from several threads need no lock and keep every bit
+        requests = self._requests()[::4]    # six, n = 1 to 7, two at nu = 0
+        p_moment = NonlocalParams(3, 1.5, 2.0)
+
+        def bundles():
+            return list(quadrature_bundles(requests))
+
+        want = bundles()
+        want_moment = moment_identity_check(p_moment)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)      # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(bundles) for _ in range(4)]
+                moments = [pool.submit(moment_identity_check, p_moment)
+                           for _ in range(2)]
+                got = [run.result(timeout=60) for run in runs]
+                got_moments = [m.result(timeout=60) for m in moments]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in got:
+            assert len(run) == len(want)
+            for bundle, serial in zip(run, want):
+                assert bundle.keys() == serial.keys()
+                for name, (value, err) in serial.items():
+                    assert_array_equal(bundle[name][0], value)
+                    assert bundle[name][1] == err
+        assert got_moments == [want_moment] * 2
 
     def test_sweep_builds_its_rules_in_one_call(self, monkeypatch):
         # the 40 tuples of a default sweep fit one chunk: one _gauss_rules
@@ -592,25 +640,28 @@ class TestBundles:
             monkeypatch.setattr(module, name, wrapper)
         counted(perispec.oracle, "_gauss_rules")
         counted(perispec._gauss, "_newton")
-        monkeypatch.setattr(perispec._gauss, "_RULES", {})
         assert run_verification(5, 40, 1e-6)["all_pass"]
         assert calls == {"_gauss_rules": 1, "_newton": 1}
 
 
-def _full_grid_reduced(params, nu_norm, spec, level):
+def _full_grid_reduced(params, nu_norm, spec, level, rules):
     """Reference kernel: the unfolded symmetric angular rule, with every
-    integrand formed on the full grid and contracted on its own."""
+    integrand formed on the full grid and contracted on its own.  It builds
+    its own rules and leaves ``rules`` alone."""
     n = params.n
     osc = nu_norm * params.delta
     nr = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16) << level
     na = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16) << level
-    r, wr = perispec.oracle._radial_rule(params.delta, n + 1.0 - params.beta,
-                                          nr, nr, spec.singularity_split)
+    gamma_exp = n + 1.0 - params.beta
+    r, wr = perispec.oracle._radial_rule(
+        params.delta, gamma_exp,
+        *perispec.oracle._gauss_rules([(nr, 0.0, gamma_exp), (nr, 0.0, 0.0)]),
+        spec.singularity_split)
     if n == 1:
         t, wa = np.array([1.0, -1.0]), np.array([1.0, 1.0])
     else:
         h = (n - 1) / 2.0
-        t, wa = perispec.oracle._gauss_rule(na, h - 1.0, h - 1.0)
+        t, wa = perispec.oracle._gauss_rules([(na, h - 1.0, h - 1.0)])[0]
         wa = wa * (2.0 * math.pi**h / math.gamma(h))
     R, T = r[:, None], t[None, :]
     x = nu_norm * R * T
@@ -649,11 +700,13 @@ class TestFoldedKernel:
                                              / np.linalg.norm(nu))
 
     def test_angular_rule_folds_by_index(self):
-        t, wa = perispec.oracle._angular_rule(1, 64)
+        t, wa = perispec.oracle._angular_rule(1)
         assert t.tolist() == [1.0] and wa.tolist() == [2.0]
         for n in range(2, 9):
+            h = (n - 1) / 2.0
             for npts in (16, 17):
-                t, wa = perispec.oracle._angular_rule(n, npts)
+                rule, = perispec.oracle._gauss_rules([(npts, h - 1.0, h - 1.0)])
+                t, wa = perispec.oracle._angular_rule(n, rule)
                 assert t.size == (npts + 1) // 2
                 assert (t >= -1e-15).all()
                 # total weight is |S^(n-1)|
@@ -667,8 +720,8 @@ class TestFoldedKernel:
         nn = float(np.linalg.norm(nu))
         spec = QuadratureSpec(radial_points=points, angular_points=points)
         for level in (0, 1):
-            got = perispec.oracle._reduced_integrals(p, nn, spec, level)
-            want = _full_grid_reduced(p, nn, spec, level)
+            got = perispec.oracle._reduced_integrals(p, nn, spec, level, {})
+            want = _full_grid_reduced(p, nn, spec, level, {})
             for key in want:
                 assert _close(got[key], want[key]), (key, level)
 
@@ -721,11 +774,13 @@ def _one_shot_reduced(params, nu_norm, spec, level):
     """Reference kernel: ``_reduced_integrals`` with the whole grid as one
     block, each integrand formed over it and contracted in one product."""
     n = params.n
-    n_in, n_out, na = perispec.oracle._grid_points(
-        spec, nu_norm * params.delta, level)
-    r, wr = perispec.oracle._radial_rule(params.delta, n + 1.0 - params.beta,
-                                          n_in, n_out, spec.singularity_split)
-    t, wa = perispec.oracle._angular_rule(n, na)
+    gamma_exp = n + 1.0 - params.beta
+    inner, outer, *sphere = perispec.oracle._gauss_rules(
+        perispec.oracle._level_keys(n, gamma_exp, nu_norm * params.delta,
+                                    spec, level))
+    r, wr = perispec.oracle._radial_rule(params.delta, gamma_exp, inner, outer,
+                                          spec.singularity_split)
+    t, wa = perispec.oracle._angular_rule(n, *sphere)
     t2 = t * t
     x = np.multiply.outer(nu_norm * r, t)
     sin_half = np.sin(0.5 * x)
@@ -770,7 +825,7 @@ class TestBlockedKernel:
         spec = QuadratureSpec(radial_points=radial_points, angular_points=40)
         monkeypatch.setattr(perispec.oracle, "_block_rows",
                             lambda na: block_rows)
-        got = perispec.oracle._reduced_integrals(self._P, 2.0, spec, 0)
+        got = perispec.oracle._reduced_integrals(self._P, 2.0, spec, 0, {})
         want = _one_shot_reduced(self._P, 2.0, spec, 0)
         assert got.keys() == want.keys()
         for key in want:
@@ -786,7 +841,7 @@ class TestBlockedKernel:
         p = NonlocalParams(n, 1.5, 1.0)
         spec = QuadratureSpec(radial_points=80, angular_points=angular_points)
         monkeypatch.setattr(perispec.oracle, "_block_rows", lambda na: 16)
-        got = perispec.oracle._reduced_integrals(p, 2.0, spec, 0)
+        got = perispec.oracle._reduced_integrals(p, 2.0, spec, 0, {})
         want = _one_shot_reduced(p, 2.0, spec, 0)
         assert got.keys() == want.keys()
         for key in want:
@@ -799,7 +854,7 @@ class TestBlockedKernel:
         p = NonlocalParams(3, 4.0, 2.5)
         for level in (1, 2):
             got = perispec.oracle._reduced_integrals(p, 20.0, DEFAULT_SPEC,
-                                                     level)
+                                                     level, {})
             want = _one_shot_reduced(p, 20.0, DEFAULT_SPEC, level)
             for key in want:
                 assert got[key] == want[key], (key, level)
