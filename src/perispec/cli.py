@@ -29,8 +29,8 @@ import numpy as np
 
 from . import multipliers as mt
 from .errors import InvalidParams, PerispecError
-from .multipliers import Material, NonlocalParams
-from .spectrum import MAX_PHASE, TorusSpec, _box_spectrum
+from .multipliers import Material, NonlocalParams, _check_phase
+from .spectrum import TorusSpec, _box_spectrum
 
 #: Material curves of the reference figure: mu = 1, lambda* sweep.
 FIGURE_LAMBDA_STARS = (-1.9, -1.0, 0.0, 1.0, 2.0)
@@ -68,7 +68,10 @@ def _fmt(x):
 
 @dataclass(frozen=True)
 class FigureJob:
-    """One figure panel: eigenvalues on an equispaced |nu| grid."""
+    """One figure panel: eigenvalues on an equispaced |nu| grid.
+
+    Checked before any array is built; NonlocalParams and Material check
+    n, delta, beta, mu and each lambda*."""
 
     n: int
     mu: float
@@ -80,14 +83,9 @@ class FigureJob:
     samples: int
 
     def __post_init__(self):
-        # n sizes the frequency arrays, so it is checked before them
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidParams(
-                f"dimension n must be a positive integer, got {self.n}")
-        reals = (self.mu, self.delta, self.beta, self.nu_norm_min,
-                 self.nu_norm_max) + tuple(self.lambda_star_list)
-        if not all(math.isfinite(x) for x in reals):
-            raise InvalidParams(f"figure parameters must be finite, got {reals}")
+        params = NonlocalParams(self.n, self.delta, self.beta)
+        for lambda_star in self.lambda_star_list or (0.0,):
+            Material(self.mu, lambda_star)
         if not 2 <= self.samples <= MAX_SAMPLES:
             raise InvalidParams(
                 f"samples must lie in [2, MAX_SAMPLES = {MAX_SAMPLES}], got "
@@ -96,11 +94,7 @@ class FigureJob:
             raise InvalidParams(
                 f"need 0 <= nu_norm_min < nu_norm_max, got "
                 f"[{self.nu_norm_min}, {self.nu_norm_max}]")
-        # the torus layer's reach: past it the series are not stated to hold
-        if self.nu_norm_max * self.delta > MAX_PHASE:
-            raise InvalidParams(
-                f"|nu| delta reaches {self.nu_norm_max * self.delta:.6g}, "
-                f"above the series' reach MAX_PHASE = {MAX_PHASE:.6g}")
+        _check_phase(params.delta, self.nu_norm_max)
 
 
 FIGURE_HEADER = "n,delta,beta,mu,lambda_star,nu_norm,lambda1,lambda2"

@@ -22,12 +22,14 @@ all series of all its (params, materials, frequencies) requests, such as
 the panels of a figure grid, together.  ``closed_bundle``, the twin of
 ``oracle.quadrature_bundle``, returns every quantity at one frequency.
 
+Every frequency passes one gate, ``_frequencies``, before any series is
+summed: a wrong shape, a |nu|^2 that is not finite, or a |nu| delta past
+MAX_PHASE, the series' stated reach, raises InvalidParams.
+
 All functions are pure; frequency vectors are treated through |nu| and
 nu (x) nu only, so M(-nu) = M(nu) holds exactly.  A coefficient, matrix
 entry or eigenvalue that overflows a double (a finite but huge mu or
-lambda*) raises NonConvergent instead of being returned as inf or NaN; a
-|nu|^2 or series argument z that overflows (a huge frequency or horizon)
-raises InvalidParams.
+lambda*) raises NonConvergent instead of being returned as inf or NaN.
 """
 
 import math
@@ -135,12 +137,44 @@ class EigenDecomposition:
     basis: np.ndarray
 
 
-def _as_frequency(params, nu):
-    v = np.atleast_1d(np.asarray(nu, dtype=float))
-    if v.ndim != 1 or v.size != params.n:
+#: Largest |nu| delta the closed forms evaluate: the series are stated to
+#: reach z = -(|nu| delta / 2)^2 = -1e7.  Every closed-form entry point
+#: rejects a larger phase before any series is summed (``spectrum --n 1
+#: --delta 0.5 --k-max 124999`` would reach z ~ -1e9 and run for minutes).
+MAX_PHASE = 2.0 * math.sqrt(1e7)
+
+
+def _check_phase(delta, nu_norm):
+    """Raise InvalidParams unless |nu| <= MAX_PHASE / delta (or if NaN).
+
+    The one reach check; |nu| = MAX_PHASE / delta passes at every delta."""
+    if not nu_norm <= MAX_PHASE / delta:
         raise InvalidParams(
-            f"frequency vector has length {v.size}, expected n = {params.n}")
-    return v
+            f"|nu| delta reaches {nu_norm * delta:.6g}, above the series' "
+            f"reach MAX_PHASE = {MAX_PHASE:.6g} "
+            f"(z = -(|nu| delta / 2)^2 = -1e7)")
+
+
+def _frequencies(params, nu, single=False):
+    """(rows, |nu|^2 of each row) of an (m, n) frequency array, checked.
+
+    With ``single``, nu is one vector (a number when n = 1), taken as
+    m = 1.  The batched matmul rounds each row exactly like v @ v.
+    """
+    rows = np.asarray(nu, dtype=float)
+    if single:   # one vector is one row; a 2-D nu gets 3-D and fails below
+        rows = np.atleast_1d(rows)[None]
+    if rows.ndim != 2 or rows.shape[1] != params.n:
+        want = (f"one vector of length n = {params.n}" if single
+                else f"an (m, {params.n}) array")
+        raise InvalidParams(
+            f"frequencies must be {want}, got shape {np.shape(nu)}")
+    with np.errstate(over="ignore"):
+        nn2 = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
+    if not np.isfinite(nn2).all():
+        raise InvalidParams("|nu|^2 overflows a double or is not finite")
+    _check_phase(params.delta, math.sqrt(np.max(nn2, initial=0.0)))
+    return rows, nn2
 
 
 def _finite(value, what):
@@ -151,17 +185,6 @@ def _finite(value, what):
     """
     if not np.isfinite(value).all():
         raise NonConvergent(f"{what} overflows a double")
-    return value
-
-
-def _finite_input(value, what):
-    """``value``, a quantity formed from the inputs, checked to be finite.
-
-    A huge finite frequency or horizon overflows |nu|^2 or z; that is a
-    usage error, reported as InvalidParams naming the quantity.
-    """
-    if not np.isfinite(value).all():
-        raise InvalidParams(f"{what} overflows a double or is not finite")
     return value
 
 
@@ -203,12 +226,11 @@ def _sums(requests, keys, tol):
     Floats are summed with ``pfq``; arrays go to one ``pfq_batch`` call for
     every series of every request, since a one-entry array would cost ~20
     times a scalar call and each array call pays per-term numpy overhead.
+    Every |nu| has passed the reach check, so every z is finite.
     """
     calls = []
     for params, nn in requests:
-        with np.errstate(over="ignore"):
-            z = _finite_input(-0.25 * nn * nn * params.delta * params.delta,
-                              "series argument z = -(|nu| delta / 2)^2")
+        z = -0.25 * nn * nn * params.delta * params.delta
         series = _series(params)
         calls += [(PfqParams(*series[key]), z) for key in keys]
     if calls and isinstance(calls[0][1], float):
@@ -254,9 +276,8 @@ def _at(params, material, nu, names, tol):
     At nu = 0 every quantity is an exact 0 (the continuity limit) and no
     series is summed.
     """
-    v = _as_frequency(params, nu)
-    with np.errstate(over="ignore"):
-        nn2 = _finite_input(float(v @ v), "|nu|^2")
+    rows, nn2 = _frequencies(params, nu, single=True)
+    v, nn2 = rows[0], float(nn2[0])
     if nn2 == 0.0:
         return (v, nn2, *[0.0] * len(names))
     return (v, nn2, *_closed([(params, (material,), nn2)], names, tol)[0][0])
@@ -313,15 +334,16 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
     sine transform of the kernel, which is why it enters the state part
     squared.
     """
-    return _sums([(params, float(nu_norm))], ("g",), target_rel_tol)[0]["g"]
+    nu_norm = float(nu_norm)
+    _check_phase(params.delta, abs(nu_norm))
+    return _sums([(params, nu_norm)], ("g",), target_rel_tol)[0]["g"]
 
 
 def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Gradient of the scalar multiplier, -2 g(|nu|) nu."""
-    v = _as_frequency(params, nu)
-    with np.errstate(over="ignore"):
-        nn = _finite_input(np.linalg.norm(v), "|nu|")
-    return -2.0 * gradient_factor(params, nn, target_rel_tol) * v
+    rows, nn2 = _frequencies(params, nu, single=True)
+    nn = math.sqrt(nn2[0])
+    return -2.0 * _sums([(params, nn)], ("g",), target_rel_tol)[0]["g"] * rows[0]
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -439,16 +461,8 @@ def eigenvalues_many(requests, target_rel_tol=DEFAULT_REL_TOL):
     """
     shells, inverses = [], []
     for params, materials, nu in requests:
-        nu = np.asarray(nu, dtype=float)
-        if nu.ndim != 2 or nu.shape[1] != params.n:
-            raise InvalidParams(
-                f"frequencies must be an (m, {params.n}) array, got shape "
-                f"{nu.shape}")
-        # batched matmul rounds each row exactly like the scalar path's v @ v
-        with np.errstate(over="ignore"):
-            nn2 = _finite_input(np.matmul(nu[:, None, :], nu[:, :, None]),
-                                "|nu|^2").reshape(-1)
-        unique, inverse = np.unique(nn2, return_inverse=True)
+        unique, inverse = np.unique(_frequencies(params, nu)[1],
+                                    return_inverse=True)
         shells.append((params, materials, unique))
         inverses.append(inverse)
     closed = _closed(shells, ("lambda1", "lambda2"), target_rel_tol)

@@ -9,9 +9,9 @@ eigenfields), and truncated Fourier series can be applied to and solved
 against the operator coefficient-wise.
 
 The layer works on arrays: a box or a field is an (m, n) integer mode
-array, mapped to frequencies and eigenvalues by one batched path that
-also enforces the reach MAX_PHASE, and a field's coefficients are one
-(m, n) complex array.
+array, mapped to frequencies and to eigenvalues by one batched
+``multipliers.eigenvalues`` call, which enforces the reach MAX_PHASE,
+and a field's coefficients are one (m, n) complex array.
 """
 
 import itertools
@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                      ZeroMode)
-from .multipliers import eigenvalues, orthonormal_basis
+# MAX_PHASE is re-exported: the torus layer's reach is the closed forms'
+from .multipliers import MAX_PHASE, eigenvalues, orthonormal_basis
 
 __all__ = [
     "TorusSpec", "SpectrumRecord", "FourierField", "frequency_vector",
@@ -38,12 +39,6 @@ _EIGENVALUE_FLOOR = 1e-14
 #: fits, and the ``spectrum`` command peaks at ~95 MB resident near the
 #: cap; a larger box is rejected before any mode is built.
 MAX_MODES = 250_000
-
-#: Largest |nu| delta the torus layer evaluates: the series are stated to
-#: reach z = -(|nu| delta / 2)^2 = -1e7.  A larger phase is rejected before
-#: any series is summed (``spectrum --n 1 --delta 0.5 --k-max 124999``
-#: would reach z ~ -1e9 and run for minutes).
-MAX_PHASE = 2.0 * math.sqrt(1e7)
 
 
 @dataclass(frozen=True)
@@ -116,24 +111,6 @@ def _check_torus(params, torus):
             f"torus dimension {torus.dim} does not match n = {params.n}")
 
 
-def _eigen(params, material, torus, modes):
-    """Frequencies and both eigenvalues of an (m, n) mode array.
-
-    The one path behind ``spectrum_table``, apply, solve and the
-    ``spectrum`` command: a frequency that overflows, or a |nu| delta past
-    MAX_PHASE, raises InvalidParams before any series is summed.
-    """
-    nu = _lattice(modes, torus)
-    with np.errstate(over="ignore"):
-        phase = params.delta * math.sqrt(np.max(np.sum(nu * nu, axis=1),
-                                                initial=0.0))
-    if phase > MAX_PHASE:
-        raise InvalidParams(
-            f"|nu| delta reaches {phase:.6g}, above the series' reach "
-            f"MAX_PHASE = {MAX_PHASE:.6g} (z = -(|nu| delta / 2)^2 = -1e7)")
-    return (nu, *eigenvalues(params, material, nu))
-
-
 def _box_spectrum(params, material, torus, k_max):
     """(modes, nu, lambda1, lambda2) of the box {-k_max, ..., k_max}^n.
 
@@ -154,7 +131,8 @@ def _box_spectrum(params, material, torus, k_max):
     box = itertools.product(range(-k_max, k_max + 1), repeat=n)
     modes = np.fromiter(itertools.chain.from_iterable(box), np.int64,
                         count * n).reshape(count, n)
-    return (modes, *_eigen(params, material, torus, modes))
+    nu = _lattice(modes, torus)
+    return (modes, nu, *eigenvalues(params, material, nu))
 
 
 def spectrum_table(params, material, torus, k_max):
@@ -321,7 +299,8 @@ def _modes(field, params, material, torus):
     _check_torus(params, torus)
     if field.dim != params.n:
         raise InvalidParams("field dimension does not match n")
-    nu, lam1, lam2 = _eigen(params, material, torus, field._k)
+    nu = _lattice(field._k, torus)
+    lam1, lam2 = eigenvalues(params, material, nu)
     if params.n == 1:
         lam2 = lam1
     norm = np.linalg.norm(nu, axis=1, keepdims=True)

@@ -162,7 +162,8 @@ class TestPhaseReach:
         def no_series(*args, **kwargs):
             raise AssertionError("a series was summed past the reach")
 
-        monkeypatch.setattr(perispec.spectrum, "eigenvalues", no_series)
+        # the reach is checked inside the eigenvalue call, before its series
+        monkeypatch.setattr(perispec.multipliers, "_sums", no_series)
         p = NonlocalParams(1, math.nextafter(perispec.spectrum.MAX_PHASE,
                                            math.inf), 2.0)
         torus = TorusSpec((TWO_PI,))
