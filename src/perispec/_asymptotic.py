@@ -23,7 +23,6 @@ that stays in the series passes do not load it.
 """
 
 import math
-from functools import lru_cache
 
 from .hypergeom import (LARGE_Z_PRECISION_BITS, EvalResult, _DD_TOL,
                         _is_nonpositive_integer)
@@ -218,16 +217,12 @@ def _without(values, v):
     return values[:i] + values[i + 1:]
 
 
-@lru_cache(maxsize=8)
 def _checked_expansion(a, b):
     """``_expansion`` of a 1F2, or of a 2F3 whose a1 - a2 is at least
     ``LARGE_Z_MIN_GAP`` from every integer; None for any other series.
 
-    Memoized per cancelled (a, b) for the last few series: lambda1's
-    merged 3F4 splits into the 2F3 and 1F2 of b1 and b2, so one
-    ``closed_bundle`` builds each of those once, and ``pfq_batch``, which
-    builds a plan once per parameter set anyway, keeps few of them alive.
-    The result is all tuples, so a shared one cannot be changed."""
+    Built afresh on every call (~0.1 ms): ``pfq_batch`` builds one plan
+    per parameter set, and ``pfq`` one per entry that reaches the tier."""
     if (len(a), len(b)) == (2, 3):
         gap = a[0] - a[1]
         if abs(gap - round(gap)) < LARGE_Z_MIN_GAP:

@@ -55,12 +55,13 @@ case.  Every entry repeats the scalar pass's floating-point operations in
 the same order, so its value, and the tier that serves it, are
 bit-identical to ``pfq``.
 
-Everything here is a pure function of its arguments; the one cache, of
-the large-|z| tier's plans, holds pure functions of the parameters, so
-results are bit-identical across calls within one build.
+Everything here is a pure function of its arguments and keeps no state
+between calls, so results are bit-identical across calls within one
+build.
 """
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -119,7 +120,7 @@ _MP_LOCK = threading.Lock()
 
 
 def _is_nonpositive_integer(x):
-    return x <= 0.0 and x == math.floor(x)
+    return x <= 0.0 and float(x).is_integer()
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,10 @@ class PfqParams:
     Parameters
     ----------
     a : sequence of float
-        Numerator parameters (length p).
+        Numerator parameters (length p), finite.
     b : sequence of float
-        Denominator parameters (length q).  No entry may be zero or a
-        negative integer, otherwise the series is undefined.
+        Denominator parameters (length q), finite.  No entry may be zero
+        or a negative integer, otherwise the series is undefined.
 
     Only p <= q + 1 is accepted; for p = q + 1 the series converges for
     |z| < 1 only.
@@ -146,6 +147,9 @@ class PfqParams:
         b = tuple(float(x) for x in self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if not all(math.isfinite(x) for x in a + b):
+            raise InvalidParams(
+                f"pFq parameters must be finite, got a = {a}, b = {b}")
         if len(a) > len(b) + 1:
             raise InvalidParams(
                 f"pFq requires p <= q + 1, got p={len(a)}, q={len(b)}")
@@ -190,11 +194,14 @@ class EvalResult:
 
 
 def pochhammer(a, k):
-    """Rising factorial a (a+1) ... (a+k-1), with the empty product = 1."""
-    if k < 0:
-        raise InvalidParams(f"pochhammer needs k >= 0, got {k}")
+    """Rising factorial a (a+1) ... (a+k-1), with the empty product = 1.
+
+    k must be an integer >= 0.
+    """
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise InvalidParams(f"pochhammer needs an integer k >= 0, got {k!r}")
     out = 1.0
-    for i in range(int(k)):
+    for i in range(k):
         out *= a + i
     return out
 

@@ -170,11 +170,18 @@ def _frequencies(params, nu, single=False):
         raise InvalidParams(
             f"frequencies must be {want}, got shape {np.shape(nu)}")
     with np.errstate(over="ignore"):
-        nn2 = np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
-    if not np.isfinite(nn2).all():
-        raise InvalidParams("|nu|^2 overflows a double or is not finite")
+        nn2 = _finite_norms2(
+            np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1))
     _check_phase(params.delta, math.sqrt(np.max(nn2, initial=0.0)))
     return rows, nn2
+
+
+def _finite_norms2(nn2):
+    """|nu|^2 (a float or an array), checked: a frequency that is not
+    finite, or whose |nu|^2 overflows, raises InvalidParams."""
+    if not np.isfinite(nn2).all():
+        raise InvalidParams("|nu|^2 overflows a double or is not finite")
+    return nn2
 
 
 def _finite(value, what):
@@ -233,7 +240,9 @@ def _sums(requests, keys, tol):
         z = -0.25 * nn * nn * params.delta * params.delta
         series = _series(params)
         calls += [(PfqParams(*series[key]), z) for key in keys]
-    if calls and isinstance(calls[0][1], float):
+    if not calls:   # no series wanted, as for alpha_s at lambda* = mu
+        return [{} for _ in requests]
+    if isinstance(calls[0][1], float):
         values = iter([pfq(p, z, tol).value for p, z in calls])
     else:
         values = iter(pfq_batch(calls, tol))
@@ -335,6 +344,7 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
     squared.
     """
     nu_norm = float(nu_norm)
+    _finite_norms2(nu_norm * nu_norm)
     _check_phase(params.delta, abs(nu_norm))
     return _sums([(params, nu_norm)], ("g",), target_rel_tol)[0]["g"]
 
@@ -342,8 +352,8 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
 def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Gradient of the scalar multiplier, -2 g(|nu|) nu."""
     rows, nn2 = _frequencies(params, nu, single=True)
-    nn = math.sqrt(nn2[0])
-    return -2.0 * _sums([(params, nn)], ("g",), target_rel_tol)[0]["g"] * rows[0]
+    g = gradient_factor(params, math.sqrt(nn2[0]), target_rel_tol)
+    return -2.0 * g * rows[0]
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -401,14 +411,16 @@ def closed_bundle(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
 def navier_multiplier(material, nu):
     """Multiplier of the Navier operator: -(lambda*+mu) nu (x) nu - mu |nu|^2 I."""
     v = np.atleast_1d(np.asarray(nu, dtype=float))
-    nn2 = float(v @ v)
+    with np.errstate(over="ignore"):
+        nn2 = _finite_norms2(float(v @ v))
     return (-(material.lambda_star + material.mu) * np.outer(v, v)
             - material.mu * nn2 * np.eye(v.size))
 
 
 def navier_eigenvalues(material, nu_norm):
     """Eigenvalues of the Navier multiplier: (-(lambda*+2mu)|nu|^2, -mu|nu|^2)."""
-    nn2 = float(nu_norm) ** 2
+    nu_norm = float(nu_norm)
+    nn2 = _finite_norms2(nu_norm * nu_norm)
     return (-(material.lambda_star + 2.0 * material.mu) * nn2,
             -material.mu * nn2)
 
@@ -498,11 +510,13 @@ def orthonormal_basis(nu):
     For nu = 0 returns the identity.  Otherwise the transverse directions
     come from the standard basis vectors, excluding the axis of the
     largest |nu_i| (smallest index on ties), orthogonalized in index order
-    against nu/|nu| by Gram-Schmidt.
+    against nu/|nu| by Gram-Schmidt.  A nu that is not finite, or whose
+    |nu|^2 overflows, raises InvalidParams.
     """
     v = np.atleast_1d(np.asarray(nu, dtype=float))
     n = v.size
-    nn = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        nn = math.sqrt(_finite_norms2(float(v @ v)))
     if nn == 0.0:
         return np.eye(n)
     rows = [v / nn]

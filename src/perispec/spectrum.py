@@ -105,6 +105,16 @@ def _mode_key(k):
     return tuple(kv.tolist())
 
 
+def _point(x, dim):
+    """The point x as a vector of dim finite floats."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (dim,):
+        raise InvalidParams(f"point has shape {x.shape}, expected ({dim},)")
+    if not np.isfinite(x).all():
+        raise InvalidParams(f"point must be finite, got {x.tolist()}")
+    return x
+
+
 def _check_torus(params, torus):
     if torus.dim != params.n:
         raise InvalidParams(
@@ -160,9 +170,7 @@ def eigenfield(k, torus, x, which="parallel", j=2):
     """
     kv = _mode_key(k)
     n = torus.dim
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != n:
-        raise InvalidParams(f"point has length {x.size}, expected {n}")
+    x = _point(x, n)
     if which not in ("parallel", "transverse"):
         raise InvalidParams(f"which must be 'parallel' or 'transverse', got {which!r}")
     nu_k = frequency_vector(kv, torus)
@@ -285,8 +293,8 @@ class FourierField:
         if torus.dim != self.dim:
             raise InvalidParams(
                 f"torus dimension {torus.dim} does not match dim = {self.dim}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.exp(1j * (_lattice(self._k, torus) @ x)) @ self._c
+        phase = _lattice(self._k, torus) @ _point(x, self.dim)
+        return np.exp(1j * phase) @ self._c
 
 
 def _modes(field, params, material, torus):

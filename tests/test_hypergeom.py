@@ -73,6 +73,12 @@ class TestPochhammer:
         with pytest.raises(InvalidParams):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("k", [2.5, math.inf, math.nan, 2.0])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InvalidParams, match="integer k"):
+            pochhammer(1.0, k)
+        assert pochhammer(1.0, np.int64(3)) == 6.0
+
 
 class TestPfq:
     def test_z_zero_is_one(self):
@@ -131,6 +137,17 @@ class TestPfq:
         PfqParams((1.0,), (2.5,))  # fine
         with pytest.raises(InvalidParams):
             PfqParams((1.0, 2.0, 3.0), (4.0,))  # p > q + 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        for a, b in (((bad,), (1.5,)), ((1.0,), (bad,)),
+                     ((bad, 1.0), (2.0, 1.5, 3.0))):
+            with pytest.raises(InvalidParams, match="finite"):
+                PfqParams(a, b)
+        # the merged series' parameter (c + 2d)/d is then not finite
+        with pytest.raises(InvalidParams, match="finite"):
+            merge_linear_combination(bad, 1.0, PfqParams((0.5,), (1.5,)),
+                                     -0.5)
 
     def test_non_finite_argument_rejected(self):
         params = PfqParams((1.0,), (2.0, 2.5))
@@ -621,8 +638,9 @@ class TestLargeZ:
         assert pfq(positive, 100.0).precision_bits == ESCALATED_PREC_BITS
         pfq_many(positive, np.array([100.0, 3.0]))
 
-    def test_plans_are_shared_and_keep_their_values(self):
+    def test_plans_keep_their_values(self):
         # values of the tier from before its plans were memoized, bit for bit
+        # (no plan is kept between calls now)
         before = {
             (1, 0.3, "g", -1000.0): "-0x1.3a791b5e6728bp-11",
             (1, 0.3, "b1", -1000.0): "0x1.5ea1231d948cbp-8",
@@ -634,13 +652,13 @@ class TestLargeZ:
             res = pfq(PfqParams(*multiplier_series(n, beta)[name]), z)
             assert res.precision_bits == LARGE_Z_PRECISION_BITS
             assert res.value == float.fromhex(value), (n, beta, name, z)
-        # lambda1's merged 3F4 reuses the expansions of b1 and b2, and a
-        # shared plan is made of tuples, so no caller can change it
+        # lambda1's merged 3F4 is built from the expansions of b1 and b2,
+        # and a plan is made of tuples, so no caller can change it
         series = {name: hg._cancel_common(*ab) for name, ab in
                   multiplier_series(3, 1.3).items()}
         merged = asy.large_z_form(*series["merged"])
-        assert merged[0][1] is asy.large_z_form(*series["b1"])[0][1]
-        assert merged[1][1] is asy.large_z_form(*series["b2"])[0][1]
+        assert merged[0][1] == asy.large_z_form(*series["b1"])[0][1]
+        assert merged[1][1] == asy.large_z_form(*series["b2"])[0][1]
         algebraic, oscillatory = merged[0][1]
         assert isinstance(merged, tuple) and isinstance(algebraic, tuple)
         assert all(isinstance(part[2], tuple) for part in algebraic)

@@ -295,6 +295,18 @@ class TestNavier:
         assert lam1 == -12.0
         assert lam2 == -4.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_frequency_rejected(self, bad):
+        # 1e200 is finite, but its |nu|^2 is not
+        mat = Material(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: navier_eigenvalues(mat, bad),
+                         lambda: navier_multiplier(mat, [bad, 0.0]),
+                         lambda: orthonormal_basis([bad, 1.0])):
+                with pytest.raises(InvalidParams, match=r"\|nu\|\^2"):
+                    call()
+
 
 class TestBatchEigenvalues:
     def test_matches_scalar_forms_exactly(self):
@@ -315,6 +327,23 @@ class TestBatchEigenvalues:
         assert np.array_equal(lam2[:box], lam2[:box][::-1])
         zero = box // 2
         assert lam1[zero] == 0.0 and lam2[zero] == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 3), k_max=st.integers(1, 2), data=st.data())
+    def test_rows_equal_scalar_forms_on_random_boxes(self, n, k_max, data):
+        lengths = data.draw(st.lists(st.floats(1.0, 10.0), min_size=n,
+                                     max_size=n), label="lengths")
+        delta = data.draw(st.floats(0.1, 4.0), label="delta")
+        beta = data.draw(st.floats(-2.0, n + 2 - 0.05), label="beta")
+        mu = data.draw(st.floats(0.5, 3.0), label="mu")
+        lambda_star = data.draw(st.floats(-2.0 * mu, 3.0), label="lambda_star")
+        p, mat = NonlocalParams(n, delta, beta), Material(mu, lambda_star)
+        k = np.array(list(itertools.product(range(-k_max, k_max + 1),
+                                            repeat=n)))
+        nu = 2.0 * math.pi * k / np.array(lengths)
+        lam1, lam2 = eigenvalues(p, mat, nu)
+        assert lam1.tolist() == [eigenvalue_parallel(p, mat, v) for v in nu]
+        assert lam2.tolist() == [eigenvalue_transverse(p, mat, v) for v in nu]
 
     def test_one_dimension_and_empty(self):
         p = NonlocalParams(1, 1.5, 0.5)
@@ -628,6 +657,17 @@ class TestClosedBundle:
         monkeypatch.setattr(multipliers, "pfq", counting_pfq)
         function(NonlocalParams(3, 1.5, 2.0), Material(1.0, 0.5), nu)
         assert len(seen) == calls == len(set(seen))
+
+    def test_no_series_no_engine_call(self, monkeypatch):
+        # at lambda* = mu the state part needs no series at all
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the series engine was called")
+
+        monkeypatch.setattr(multipliers, "pfq", no_engine)
+        monkeypatch.setattr(multipliers, "pfq_batch", no_engine)
+        state = tensor_multiplier_state(NonlocalParams(3, 1.5, 2.0),
+                                        Material(1.0, 1.0), [1.0, -2.0, 0.5])
+        assert state.alpha_s == 0.0 and not state.matrix.any()
 
 
 class TestEigenDecomposition:

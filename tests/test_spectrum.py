@@ -213,6 +213,20 @@ class TestEigenfield:
         with pytest.raises(InvalidParams):
             eigenfield((1, 0), torus, np.zeros(2), which="transverse", j=3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        torus = TorusSpec((1.0, 2.0))
+        field = FourierField(2, {(1, 0): [1.0, 0.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: eigenfield((1, 0), torus, [bad, 0.0]),
+                         lambda: eigenfield((0, 0), torus, [bad, 0.0]),
+                         lambda: field.evaluate(torus, [bad, 0.0])):
+                with pytest.raises(InvalidParams, match="must be finite"):
+                    call()
+        with pytest.raises(InvalidParams, match="point has shape"):
+            field.evaluate(torus, [0.5])
+
 
 class TestFourierField:
     def test_conjugate_symmetry_construction(self):
