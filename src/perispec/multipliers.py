@@ -156,10 +156,12 @@ def _check_phase(delta, nu_norm):
 
 
 def _frequencies(params, nu, single=False):
-    """(rows, |nu|^2 of each row) of an (m, n) frequency array, checked.
+    """(rows, |nu|^2 of each row) of an (m, n) frequency array.
 
     With ``single``, nu is one vector (a number when n = 1), taken as
-    m = 1.  The batched matmul rounds each row exactly like v @ v.
+    m = 1.  A wrong shape, a |nu|^2 that is not finite or a |nu| delta
+    past MAX_PHASE raises InvalidParams.  The batched matmul rounds each
+    row exactly like v @ v.
     """
     rows = np.asarray(nu, dtype=float)
     if single:   # one vector is one row; a 2-D nu gets 3-D and fails below

@@ -640,7 +640,6 @@ class TestLargeZ:
 
     def test_plans_keep_their_values(self):
         # values of the tier from before its plans were memoized, bit for bit
-        # (no plan is kept between calls now)
         before = {
             (1, 0.3, "g", -1000.0): "-0x1.3a791b5e6728bp-11",
             (1, 0.3, "b1", -1000.0): "0x1.5ea1231d948cbp-8",
