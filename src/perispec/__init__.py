@@ -31,9 +31,9 @@ from .multipliers import (EigenDecomposition, Material, NonlocalParams,
                           scalar_multiplier, scalar_multiplier_gradient,
                           scaling_constant, tensor_multiplier,
                           tensor_multiplier_bond, tensor_multiplier_state)
-from .spectrum import (FourierField, SpectrumRecord, TorusSpec,
-                       apply_operator, eigenfield, frequency_vector,
-                       solve_periodic, spectrum_table)
+from .spectrum import (FourierField, SpectrumRecord, SpectrumTable,
+                       TorusSpec, apply_operator, eigenfield,
+                       frequency_vector, solve_periodic, spectrum_table)
 
 __version__ = "0.1.0"
 

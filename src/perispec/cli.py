@@ -213,9 +213,9 @@ def _cmd_spectrum(args):
     material = Material(args.mu, args.lambda_star)
     lengths = args.lengths or [2.0 * math.pi] * args.n
     torus = TorusSpec(tuple(lengths))
-    modes, nu, lam1, lam2 = _box_spectrum(params, material, torus, args.k_max)
-    # a batched matmul gives each |nu| bit for bit as np.linalg.norm per row
-    nu_norm = np.sqrt(np.matmul(nu[:, None, :], nu[:, :, None]).reshape(-1))
+    modes, _, nn2, lam1, lam2 = _box_spectrum(params, material, torus,
+                                              args.k_max)
+    nu_norm = np.sqrt(nn2)    # |nu|^2 as the frequency gate formed it
     header = ",".join(f"k{i + 1}" for i in range(args.n))
     header += ",nu_norm,lambda1,lambda2,multiplicity2"
     row = ",".join(["%d"] * args.n + ["%.17g"] * 3 + [str(args.n - 1)])

@@ -473,10 +473,20 @@ def eigenvalues_many(requests, target_rel_tol=DEFAULT_REL_TOL):
     (lambda1, lambda2) array pairs in the order of its materials; every
     value equals that of the request evaluated alone.
     """
+    return _eigenvalues_of_norms2(
+        ((params, materials, _frequencies(params, nu)[1])
+         for params, materials, nu in requests), target_rel_tol)
+
+
+def _eigenvalues_of_norms2(requests, target_rel_tol=DEFAULT_REL_TOL):
+    """``eigenvalues_many`` for (params, materials, |nu|^2) requests.
+
+    Each |nu|^2 array is the one ``_frequencies`` formed and checked, so a
+    caller that also needs |nu| (the ``spectrum`` command) forms it once.
+    """
     shells, inverses = [], []
-    for params, materials, nu in requests:
-        unique, inverse = np.unique(_frequencies(params, nu)[1],
-                                    return_inverse=True)
+    for params, materials, nn2 in requests:
+        unique, inverse = np.unique(nn2, return_inverse=True)
         shells.append((params, materials, unique))
         inverses.append(inverse)
     closed = _closed(shells, ("lambda1", "lambda2"), target_rel_tol)

@@ -10,13 +10,15 @@ against the operator coefficient-wise.
 
 The layer works on arrays: a box or a field is an (m, n) integer mode
 array, mapped to frequencies and to eigenvalues by one batched
-``multipliers.eigenvalues`` call, which enforces the reach MAX_PHASE,
-and a field's coefficients are one (m, n) complex array.
+eigenvalue call, which enforces the reach MAX_PHASE, and a field's
+coefficients are one (m, n) complex array.  A spectrum table is a
+read-only sequence over its box's arrays that builds records on access.
 """
 
 import itertools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -25,11 +27,13 @@ import numpy as np
 from .errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                      ZeroMode)
 # MAX_PHASE is re-exported: the torus layer's reach is the closed forms'
-from .multipliers import MAX_PHASE, eigenvalues, orthonormal_basis
+from .multipliers import (MAX_PHASE, _eigenvalues_of_norms2, _frequencies,
+                          eigenvalues, orthonormal_basis)
 
 __all__ = [
-    "TorusSpec", "SpectrumRecord", "FourierField", "frequency_vector",
-    "spectrum_table", "eigenfield", "apply_operator", "solve_periodic",
+    "TorusSpec", "SpectrumRecord", "SpectrumTable", "FourierField",
+    "frequency_vector", "spectrum_table", "eigenfield", "apply_operator",
+    "solve_periodic",
 ]
 
 _EIGENVALUE_FLOOR = 1e-14
@@ -61,12 +65,14 @@ class TorusSpec:
         return len(self.lengths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumRecord:
     """One lattice mode: index k, frequency nu_k, both eigenvalues.
 
     lambda2 has multiplicity n - 1 (0 in one dimension); both eigenvalues
-    are 0 for k = 0.
+    are 0 for k = 0.  A table's record is built on access, its nu_k a
+    read-only row of the table's frequencies.  Records are equal when all
+    fields are (nu_k entry by entry).
     """
 
     k: tuple
@@ -74,6 +80,50 @@ class SpectrumRecord:
     lambda1: float
     lambda2: float
     multiplicity2: int
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumRecord):
+            return NotImplemented
+        return ((self.k, self.lambda1, self.lambda2, self.multiplicity2)
+                == (other.k, other.lambda1, other.lambda2, other.multiplicity2)
+                and np.array_equal(self.nu_k, other.nu_k))
+
+
+class SpectrumTable(Sequence):
+    """Read-only sequence of a mode box's SpectrumRecords, built on access.
+
+    Holds four non-writable arrays: ``modes`` (m, n) int64 in lexicographic
+    order, ``nu`` (m, n), ``lambda1`` and ``lambda2`` (m,).  An index
+    (negative from the end) or iteration builds records in mode order; a
+    slice is a table over views of the same arrays.
+    """
+
+    def __init__(self, modes, nu, lambda1, lambda2):
+        for a in (modes, nu, lambda1, lambda2):
+            a.flags.writeable = False
+        self.modes, self.nu = modes, nu
+        self.lambda1, self.lambda2 = lambda1, lambda2
+
+    def __len__(self):
+        return len(self.modes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SpectrumTable(self.modes[i], self.nu[i], self.lambda1[i],
+                                 self.lambda2[i])
+        try:    # an integer in range, counted from the end if negative
+            i = range(len(self))[i]
+        except IndexError:
+            raise IndexError(f"record {i} is outside a table of "
+                             f"{len(self)}") from None
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self):
+        multiplicity2 = self.modes.shape[1] - 1
+        for k, nu_k, l1, l2 in zip(map(tuple, self.modes.tolist()), self.nu,
+                                   self.lambda1.tolist(),
+                                   self.lambda2.tolist()):
+            yield SpectrumRecord(k, nu_k, l1, l2, multiplicity2)
 
 
 def _lattice(k, torus):
@@ -115,6 +165,16 @@ def _point(x, dim):
     return x
 
 
+def _phase(nu, x):
+    """The phase(s) nu . x of frequency row(s) nu, checked to be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = nu @ x
+    if not np.isfinite(phase).all():
+        raise InvalidParams(
+            f"phase nu_k . x overflows a double at the point {x.tolist()}")
+    return phase
+
+
 def _check_torus(params, torus):
     if torus.dim != params.n:
         raise InvalidParams(
@@ -122,10 +182,10 @@ def _check_torus(params, torus):
 
 
 def _box_spectrum(params, material, torus, k_max):
-    """(modes, nu, lambda1, lambda2) of the box {-k_max, ..., k_max}^n.
+    """(modes, nu, |nu|^2, lambda1, lambda2) of the box {-k_max, ..., k_max}^n.
 
     Modes are lexicographic; a box of more than MAX_MODES modes raises
-    InvalidParams before any is built.
+    InvalidParams before any is built.  |nu|^2 is the frequency gate's.
     """
     _check_torus(params, torus)
     if not isinstance(k_max, numbers.Integral):
@@ -142,21 +202,23 @@ def _box_spectrum(params, material, torus, k_max):
     modes = np.fromiter(itertools.chain.from_iterable(box), np.int64,
                         count * n).reshape(count, n)
     nu = _lattice(modes, torus)
-    return (modes, nu, *eigenvalues(params, material, nu))
+    nn2 = _frequencies(params, nu)[1]
+    [(lam1, lam2)], = _eigenvalues_of_norms2([(params, (material,), nn2)])
+    return modes, nu, nn2, lam1, lam2
 
 
 def spectrum_table(params, material, torus, k_max):
     """Eigenvalues for every mode in the box {-k_max, ..., k_max}^n.
 
-    Records are ordered lexicographically in k. The k = 0 record carries
-    eigenvalue 0 (constant fields are in the operator kernel).  A box of
-    more than MAX_MODES modes, or reaching |nu| delta above MAX_PHASE,
-    raises InvalidParams before any series is summed.
+    Returns a read-only ``SpectrumTable`` over the box's mode, frequency
+    and eigenvalue arrays (not writable); each ``SpectrumRecord`` is built
+    when it is accessed.  Records are ordered lexicographically in k.  The
+    k = 0 record carries eigenvalue 0 (constant fields are in the operator
+    kernel).  A box of more than MAX_MODES modes, or reaching |nu| delta
+    above MAX_PHASE, raises InvalidParams before any series is summed.
     """
-    modes, nu, lam1, lam2 = _box_spectrum(params, material, torus, k_max)
-    return [SpectrumRecord(k, nu_k, l1, l2, params.n - 1)
-            for k, nu_k, l1, l2 in zip(map(tuple, modes.tolist()), nu,
-                                       lam1.tolist(), lam2.tolist())]
+    modes, nu, _, lam1, lam2 = _box_spectrum(params, material, torus, k_max)
+    return SpectrumTable(modes, nu, lam1, lam2)
 
 
 def eigenfield(k, torus, x, which="parallel", j=2):
@@ -180,7 +242,7 @@ def eigenfield(k, torus, x, which="parallel", j=2):
         e1 = np.zeros(n, dtype=complex)
         e1[0] = 1.0
         return e1
-    phase = np.exp(1j * float(nu_k @ x))
+    phase = np.exp(1j * float(_phase(nu_k, x)))
     if which == "parallel":
         return phase * nu_k.astype(complex)
     if not 2 <= j <= n:
@@ -214,7 +276,7 @@ def _validated(dim, keys, values):
     if not finite.all():
         bad = tuple(k[np.argmin(finite)].tolist())
         raise InvalidParams(f"coefficient of mode {bad} is not finite")
-    k = k.astype(np.int64)
+    k = k.astype(np.int64, copy=False)    # an int64 input's modes are shared
     k.flags.writeable = c.flags.writeable = False
     return k, c
 
@@ -293,7 +355,7 @@ class FourierField:
         if torus.dim != self.dim:
             raise InvalidParams(
                 f"torus dimension {torus.dim} does not match dim = {self.dim}")
-        phase = _lattice(self._k, torus) @ _point(x, self.dim)
+        phase = _phase(_lattice(self._k, torus), _point(x, self.dim))
         return np.exp(1j * phase) @ self._c
 
 

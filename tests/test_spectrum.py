@@ -1,9 +1,12 @@
 """Torus spectrum tests: lattice frequencies, eigenfields, apply/solve."""
 
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from perispec.errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                              ZeroMode)
 from perispec.multipliers import (Material, NonlocalParams,
                                   eigenvalue_parallel, eigenvalue_transverse,
-                                  gradient_factor, tensor_multiplier)
-from perispec.spectrum import (FourierField, TorusSpec, apply_operator,
-                               eigenfield, frequency_vector, solve_periodic,
+                                  eigenvalues, gradient_factor,
+                                  tensor_multiplier)
+from perispec.spectrum import (FourierField, SpectrumRecord, SpectrumTable,
+                               TorusSpec, apply_operator, eigenfield,
+                               frequency_vector, solve_periodic,
                                spectrum_table)
 
 TWO_PI = 2.0 * math.pi
@@ -118,6 +123,85 @@ class TestSpectrumTable:
                     lam = rec.lambda1 if j == 0 else rec.lambda2
                     res = np.linalg.norm(M @ basis[j] - lam * basis[j])
                     assert res <= 1e-9 * (1.0 + abs(lam))
+
+
+class TestSpectrumTableView:
+    PARAMS = NonlocalParams(3, 0.5, 3.0)
+    MATERIAL = Material(1.0, 0.7)
+    TORUS = TorusSpec((4.3, 6.1, 7.9))
+
+    @staticmethod
+    def reference(params, material, torus, k_max):
+        """The table's records built from one ``eigenvalues`` call."""
+        box = list(itertools.product(range(-k_max, k_max + 1),
+                                     repeat=params.n))
+        nu = np.array([frequency_vector(k, torus) for k in box])
+        lam1, lam2 = eigenvalues(params, material, nu)
+        return [SpectrumRecord(k, nu_k, l1, l2, params.n - 1)
+                for k, nu_k, l1, l2 in zip(box, nu, lam1.tolist(),
+                                           lam2.tolist())]
+
+    def test_sequence_contract(self):
+        table = spectrum_table(self.PARAMS, self.MATERIAL, self.TORUS, 2)
+        want = self.reference(self.PARAMS, self.MATERIAL, self.TORUS, 2)
+        assert isinstance(table, Sequence) and len(table) == 125
+        assert list(table) == want
+        assert [table[i] for i in range(len(table))] == want
+        assert [r.k for r in table] == [r.k for r in want]     # box order
+        assert table[-1] == want[-1] and table[-125] == want[0]
+        assert table[np.int64(7)] == want[7]
+        for bad in (125, -126, 10**20):
+            with pytest.raises(IndexError, match="outside a table of 125"):
+                table[bad]
+        with pytest.raises(TypeError):
+            table[1.0]
+        for part in (slice(3, 17, 4), slice(None, None, -7), slice(9, 2),
+                     slice(-5, None)):
+            view = table[part]
+            assert isinstance(view, SpectrumTable)
+            assert list(view) == want[part] and len(view) == len(want[part])
+        rec = table[3]
+        assert type(rec.k[0]) is int and type(rec.lambda1) is float
+        assert rec.multiplicity2 == 2
+        with pytest.raises(ValueError):
+            rec.nu_k[0] = 0.0
+        for column in (table.modes, table.nu, table.lambda1, table.lambda2,
+                       next(iter(table)).nu_k, table[::2].nu):
+            assert not column.flags.writeable
+        assert table[0] != want[1] and table[0] != "not a record"
+
+    @settings(deadline=None, max_examples=25)
+    @given(n=st.integers(1, 3), k_max=st.integers(0, 3),
+           delta=st.floats(0.1, 2.0), mu=st.floats(0.5, 2.0),
+           lambda_star=st.floats(-1.0, 2.0), data=st.data())
+    def test_records_equal_eigenvalue_rows(self, n, k_max, delta, mu,
+                                           lambda_star, data):
+        beta = data.draw(st.floats(-1.0, n + 1.5))
+        lengths = data.draw(st.lists(st.floats(0.5, 9.0), min_size=n,
+                                     max_size=n))
+        params, material = NonlocalParams(n, delta, beta), Material(mu, lambda_star)
+        torus = TorusSpec(tuple(lengths))
+        table = spectrum_table(params, material, torus, k_max)
+        want = self.reference(params, material, torus, k_max)
+        assert list(table) == want
+        assert table[len(want) // 2] == want[len(want) // 2]
+        for got, rec in zip(table, want):
+            assert got.nu_k.tobytes() == rec.nu_k.tobytes()
+
+    def test_live_memory_is_the_arrays(self):
+        # the four arrays of 21^3 modes take ~0.6 MB; a record list ~3.3 MB
+        spectrum_table(self.PARAMS, self.MATERIAL, self.TORUS, 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = spectrum_table(self.PARAMS, self.MATERIAL, self.TORUS, 10)
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 21**3
+        assert live < 1.5e6
 
 
 class TestSizeReach:
@@ -226,6 +310,19 @@ class TestEigenfield:
                     call()
         with pytest.raises(InvalidParams, match="point has shape"):
             field.evaluate(torus, [0.5])
+
+    def test_overflowing_phase_rejected(self):
+        # finite points whose phase nu_k . x is not a finite double
+        torus = TorusSpec((1.0, 2.0))
+        field = FourierField(2, {(1, 0): [1, 0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: field.evaluate(torus, [1e308, 0]),
+                         lambda: eigenfield((1, 0), torus, [1e308, 0]),
+                         lambda: eigenfield((1, 1), torus, [1e308, -1e308],
+                                            which="transverse")):
+                with pytest.raises(InvalidParams, match="phase"):
+                    call()
 
 
 class TestFourierField:
@@ -467,6 +564,42 @@ class TestApplyOperator:
         field = FourierField.from_half_spectrum(2, half)
         out = apply_operator(field, self.params, self.material, self.torus)
         assert out.conjugate_asymmetry() <= 1e-13
+
+
+class TestNoModeCopies:
+    PARAMS = NonlocalParams(3, 0.7, 2.5)
+    MATERIAL = Material(1.1, 0.4)
+    TORUS = TorusSpec((TWO_PI, 4.1, 5.3))
+
+    def test_results_share_the_input_modes(self):
+        # reference: the documented rank-one and Sherman-Morrison forms on
+        # one eigenvalues call, in the same operation order, bit for bit
+        rng = np.random.default_rng(11)
+        half = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                for k in itertools.product(range(-2, 3), repeat=3)
+                if k > (0, 0, 0)}
+        field = FourierField.from_half_spectrum(3, half)
+        image = apply_operator(field, self.PARAMS, self.MATERIAL, self.TORUS)
+        back = solve_periodic(image, self.PARAMS, self.MATERIAL, self.TORUS)
+        assert np.shares_memory(image._k, field._k)
+        assert np.shares_memory(back._k, image._k)
+
+        modes = np.array(list(field.coeffs))
+        nu = np.array([frequency_vector(k, self.TORUS) for k in modes])
+        lam1, lam2 = eigenvalues(self.PARAMS, self.MATERIAL, nu)
+        norm = np.linalg.norm(nu, axis=1, keepdims=True)
+        unit = nu / norm
+
+        def rank_one(c, along, across):
+            proj = np.sum(unit * c, axis=1, keepdims=True)
+            return across[:, None] * c + (along - across)[:, None] * unit * proj
+
+        c = np.array(list(field.coeffs.values()))
+        want_image = rank_one(c, lam1, lam2)
+        want_back = rank_one(want_image, 1.0 / lam1, 1.0 / lam2)
+        for got, want in ((image, want_image), (back, want_back)):
+            assert list(got.coeffs) == list(map(tuple, modes.tolist()))
+            assert np.array(list(got.coeffs.values())).tobytes() == want.tobytes()
 
 
 class TestSolvePeriodic:
