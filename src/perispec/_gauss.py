@@ -17,12 +17,15 @@ import numpy as np
 from .errors import NonConvergent
 
 
-#: Largest |a| = |b| seeded from the asymptotic node guess; past about
-#: |a| = 20 that guess converges to wrong nodes, so larger ones (unused by
-#: the oracle, whose sphere rules have a = b <= 2.5) take the eigenvalue seed.
-_ASYMPTOTIC_SEED_MAX = 5.0
+#: Largest max(|a|, |b|) seeded from the asymptotic node formula.  At a = 0
+#: its rules equal the eigenvalue-seeded ones from b = -0.999 to 10.75 for N
+#: up to 2088, and from b = 11 Newton fails on them, so 8 keeps a margin;
+#: verify's default box needs b = n + 1 - beta <= 6 and the sphere rules
+#: a = b <= 2.5.  Larger exponents take the eigenvalue seed.
+_ASYMPTOTIC_SEED_MAX = 8.0
 
-#: Newton passes allowed per rule; the seeds above converge within 5.
+#: Newton passes allowed per rule: the asymptotic seed converges within 7
+#: (7 at b = -0.999, 6 at b = 8), the eigenvalue seed within 3.
 _NEWTON_PASSES = 10
 
 
@@ -95,18 +98,22 @@ def gauss_rules(keys):
     Rule (N, a, b) has N ascending nodes and the weights of (1-x)^a
     (1+x)^b.  Built with numpy alone (Golub & Welsch 1969; Hale & Townsend
     2013): Newton's method on P_N^(a,b)(cos theta) in theta, with P_N and
-    P_{N-1} from the three-term recurrence.  Seeds: for a == b the
-    asymptotic guess theta_k ~ phi_k + (1/4 - a^2)(cot(phi_k/2) -
-    tan(phi_k/2)) / (2N + 2a + 1)^2 with phi_k = (2k + a - 1/2) pi /
-    (2N + 2a + 1), on the nodes x > 0 only (the rest by symmetry, the
-    middle one of odd N exactly 0); otherwise the eigenvalues of the
-    Jacobi matrix.  The weights are 1 / (dP_N/dtheta)^2, which keeps the
-    1 - x^2 factor of the usual formula out of the arithmetic, scaled to
-    the exact mass 2^(a+b+1) B(a+1, b+1).  A rule's Newton passes stop
-    once its step is too small to matter, |step| (|g| + N) <= 1e-8 with
-    g = P''/P' at a node (theta form of the Jacobi ODE); the weights take
-    that last step into account through the same ODE, so no further pass
-    is made.
+    P_{N-1} from the three-term recurrence.  Seeds: while max(|a|, |b|) <=
+    _ASYMPTOTIC_SEED_MAX, the interior asymptotic formula, in O(N) memory,
+    theta_k ~ phi_k + [(1/4 - a^2) cot(phi_k/2) - (1/4 - b^2)
+    tan(phi_k/2)] / (2N + a + b + 1)^2 with phi_k = (2k + a - 1/2) pi /
+    (2N + a + b + 1); a rule with a == b takes it on the nodes x > 0 only
+    (the rest by symmetry, the middle one of odd N exactly 0).  Larger
+    exponents take the eigenvalues of the dense N x N Jacobi matrix.  A
+    rule whose nodes come out not ascending and separated (two nodes on
+    one root, as the formula gives far past its range) raises
+    NonConvergent, as does one that Newton does not settle.  The weights
+    are 1 / (dP_N/dtheta)^2, which keeps the 1 - x^2 factor of the usual
+    formula out of the arithmetic, scaled to the exact mass 2^(a+b+1)
+    B(a+1, b+1).  A rule's Newton passes stop once its step is too small
+    to matter, |step| (|g| + N) <= 1e-8 with g = P''/P' at a node (theta
+    form of the Jacobi ODE); the weights take that last step into account
+    through the same ODE, so no further pass is made.
 
     The distinct keys are built in one loop: their nodes are stacked
     longest rule first, each Newton pass steps the recurrence once for
@@ -138,13 +145,19 @@ def _newton(todo):
              / (s * (s - 1.0)) if npts > 1
              else 8.0 * (1.0 + a) * (1.0 + b) / (a + b + 2.0))
         col = families[a, b][0]
-        symmetric = a == b and abs(a) <= _ASYMPTOTIC_SEED_MAX
-        if symmetric:
-            k = np.arange(1, npts - npts // 2 + 1)
+        seeded = max(abs(a), abs(b)) <= _ASYMPTOTIC_SEED_MAX
+        symmetric = seeded and a == b
+        if seeded:
+            # theta descends so that x = cos(theta) ascends; a symmetric
+            # rule seeds its nodes x >= 0 only, largest first
+            k = (np.arange(1, npts - npts // 2 + 1) if symmetric
+                 else np.arange(npts, 0, -1))
             phi = (2.0 * k + a - 0.5) * (math.pi / (s + 1.0))
             tan = np.tan(0.5 * phi)
-            theta.append(phi + (0.25 - a * a) * (1.0 / tan - tan)
-                         / (s + 1.0) ** 2)
+            # (1/4 - a^2) cot - (1/4 - b^2) tan, written so that a == b
+            # adds an exact zero to the symmetric form
+            theta.append(phi + ((0.25 - a * a) * (1.0 / tan - tan)
+                                + (b * b - a * a) * tan) / (s + 1.0) ** 2)
         else:
             jacobi = (np.diag(0.5 * c[:npts, col])
                       + np.diag(0.5 * np.sqrt(d[1:npts, col]), 1))
@@ -171,6 +184,22 @@ def _newton(todo):
                                    ends - size[live]) <= 1e-8
         for i, end in zip(live[done], ends[done]):
             at = slice(end - size[i], end)
+            x_i = np.cos(theta[at])
+            if mirror[i]:          # a symmetric rule: nodes x > 0 built
+                half = n[i] // 2
+                if n[i] % 2:
+                    x_i[-1] = 0.0
+                x_i = np.concatenate([-x_i[:half], x_i[::-1]])
+            # Newton can converge to a root that another node holds, or
+            # past an end of [0, pi]; true nodes lie about 2 pi / (s + 1)
+            # apart in theta, never below 6 / (s + 1)
+            if not (np.all((theta[at] > 0.0) & (theta[at] < math.pi))
+                    and np.all(np.diff(np.arccos(x_i)) < -1.0 / (s[i] + 1.0))):
+                npts, a_i, b_i = todo[i]
+                raise NonConvergent(
+                    f"Gauss-Jacobi nodes for N = {npts}, (a, b) = ({a_i}, "
+                    f"{b_i}) converged to a wrong rule: its nodes are not "
+                    f"ascending and separated")
             # dP_N/dtheta at the new nodes: P'' = g P' - N (N+a+b+1) P in
             # theta, and P = -step P' here; the stopping rule puts every
             # term past the first order below 1e-16 relative
@@ -178,12 +207,7 @@ def _newton(todo):
             log_w = 2.0 * (np.log(sin[at]) - np.log(np.abs(dpn_i))
                            - log_scale[at])
             w = np.exp(log_w - log_w.max())
-            x_i = np.cos(theta[at])
-            if mirror[i]:          # a symmetric rule: nodes x > 0 built
-                half = n[i] // 2
-                if n[i] % 2:
-                    x_i[-1] = 0.0
-                x_i = np.concatenate([-x_i[:half], x_i[::-1]])
+            if mirror[i]:
                 w = np.concatenate([w[:half], w[::-1]])
             w *= jacobi_mass(*todo[i][1:]) / w.sum()
             x_i.flags.writeable = w.flags.writeable = False

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -143,8 +144,22 @@ def figure_rows(job, values=None):
         yield f"{prefix},NA,{nu_cell},NA,{_fmt(lam2[i])}"
 
 
+def _check_out(path, directory=False):
+    """Refuse an existing ``path`` that is not a regular file (a directory
+    when ``directory``): writing would replace it, and a device, pipe or
+    socket must be left as it is."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not (stat.S_ISDIR(mode) if directory else stat.S_ISREG(mode)):
+        kind = "directory" if directory else "regular file"
+        raise InvalidParams(f"--out {path} exists and is not a {kind}")
+
+
 def _write_lines(path, lines):
     """Write atomically: no partial file survives an evaluation failure."""
+    _check_out(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", newline="\n") as fh:
@@ -179,20 +194,26 @@ def _cmd_figure(args):
     if (args.delta is None) != (args.beta is None):
         raise InvalidParams("give both --delta and --beta, or neither")
     if args.delta is not None:
-        write_figure_csv(FigureJob(delta=args.delta, beta=args.beta, **base),
-                         args.out)
+        job = FigureJob(delta=args.delta, beta=args.beta, **base)
+        _check_out(args.out)
+        write_figure_csv(job, args.out)
         return 0
-    # validate and evaluate every panel before creating the output directory
+    # validate every panel and its target, and evaluate them all, before
+    # creating the output directory
     jobs = [FigureJob(delta=delta, beta=beta, **base)
             for delta in FIGURE_DELTAS for beta in figure_betas(args.n)]
+    _check_out(args.out, directory=True)
+    paths = [os.path.join(args.out,
+                          f"figure_delta{job.delta:g}_beta{job.beta:g}.csv")
+             for job in jobs]
+    for path in paths:
+        _check_out(path)
     values = figure_values(jobs)
     new_dirs = _missing_dirs(args.out)
     os.makedirs(args.out, exist_ok=True)
     new_files = []
     try:
-        for job, vals in zip(jobs, values):
-            name = f"figure_delta{job.delta:g}_beta{job.beta:g}.csv"
-            path = os.path.join(args.out, name)
+        for job, vals, path in zip(jobs, values, paths):
             if not os.path.exists(path):
                 new_files.append(path)
             write_figure_csv(job, path, vals)
@@ -209,6 +230,7 @@ def _cmd_figure(args):
 
 
 def _cmd_spectrum(args):
+    _check_out(args.out)
     params = NonlocalParams(args.n, args.delta, args.beta)
     material = Material(args.mu, args.lambda_star)
     lengths = args.lengths or [2.0 * math.pi] * args.n
@@ -277,7 +299,7 @@ def _draw_tuples(seed, count, overrides):
     return tuples
 
 
-def run_verification(seed, count, tol, overrides=None):
+def run_verification(seed, count, tol, overrides=None, encode=None):
     """Dual-path sweep over ``count`` random parameter tuples.
 
     Samples n in {1,2,3}, delta in [0.1, 4], beta in [-2, n+2-0.05],
@@ -296,7 +318,9 @@ def run_verification(seed, count, tol, overrides=None):
     larger one raises InvalidParams.  Pinned values are checked before any
     draw uses them.  A tuple past the oracle's reach (|nu| delta above
     oracle.MAX_PHASE = 400, or a kernel scale too large or small for a
-    double) raises InvalidParams.  Returns the report dict.
+    double) raises InvalidParams.  Returns the report dict.  ``encode``, if
+    given, is applied to each entry as its tuple finishes, and the report
+    holds what it returns in place of the entry.
     """
     from . import oracle   # imported here: only verify needs the oracle
 
@@ -325,11 +349,12 @@ def run_verification(seed, count, tol, overrides=None):
                             "quad_err": err}
         ok = all(chk["pass"] for chk in checks.values())
         failures += 0 if ok else 1
-        entries.append({
+        entry = {
             "n": params.n, "delta": params.delta, "beta": params.beta,
             "mu": material.mu, "lambda_star": material.lambda_star,
             "nu": nu.tolist(), "checks": checks, "pass": ok,
-        })
+        }
+        entries.append(entry if encode is None else encode(entry))
     return {
         "seed": seed, "count": count, "tol": tol,
         "abs_floor": VERIFY_ABS_FLOOR,
@@ -338,16 +363,41 @@ def run_verification(seed, count, tol, overrides=None):
     }
 
 
+def _entry_text(entry):
+    """A report entry's JSON text, indented to its depth in the report."""
+    text = json.dumps(entry, indent=2, sort_keys=True)
+    return "    " + text.replace("\n", "\n    ")
+
+
+def _report_lines(report):
+    """The text of json.dumps(report, indent=2, sort_keys=True) in pieces,
+    for a report whose entries are already their :func:`_entry_text`; no
+    piece holds more than one entry."""
+    # the only null of the summary marks where the entries go
+    head, _, tail = json.dumps({**report, "entries": None}, indent=2,
+                               sort_keys=True).partition("null")
+    entries = report["entries"]
+    yield head + "["
+    for i, text in enumerate(entries, 1):
+        yield text + "," if i < len(entries) else text
+    yield "  ]" + tail
+
+
 def _cmd_verify(args):
+    if args.out:
+        _check_out(args.out)
     overrides = {name: getattr(args, name)
                  for name in ("n", "delta", "beta", "mu", "lambda_star")
                  if getattr(args, name) is not None}
-    report = run_verification(args.seed, args.count, args.tol, overrides)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # each entry becomes its text as its tuple finishes, so the sweep never
+    # holds every entry's values; the head waits for all_pass
+    report = run_verification(args.seed, args.count, args.tol, overrides,
+                              encode=_entry_text)
     if args.out:
-        _write_lines(args.out, [text])
+        _write_lines(args.out, _report_lines(report))
     else:
-        print(text)
+        for line in _report_lines(report):
+            print(line)
     return 0 if report["all_pass"] else 1
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -465,6 +466,66 @@ class TestVerifyCommand:
                             lambda *a, **kw: failing)
         assert main(["verify", "--count", "1"]) == 1
         capsys.readouterr()
+
+
+class TestOutputTarget:
+    # writing replaces --out, so a device or pipe there would be replaced by
+    # a regular file; a FIFO under tmp_path stands in for a device
+    @pytest.mark.parametrize("argv, evaluation", [
+        (["figure", "--delta", "1", "--beta", "3", "--samples", "5"],
+         "figure_values"),
+        (["spectrum", "--n", "1", "--delta", "1", "--beta", "1",
+          "--k-max", "2"], "_box_spectrum"),
+        (["verify", "--count", "1"], "run_verification"),
+    ], ids=["figure", "spectrum", "verify"])
+    def test_non_regular_file_refused_first(self, argv, evaluation, tmp_path,
+                                            monkeypatch, capsys):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated before --out was checked")
+
+        monkeypatch.setattr(perispec.cli, evaluation, no_evaluation)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert main([*argv, "--out", str(fifo)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perispec: error:")
+        assert "exists and is not a regular file" in err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    @pytest.mark.parametrize("inside", [False, True],
+                             ids=["directory", "panel"])
+    def test_grid_target_refused_first(self, inside, tmp_path, monkeypatch,
+                                       capsys):
+        def no_values(jobs):
+            raise AssertionError("evaluated before --out was checked")
+
+        monkeypatch.setattr(perispec.cli, "figure_values", no_values)
+        out = tmp_path / "grid"
+        if inside:
+            out.mkdir()
+            fifo = out / (f"figure_delta{FIGURE_DELTAS[0]:g}"
+                          f"_beta{figure_betas(3)[0]:g}.csv")
+        else:
+            fifo = out
+        os.mkfifo(fifo)
+        assert main(["figure", "--samples", "5", "--out", str(out)]) == 2
+        kind = "regular file" if inside else "directory"
+        assert f"exists and is not a {kind}" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(out if inside else tmp_path) == [fifo.name]
+
+    def test_streamed_report_equals_one_dump(self, tmp_path, capsys):
+        # the entries are written one at a time, in the bytes of dumping
+        # the whole report at once
+        want = json.dumps(run_verification(3, 4, 1e-6), indent=2,
+                          sort_keys=True) + "\n"
+        out = tmp_path / "r.json"
+        assert main(["verify", "--seed", "3", "--count", "4",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == want
+        assert main(["verify", "--seed", "3", "--count", "4"]) == 0
+        assert capsys.readouterr().out == want
 
 
 def _free_and_pinned(seed, name, value, count=20):

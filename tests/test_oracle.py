@@ -114,9 +114,16 @@ def _jacobi_reference(npts, a, b, x0):
 
 
 class TestGaussRule:
+    # b = 8 is _ASYMPTOTIC_SEED_MAX and 8.5 takes the eigenvalue seed; 192
+    # is the largest default inner rule at oracle.MAX_PHASE, 2088 the one at
+    # multipliers.MAX_PHASE.  At b = -0.999 the weights of every seed lose
+    # digits with N (1.4e-9 at N = 192, where scipy's lose 6.4e-8), so that
+    # exponent is judged at N = 32
     @pytest.mark.parametrize("npts, a, b", [
         (256, 0.0, -0.95), (544, 0.0, 0.0), (96, 0.0, 50.0),
-        (100, -0.5, -0.5), (300, 2.5, 2.5)])
+        (100, -0.5, -0.5), (300, 2.5, 2.5), (32, 0.0, -0.999),
+        (192, 0.0, 0.5), (192, 0.0, 6.0), (192, 0.0, 8.0), (192, 0.0, 8.5),
+        (2088, 0.0, 0.5)])
     def test_against_mpmath(self, npts, a, b):
         # judged on the nodes at both ends and a spread through the middle;
         # nodes lie in [-1, 1], so their errors are absolute
@@ -139,7 +146,8 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, -0.5), (2.5, 2.5),
                                       (0.0, -0.95), (0.0, 3.7), (0.0, 50.0),
-                                      (1.5, -0.5)])
+                                      (1.5, -0.5), (0.0, -0.999), (0.0, 0.5),
+                                      (0.0, 6.0), (0.0, 8.0), (0.0, 8.5)])
     @pytest.mark.parametrize("npts", [1, 2, 3, 5, 8])
     def test_exact_on_polynomials(self, npts, a, b):
         # int (1-x)^a (1+x)^b x^j dx through x = 2u - 1 and Beta integrals
@@ -177,12 +185,38 @@ class TestGaussRule:
             assert got[len(keys) + i] is got[len(keys) - 1 - i]
 
     def test_nonconvergence_names_the_rule(self):
-        # a = -1 + 1e-9 at N = 2: the eigenvalue seed leaves Newton short
-        # of its test after every pass; the rules beside it still converge
+        # a = -1 + 1e-9 at N = 2: the seed leaves Newton short of its test
+        # after every pass; the rules beside it still converge
         with pytest.raises(NonConvergent,
                            match=r"N = 2, \(a, b\) = \(-0.999999999, 3.0\)"):
             perispec.oracle._gauss_rules([(16, 0.0, 0.0), (2, -0.999999999, 3.0),
                                           (40, 0.0, 1.5)])
+
+    def test_seed_bound(self):
+        # verify's default box has b = n + 1 - beta <= 6; the asymptotic
+        # seed stops converging near b = 11
+        assert 6.0 <= perispec._gauss._ASYMPTOTIC_SEED_MAX <= 8.0
+
+    @pytest.mark.parametrize("b", [15.0, 20.0, 50.0])
+    def test_wrong_roots_raise(self, b, monkeypatch):
+        # past the bound the asymptotic seed converges to a wrong rule (two
+        # nodes on one root) without failing Newton's test
+        monkeypatch.setattr(perispec._gauss, "_ASYMPTOTIC_SEED_MAX", math.inf)
+        with pytest.raises(NonConvergent,
+                           match=rf"N = 16, \(a, b\) = \(0.0, {b}\) converged "
+                                 r"to a wrong rule"):
+            perispec.oracle._gauss_rules([(16, 0.0, b)])
+
+    def test_memory_is_linear_in_n(self):
+        # no N x N matrix: the (2088, 0, 0.5) rule peaked at 69.8 MB with
+        # the dense eigenvalue seed
+        tracemalloc.start()
+        try:
+            perispec._gauss.gauss_rules([(2088, 0.0, 0.5)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
     @pytest.mark.parametrize("delta, nu", [(1.5, [2.0, -1.0, 0.5]),
                                            (0.7, [10.0, 3.0, -4.0])])
@@ -642,6 +676,13 @@ class TestBundles:
         counted(perispec._gauss, "_newton")
         assert run_verification(5, 40, 1e-6)["all_pass"]
         assert calls == {"_gauss_rules": 1, "_newton": 1}
+
+    def test_sweep_needs_no_eigensolver(self, monkeypatch):
+        # every rule of the default box is seeded by the asymptotic formula
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a rule took the eigenvalue seed")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert run_verification(5, 40, 1e-6)["all_pass"]
 
 
 def _full_grid_reduced(params, nu_norm, spec, level, rules):
