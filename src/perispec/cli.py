@@ -124,15 +124,14 @@ def figure_values(jobs):
             for grid, lams in zip(grids, mt.eigenvalues_many(requests))]
 
 
-def figure_rows(job, values=None):
+def figure_rows(job, values):
     """Yield CSV rows for one panel, from ``values`` = figure_values([job])[0].
 
     One lambda1 row per (lambda_star, sample); since lambda2 does not
     depend on lambda*, it is emitted once per sample in a trailing row
-    whose lambda_star field is the sentinel NA.  Without ``values`` the
-    panel is evaluated here.
+    whose lambda_star field is the sentinel NA.
     """
-    grid, lam1, lam2 = figure_values([job])[0] if values is None else values
+    grid, lam1, lam2 = values
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
     heads = [f"{prefix},{_fmt(s)}" for s in job.lambda_star_list]
     lam1 = [l1.tolist() for l1 in lam1]
@@ -157,25 +156,6 @@ def _check_out(path, directory=False):
         raise InvalidParams(f"--out {path} exists and is not a {kind}")
 
 
-def _write_lines(path, lines):
-    """Write atomically: no partial file survives an evaluation failure."""
-    _check_out(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_figure_csv(job, path, values=None):
-    _write_lines(path, [FIGURE_HEADER] + list(figure_rows(job, values)))
-
-
 def _missing_dirs(path):
     """The directories os.makedirs(path) would create, deepest first."""
     missing = []
@@ -186,6 +166,40 @@ def _missing_dirs(path):
     return missing
 
 
+def _commit(files, directory=None):
+    """Write every (path, lines) of ``files``, or leave every target as it was.
+
+    Each target is checked with :func:`_check_out` and its lines are
+    written to ``path + ".tmp"``; the temporaries replace their targets
+    only once every one of them is complete.  ``directory``, if given, is
+    created first.  On any exception, KeyboardInterrupt included, the
+    temporaries and the directories this call created are removed before
+    it propagates.  The renames themselves are the one step that, failing
+    part-way, would leave the earlier targets replaced.
+    """
+    new_dirs = _missing_dirs(directory) if directory else []
+    written = []
+    try:
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        for path, lines in files:
+            _check_out(path)
+            with open(path + ".tmp", "w", newline="\n") as fh:
+                written.append(path)
+                for line in lines:
+                    fh.write(line + "\n")
+        for path in written:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path + ".tmp")
+        for path in new_dirs:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
 def _cmd_figure(args):
     base = dict(n=args.n, mu=args.mu,
                 lambda_star_list=tuple(args.lambda_star or FIGURE_LAMBDA_STARS),
@@ -193,39 +207,23 @@ def _cmd_figure(args):
                 samples=args.samples)
     if (args.delta is None) != (args.beta is None):
         raise InvalidParams("give both --delta and --beta, or neither")
-    if args.delta is not None:
-        job = FigureJob(delta=args.delta, beta=args.beta, **base)
-        _check_out(args.out)
-        write_figure_csv(job, args.out)
-        return 0
     # validate every panel and its target, and evaluate them all, before
-    # creating the output directory
-    jobs = [FigureJob(delta=delta, beta=beta, **base)
-            for delta in FIGURE_DELTAS for beta in figure_betas(args.n)]
-    _check_out(args.out, directory=True)
-    paths = [os.path.join(args.out,
-                          f"figure_delta{job.delta:g}_beta{job.beta:g}.csv")
-             for job in jobs]
+    # anything is written
+    if args.delta is not None:
+        jobs = [FigureJob(delta=args.delta, beta=args.beta, **base)]
+        directory, paths = None, [args.out]
+    else:
+        jobs = [FigureJob(delta=delta, beta=beta, **base)
+                for delta in FIGURE_DELTAS for beta in figure_betas(args.n)]
+        directory = args.out
+        _check_out(directory, directory=True)
+        paths = [os.path.join(directory, f"figure_delta{job.delta:g}"
+                              f"_beta{job.beta:g}.csv") for job in jobs]
     for path in paths:
         _check_out(path)
     values = figure_values(jobs)
-    new_dirs = _missing_dirs(args.out)
-    os.makedirs(args.out, exist_ok=True)
-    new_files = []
-    try:
-        for job, vals, path in zip(jobs, values, paths):
-            if not os.path.exists(path):
-                new_files.append(path)
-            write_figure_csv(job, path, vals)
-    except BaseException:
-        # remove what this call created; files it overwrote stay
-        for path in new_files:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        for path in new_dirs:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
+    _commit([(path, itertools.chain([FIGURE_HEADER], figure_rows(job, vals)))
+             for job, vals, path in zip(jobs, values, paths)], directory)
     return 0
 
 
@@ -243,7 +241,7 @@ def _cmd_spectrum(args):
     row = ",".join(["%d"] * args.n + ["%.17g"] * 3 + [str(args.n - 1)])
     cells = zip(*modes.T.tolist(), nu_norm.tolist(), lam1.tolist(),
                 lam2.tolist())
-    _write_lines(args.out, itertools.chain([header], (row % r for r in cells)))
+    _commit([(args.out, itertools.chain([header], (row % r for r in cells)))])
     return 0
 
 
@@ -394,7 +392,7 @@ def _cmd_verify(args):
     report = run_verification(args.seed, args.count, args.tol, overrides,
                               encode=_entry_text)
     if args.out:
-        _write_lines(args.out, _report_lines(report))
+        _commit([(args.out, _report_lines(report))])
     else:
         for line in _report_lines(report):
             print(line)

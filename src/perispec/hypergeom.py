@@ -695,14 +695,11 @@ def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
     to_dd = (ratio > ESCALATION_RATIO) & (ratio <= 2.0 * DD_RATIO)
     dd = order[to_dd]
     # ratios only for the sets this pass sums, renumbered among themselves
-    dd_sets = np.flatnonzero(np.bincount(sets[dd],
-                                         minlength=len(parameter_sets)))
-    renumber = np.zeros(len(parameter_sets), dtype=np.intp)
-    renumber[dd_sets] = np.arange(dd_sets.size)
+    dd_sets, dd_index = np.unique(sets[dd], return_inverse=True)
     values, accepted = _in_blocks(
         _sum_dd_many,
         _TermTable([parameter_sets[j] for j in dd_sets], _dd_ratios),
-        renumber[sets[dd]], z[dd])
+        dd_index, z[dd])
     out[dd] = values
     to_mpmath = ratio > 2.0 * DD_RATIO
     to_mpmath[to_dd] = ~accepted

@@ -354,7 +354,7 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
 def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Gradient of the scalar multiplier, -2 g(|nu|) nu."""
     rows, nn2 = _frequencies(params, nu, single=True)
-    g = gradient_factor(params, math.sqrt(nn2[0]), target_rel_tol)
+    g = _sums([(params, math.sqrt(nn2[0]))], ("g",), target_rel_tol)[0]["g"]
     return -2.0 * g * rows[0]
 
 

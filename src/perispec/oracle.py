@@ -26,7 +26,7 @@ r^(n+1-beta) times a smooth function, so the radial rule is Gauss-Jacobi
 with exactly that weight on an inner panel near 0 plus Gauss-Legendre on
 the outer panel; this keeps spectral convergence uniformly in beta < n+2,
 including kernels just short of the integrability limit.  Node counts
-scale with the phase each rule's interval sees (singularity_split
+scale with the phase each rule's interval sees (SINGULARITY_SPLIT
 |nu| delta on the inner panel, |nu| delta on the outer panel and the
 sphere) so oscillatory integrands stay resolved; the oracle's reach is
 therefore stated as |nu| delta <= MAX_PHASE, and a larger phase is
@@ -89,6 +89,11 @@ BLOCK_POINTS = 8192
 #: requests.
 BUNDLE_CHUNK = 64
 
+#: Fraction of delta where the radial interval splits into the inner
+#: panel, whose Gauss-Jacobi weight takes the kernel's endpoint singularity
+#: exactly, and the smooth outer Gauss-Legendre panel.
+SINGULARITY_SPLIT = 0.1
+
 
 def _block_rows(na):
     """Radial rows per block for ``na`` angular nodes: a multiple of 16.
@@ -110,27 +115,22 @@ class QuadratureSpec:
     radial_points / angular_points are floors on the base node counts of
     the outer radial panel and of the sphere rule at the coarsest
     refinement level (each level doubles them; both also grow with the
-    phase |nu| delta).  The inner radial panel is sized from its own phase
-    singularity_split * |nu| delta alone, since its Gauss-Jacobi weight
-    takes the singular factor exactly; singularity_split is the fraction
-    of delta where the radial interval splits into that singular-weight
-    inner panel and the smooth outer panel;
-    refinement_levels is the number of doublings performed beyond the
-    base grid.  With a tolerance all refinement_levels + 1 grids may be
-    evaluated; without one only the two finest are, since the value and its
-    error estimate come from those two alone.
+    phase |nu| delta).  The inner radial panel, on [0, SINGULARITY_SPLIT
+    delta], is sized from its own phase SINGULARITY_SPLIT * |nu| delta
+    alone, since its Gauss-Jacobi weight takes the singular factor
+    exactly.  refinement_levels is the number of doublings performed
+    beyond the base grid.  With a tolerance all refinement_levels + 1
+    grids may be evaluated; without one only the two finest are, since
+    the value and its error estimate come from those two alone.
     """
 
     radial_points: int = 64
     angular_points: int = 64
-    singularity_split: float = 0.1
     refinement_levels: int = 2
 
     def __post_init__(self):
         if self.radial_points < 16 or self.angular_points < 16:
             raise InvalidParams("quadrature needs >= 16 radial and angular points")
-        if not (0.0 < self.singularity_split < 1.0):
-            raise InvalidParams("singularity_split must lie in (0, 1)")
         if self.refinement_levels < 1:
             raise InvalidParams("refinement_levels must be >= 1")
 
@@ -177,15 +177,16 @@ def _check_params(params):
             f"a double")
 
 
-def _radial_rule(delta, gamma_exp, inner, outer, split):
+def _radial_rule(delta, gamma_exp, inner, outer):
     """Nodes/weights with int_0^delta r^gamma_exp F(r) dr ~ sum W_i F(r_i).
 
-    Inner panel [0, split*delta]: ``inner`` is the Gauss-Jacobi rule with
-    weight (1+x)^gamma_exp, which absorbs the endpoint singularity exactly.
+    Inner panel [0, SINGULARITY_SPLIT*delta]: ``inner`` is the
+    Gauss-Jacobi rule with weight (1+x)^gamma_exp, which absorbs the
+    endpoint singularity exactly.
     Outer panel: ``outer`` is the plain Gauss-Legendre rule, with the
     weight multiplied back in.
     """
-    a = split * delta
+    a = SINGULARITY_SPLIT * delta
     xj, wj = inner
     r_in = a * (xj + 1.0) / 2.0
     w_in = wj * (a / 2.0) ** (gamma_exp + 1.0)
@@ -202,13 +203,14 @@ def _level_keys(n, gamma_exp, osc, spec, level):
     Gauss-Legendre rule and, at n >= 2, the sphere rule (n = 1 takes none).
     Every oracle path derives its keys here alone.  Each node count keeps
     O(1) nodes per oscillation period of cos(|nu| r t) over its own
-    interval: the inner radial panel sees the phase split * osc, the outer
-    panel and the sphere rule the whole of it.  radial_points and
-    angular_points are floors on the outer and angular base counts; the
-    inner panel needs none, since its Gauss-Jacobi weight takes the
-    singular factor exactly.  Each refinement level doubles all three.
+    interval: the inner radial panel sees the phase SINGULARITY_SPLIT *
+    osc, the outer panel and the sphere rule the whole of it.
+    radial_points and angular_points are floors on the outer and angular
+    base counts; the inner panel needs none, since its Gauss-Jacobi
+    weight takes the singular factor exactly.  Each refinement level
+    doubles all three.
     """
-    n_in = int(math.ceil(0.8 * spec.singularity_split * osc)) + 16
+    n_in = int(math.ceil(0.8 * SINGULARITY_SPLIT * osc)) + 16
     n_out = max(spec.radial_points, int(math.ceil(0.8 * osc)) + 16)
     n_ang = max(spec.angular_points, int(math.ceil(1.5 * osc)) + 16)
     keys = [(n_in << level, 0.0, gamma_exp), (n_out << level, 0.0, 0.0)]
@@ -273,8 +275,7 @@ def _reduced_integrals(params, nu_norm, spec, level, rules):
     if missing:
         rules.update(zip(missing, _gauss_rules(missing)))
     inner, outer, *sphere = [rules[key] for key in keys]
-    r, wr = _radial_rule(params.delta, gamma_exp, inner, outer,
-                         spec.singularity_split)
+    r, wr = _radial_rule(params.delta, gamma_exp, inner, outer)
     t, wa = _angular_rule(n, *sphere)
     t2 = t * t
     W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
@@ -317,36 +318,25 @@ def _reduced_integrals(params, nu_norm, spec, level, rules):
     }
 
 
-def _householder_to_e1(nu_hat):
-    """Orthogonal symmetric H with H e1 = nu_hat (identity if aligned)."""
-    n = nu_hat.size
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = nu_hat - e1
-    nv = float(np.linalg.norm(v))
-    if nv < 1e-14:
-        return np.eye(n)
-    v = v / nv
-    return np.eye(n) - 2.0 * np.outer(v, v)
-
-
 def _quantities(params, material, v, nn, raw):
     """Assemble every quadrature quantity from one level's reduced integrals.
 
     Keys: scalar (m), bond (M_b), state (M_s), lambda1, lambda2.  With
     ``material`` None only the material-free scalar multiplier is built.
+    The reduced integrals are taken in the frame whose first axis is
+    nu_hat = nu/|nu|, so back in the original frame the bond integral is
+    B I + (A - B) nu_hat (x) nu_hat and the sine-transform vector is
+    J = s1 nu_hat.
     """
     n = params.n
     c = _scaling_constant(n, params.delta, params.beta)
     out = {"scalar": c * raw["m"]}
     if material is None:
         return out
-    H = _householder_to_e1(v / nn)
+    nu_hat = v / nn
     k_bond = (n + 2) * material.mu * c
-    D = np.diag([raw["A"]] + [raw["B"]] * (n - 1))
-    s = np.zeros(n)
-    s[0] = raw["s1"]
-    J = H @ s
+    A, B = raw["A"], raw["B"]
+    J = raw["s1"] * nu_hat
     dl = material.lambda_star - material.mu
     if dl == 0.0:
         # exact +0.0 entries: -(0.0) * J J^T would carry -0.0 into reports
@@ -354,9 +344,9 @@ def _quantities(params, material, v, nn, raw):
     else:
         state = -dl * (c * c / 4.0) * np.outer(J, J)
     out.update(
-        bond=k_bond * (H @ D @ H.T),
+        bond=k_bond * (B * np.eye(n) + (A - B) * np.outer(nu_hat, nu_hat)),
         state=state,
-        lambda1=k_bond * raw["A"] - dl * (c / 2.0 * raw["s1"]) ** 2,
+        lambda1=k_bond * A - dl * (c / 2.0 * raw["s1"]) ** 2,
         lambda2=k_bond * raw["lam2"])
     return out
 
@@ -543,8 +533,7 @@ def moment_identity_check(params, spec=DEFAULT_SPEC, tol=None):
     def compute(level):
         inner, outer, *sphere = _gauss_rules(_level_keys(
             n, n - 1.0 - beta, 0.0, spec, level))
-        _, wr = _radial_rule(delta, n - 1.0 - beta, inner, outer,
-                             spec.singularity_split)
+        _, wr = _radial_rule(delta, n - 1.0 - beta, inner, outer)
         t, wa = _angular_rule(n, *sphere)
         radial = wr.sum()
         t2 = t * t

@@ -1,6 +1,7 @@
 """CLI contract tests: output formats, determinism, exit codes."""
 
 import csv
+import itertools
 import json
 import os
 import stat
@@ -16,8 +17,8 @@ import perispec.cli
 import perispec.multipliers
 import perispec.spectrum
 from perispec.cli import (FIGURE_DELTAS, FIGURE_HEADER, FigureJob,
-                          _draw_tuples, figure_betas, figure_rows, main,
-                          run_verification, write_figure_csv)
+                          _draw_tuples, figure_betas, figure_rows,
+                          figure_values, main, run_verification)
 from perispec.errors import InvalidParams
 from perispec.multipliers import Material, NonlocalParams
 from perispec.spectrum import TorusSpec, spectrum_table
@@ -155,8 +156,9 @@ class TestFigureCommand:
 
     def test_zero_frequency_row(self, tmp_path):
         out = tmp_path / "panel.csv"
-        write_figure_csv(FigureJob(2, 1.0, (0.5,), 1.0, 2.0, 0.0, 1.0, 4),
-                         str(out))
+        assert main(["figure", "--n", "2", "--lambda-star", "0.5",
+                     "--delta", "1", "--beta", "2", "--nu-max", "1",
+                     "--samples", "4", "--out", str(out)]) == 0
         rows = read_csv(out)
         first = [r for r in rows if float(r["nu_norm"]) == 0.0]
         lam1 = [float(r["lambda1"]) for r in first if r["lambda1"] != "NA"]
@@ -165,8 +167,10 @@ class TestFigureCommand:
 
     def test_lambda2_rows_once_per_sample(self, tmp_path):
         out = tmp_path / "panel.csv"
-        write_figure_csv(FigureJob(2, 1.0, (0.0, 1.0, 2.0), 1.0, 2.0,
-                                   0.0, 5.0, 6), str(out))
+        assert main(["figure", "--n", "2", "--lambda-star", "0",
+                     "--lambda-star", "1", "--lambda-star", "2",
+                     "--delta", "1", "--beta", "2", "--nu-max", "5",
+                     "--samples", "6", "--out", str(out)]) == 0
         rows = read_csv(out)
         lam2_rows = [r for r in rows if r["lambda_star"] == "NA"]
         assert len(lam2_rows) == 6
@@ -180,31 +184,60 @@ class TestFigureCommand:
         files = sorted(out.glob("figure_*.csv"))
         assert len(files) == 12
 
-    def test_grid_write_failure_leaves_nothing_new(self, tmp_path,
-                                                    monkeypatch):
-        # the third panel fails to write: the panels and directories this
-        # call created go, what was there before stays
-        import perispec.cli
-        real_write, calls = perispec.cli._write_lines, []
+    @staticmethod
+    def _fail_third_panel(monkeypatch, error):
+        """Make the third panel raise ``error`` after its first rows."""
+        real_rows, calls = perispec.cli.figure_rows, []
 
-        def failing_write(path, lines):
-            calls.append(path)
+        def failing_rows(job, values):
+            calls.append(job)
+            rows = real_rows(job, values)
+            yield from itertools.islice(rows, 5)
             if len(calls) == 3:
-                raise OSError("disk full")
-            real_write(path, lines)
+                raise error
+            yield from rows
 
-        monkeypatch.setattr(perispec.cli, "_write_lines", failing_write)
+        monkeypatch.setattr(perispec.cli, "figure_rows", failing_rows)
+        return calls
+
+    @pytest.mark.parametrize("error", [OSError("disk full"),
+                                       KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    def test_grid_write_is_all_or_nothing(self, error, tmp_path, monkeypatch):
+        # a grid whose third panel fails while it is written replaces no
+        # old panel, creates no panel or directory and leaves no temporary
+        grid = tmp_path / "grid"
+        assert main(["figure", "--samples", "2", "--nu-max", "2",
+                     "--out", str(grid)]) == 0
+        (grid / "notes.txt").write_text("x")
+        old = {p.name: p.read_bytes() for p in grid.iterdir()}
+        assert len(old) == 13
         kept = tmp_path / "kept"
         kept.mkdir()
         (kept / "notes.txt").write_text("x")
-        for out in (tmp_path / "new" / "grid", kept):
+        calls = self._fail_third_panel(monkeypatch, error)
+        for out in (grid, kept, tmp_path / "new" / "grid"):
             calls.clear()
-            assert main(["figure", "--samples", "2", "--nu-max", "2",
-                         "--out", str(out)]) == 2
+            argv = ["figure", "--samples", "3", "--nu-max", "2",
+                    "--out", str(out)]
+            if isinstance(error, KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == 2
             assert len(calls) == 3
-        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) \
-            == [kept.relative_to(tmp_path), (kept / "notes.txt").relative_to(
-                tmp_path)]
+        assert {p.name: p.read_bytes() for p in grid.iterdir()} == old
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid", "kept"]
+
+    def test_panel_equals_its_grid_file(self, tmp_path):
+        flags = ["--samples", "7", "--nu-max", "9", "--lambda-star", "0.5"]
+        assert main(["figure", *flags, "--out", str(tmp_path / "grid")]) == 0
+        panel = tmp_path / "panel.csv"
+        assert main(["figure", *flags, "--delta", "2", "--beta", "3",
+                     "--out", str(panel)]) == 0
+        assert (panel.read_bytes() == (tmp_path / "grid" /
+                "figure_delta2_beta3.csv").read_bytes())
 
     def test_near_local_panel_tracks_navier(self, tmp_path):
         # the (delta, beta) = (1e-3, n+2-1e-3) panel of the default grid
@@ -234,8 +267,9 @@ class TestFigureCommand:
 
     def test_round_trip_precision(self, tmp_path):
         out = tmp_path / "panel.csv"
-        write_figure_csv(FigureJob(2, 1.0, (0.7,), 1.3, 1.1, 0.0, 9.0, 5),
-                         str(out))
+        assert main(["figure", "--n", "2", "--lambda-star", "0.7",
+                     "--delta", "1.3", "--beta", "1.1", "--nu-max", "9",
+                     "--samples", "5", "--out", str(out)]) == 0
         from perispec.multipliers import (Material, NonlocalParams,
                                           eigenvalue_parallel)
         p = NonlocalParams(2, 1.3, 1.1)
@@ -252,8 +286,11 @@ class TestFigureCommand:
         stars = (-1.5, 0.25, 1.75)
         panel = dict(n=3, mu=1.2, delta=2.0, beta=4.0, nu_norm_min=0.0,
                      nu_norm_max=15.0, samples=25)
-        rows = list(figure_rows(FigureJob(lambda_star_list=stars, **panel)))
-        singles = [list(figure_rows(FigureJob(lambda_star_list=(s,), **panel)))
+        def panel_rows(job):
+            return list(figure_rows(job, figure_values([job])[0]))
+
+        rows = panel_rows(FigureJob(lambda_star_list=stars, **panel))
+        singles = [panel_rows(FigureJob(lambda_star_list=(s,), **panel))
                    for s in stars]
         expected = []
         for i in range(panel["samples"]):
@@ -683,6 +720,11 @@ class TestLazyOracleImport:
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_oracle_names_match_oracle_all(self):
+        # the lazy re-export keeps its own copy of the oracle's names
+        import perispec.oracle
+        assert perispec._ORACLE_NAMES == set(perispec.oracle.__all__)
 
     def test_unknown_attribute(self):
         import perispec

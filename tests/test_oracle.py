@@ -238,8 +238,6 @@ class TestQuadratureSpec:
         with pytest.raises(InvalidParams):
             QuadratureSpec(angular_points=4)
         with pytest.raises(InvalidParams):
-            QuadratureSpec(singularity_split=0.0)
-        with pytest.raises(InvalidParams):
             QuadratureSpec(refinement_levels=0)
 
     def test_dimension_limit(self):
@@ -696,8 +694,7 @@ def _full_grid_reduced(params, nu_norm, spec, level, rules):
     gamma_exp = n + 1.0 - params.beta
     r, wr = perispec.oracle._radial_rule(
         params.delta, gamma_exp,
-        *perispec.oracle._gauss_rules([(nr, 0.0, gamma_exp), (nr, 0.0, 0.0)]),
-        spec.singularity_split)
+        *perispec.oracle._gauss_rules([(nr, 0.0, gamma_exp), (nr, 0.0, 0.0)]))
     if n == 1:
         t, wa = np.array([1.0, -1.0]), np.array([1.0, 1.0])
     else:
@@ -819,8 +816,7 @@ def _one_shot_reduced(params, nu_norm, spec, level):
     inner, outer, *sphere = perispec.oracle._gauss_rules(
         perispec.oracle._level_keys(n, gamma_exp, nu_norm * params.delta,
                                     spec, level))
-    r, wr = perispec.oracle._radial_rule(params.delta, gamma_exp, inner, outer,
-                                          spec.singularity_split)
+    r, wr = perispec.oracle._radial_rule(params.delta, gamma_exp, inner, outer)
     t, wa = perispec.oracle._angular_rule(n, *sphere)
     t2 = t * t
     x = np.multiply.outer(nu_norm * r, t)
