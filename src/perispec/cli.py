@@ -24,6 +24,7 @@ import os
 import random
 import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,34 +167,48 @@ def _missing_dirs(path):
     return missing
 
 
+def _umask():
+    """The process umask: reading it means setting it, so it is set back."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _commit(files, directory=None):
     """Write every (path, lines) of ``files``, or leave every target as it was.
 
     Each target is checked with :func:`_check_out` and its lines are
-    written to ``path + ".tmp"``; the temporaries replace their targets
-    only once every one of them is complete.  ``directory``, if given, is
-    created first.  On any exception, KeyboardInterrupt included, the
-    temporaries and the directories this call created are removed before
-    it propagates.  The renames themselves are the one step that, failing
-    part-way, would leave the earlier targets replaced.
+    written to a new temporary file beside it (``tempfile.mkstemp``, so no
+    existing file is opened), with the mode ``open`` gives a new file; the
+    temporaries replace their targets only once every one of them is
+    complete.  ``directory``, if given, is created first.  On any
+    exception, KeyboardInterrupt included, the temporaries and the
+    directories this call created are removed before it propagates.  The
+    renames themselves are the one step that, failing part-way, would leave
+    the earlier targets replaced.
     """
     new_dirs = _missing_dirs(directory) if directory else []
-    written = []
+    mode = 0o666 & ~_umask()
+    written = []                     # (temporary, target)
     try:
         if directory:
             os.makedirs(directory, exist_ok=True)
         for path, lines in files:
             _check_out(path)
-            with open(path + ".tmp", "w", newline="\n") as fh:
-                written.append(path)
+            fd, tmp = tempfile.mkstemp(
+                prefix=os.path.basename(path) + ".", suffix=".tmp",
+                dir=os.path.dirname(path) or ".")
+            written.append((tmp, path))
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                os.fchmod(fd, mode)
                 for line in lines:
                     fh.write(line + "\n")
-        for path in written:
-            os.replace(path + ".tmp", path)
+        for tmp, path in written:
+            os.replace(tmp, path)
     except BaseException:
-        for path in written:
+        for tmp, _ in written:
             with contextlib.suppress(OSError):
-                os.unlink(path + ".tmp")
+                os.unlink(tmp)
         for path in new_dirs:
             with contextlib.suppress(OSError):
                 os.rmdir(path)

@@ -39,21 +39,30 @@ cancellation ratio max|term| / |sum|:
 Only entries that neither pass accepts try the third tier, so every value
 the two passes serve keeps its bits whether that tier exists or not.
 
-``pfq`` evaluates one argument with Python-float loops.  ``pfq_batch``
-evaluates a list of (parameters, argument array) requests in one pass: it
-validates and cancels each request's parameters once, numbers the distinct
-parameter sets, and runs each series pass as one numpy loop over the term
-index for every entry of every request.  Each entry carries the index of
-its parameter set and gathers its term factors from per-set tables, built
-64 terms at a time as the pass needs them.  Entries are taken in order of
+Each series pass is defined once, as a ``_Tier``: its start value, the
+z-free data of its terms, built 64 at a time, how that data binds to z,
+its term step, its sum update and the size of the next term.  Each piece
+uses only + - * / and abs, so it gives the same bits on Python floats and
+elementwise on float64 arrays.  One scalar loop, ``_sum``, and one array
+loop, ``_sum_many``, carry the stopping rule for both passes, and both
+return the cancellation ratio.  ``_verdict`` compares that ratio with the
+tier's thresholds, the one place that does, and ``_past_the_passes``
+serves what neither pass accepts; ``pfq`` and ``pfq_batch`` share both.
+
+``pfq`` evaluates one argument.  ``pfq_batch`` evaluates a list of
+(parameters, argument array) requests in one pass: it validates and
+cancels each request's parameters once, numbers the distinct parameter
+sets, and runs each series pass as one loop over the term index for every
+entry of every request.  Each entry carries the index of its parameter set
+and gathers its term data from per-set tables, which serve every entry of
+a set because the data do not depend on z.  Entries are taken in order of
 |z|, so entries that stop at similar term counts run together, in blocks
 of at most ``BATCH_BLOCK`` entries, which bounds the pass's working
 arrays.  The entries neither pass accepts try the large-|z| tier one by
-one, through the same per-entry function as ``pfq``, and those it refuses
-go to mpmath batched per parameter set.  ``pfq_many`` is the one-request
-case.  Every entry repeats the scalar pass's floating-point operations in
-the same order, so its value, and the tier that serves it, are
-bit-identical to ``pfq``.
+one, and those it refuses go to mpmath batched per parameter set.
+``pfq_many`` is the one-request case.  Both loops run the same tier
+definitions in the same order, so every batch value, and the tier that
+serves it, are bit-identical to ``pfq``.
 
 Everything here is a pure function of its arguments and keeps no state
 between calls, so results are bit-identical across calls within one
@@ -196,10 +205,12 @@ class EvalResult:
 def pochhammer(a, k):
     """Rising factorial a (a+1) ... (a+k-1), with the empty product = 1.
 
-    k must be an integer >= 0.
+    a must be finite and k an integer >= 0.
     """
     if not isinstance(k, numbers.Integral) or k < 0:
         raise InvalidParams(f"pochhammer needs an integer k >= 0, got {k!r}")
+    if not math.isfinite(a):
+        raise InvalidParams(f"pochhammer needs a finite a, got {a!r}")
     out = 1.0
     for i in range(k):
         out *= a + i
@@ -221,51 +232,6 @@ def _cancel_common(a, b):
         else:
             a_out.append(ai)
     return tuple(sorted(a_out)), tuple(sorted(b_left))
-
-
-def _sum_float(a, b, z, tol):
-    """Double-precision series pass.
-
-    Returns (sum, err_bound, terms, ratio).  ``ratio`` is max|term| / |sum|
-    when the pass converged to a finite nonzero sum, and inf when the term
-    cap was hit, a value became non-finite, or the sum is zero.
-    """
-    s = 1.0
-    term = 1.0
-    max_term = 1.0
-    small_run = 0
-    for k in range(_MAX_TERMS):
-        num = 1.0
-        for ai in a:
-            num *= ai + k
-        den = 1.0
-        for bj in b:
-            den *= bj + k
-        term = term * num / den * z / (k + 1.0)
-        if term == 0.0:
-            # a numerator parameter hit zero: the series terminates exactly
-            return s, 0.0, k + 2, (max_term / abs(s) if s else math.inf)
-        s += term
-        if not math.isfinite(s):
-            return s, math.inf, k + 2, math.inf
-        at = abs(term)
-        if at > max_term:
-            max_term = at
-        if at < tol * abs(s):
-            small_run += 1
-            if small_run >= 3:
-                num = 1.0
-                for ai in a:
-                    num *= ai + k + 1
-                den = 1.0
-                for bj in b:
-                    den *= bj + k + 1
-                nxt = abs(term * num / den * z / (k + 2.0))
-                if 2.0 * nxt < tol * abs(s):
-                    return s, 2.0 * nxt, k + 2, max_term / abs(s)
-        else:
-            small_run = 0
-    return s, math.inf, _MAX_TERMS, math.inf
 
 
 # Double-double arithmetic.  A number is a pair (hi, lo) with
@@ -303,87 +269,164 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_add(ah, al, bh, bl):
-    """(ah + al) + (bh + bl), accurate also when the two cancel."""
-    s, e = _two_sum(ah, bh)
-    t, f = _two_sum(al, bl)
+def _dd_add(x, y):
+    """x + y for pairs x and y, accurate also when the two cancel."""
+    s, e = _two_sum(x[0], y[0])
+    t, f = _two_sum(x[1], y[1])
     s, e = _fast_two_sum(s, e + t)
     return _fast_two_sum(s, e + f)
 
 
-def _dd_mul(ah, al, bh, bl):
-    """(ah + al) * (bh + bl)."""
-    p, e = _two_prod(ah, bh)
-    return _fast_two_sum(p, e + (ah * bl + al * bh))
+def _dd_mul(x, y):
+    """x * y for pairs x and y."""
+    p, e = _two_prod(x[0], y[0])
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
 
 
-def _dd_div(ah, al, bh, bl):
-    """(ah + al) / (bh + bl): the double quotient plus one correction."""
-    q1 = ah / bh
-    ph, pl = _dd_mul(bh, bl, q1, 0.0)
-    s, e = _two_sum(ah, -ph)
-    return _fast_two_sum(q1, (s + ((e - pl) + al)) / bh)
+def _dd_div(x, y):
+    """x / y for pairs x and y: the double quotient plus one correction."""
+    q1 = x[0] / y[0]
+    ph, pl = _dd_mul(y, (q1, 0.0))
+    s, e = _two_sum(x[0], -ph)
+    return _fast_two_sum(q1, (s + ((e - pl) + x[1])) / y[0])
+
+
+def _float_factors(a, b, start):
+    """prod(a + k), prod(b + k) and k + 1 for k = start, ..., start + _CHUNK - 1.
+
+    As three float64 arrays; each product takes its factors in parameter
+    order, one rounding per factor, and an empty one is 1.
+    """
+    k = np.arange(start, start + _CHUNK, dtype=float)
+    factors = np.add.outer(a + b, k)
+    return (factors[:len(a)].prod(axis=0), factors[len(a):].prod(axis=0),
+            k + 1.0)
 
 
 def _dd_ratios(a, b, start):
     """Term ratios c_k = prod(a + k) / (prod(b + k) (k + 1)) in double-double.
 
     For k = start, ..., start + _CHUNK - 1, as two float64 arrays
-    (hi, lo); each a_i + k and b_j + k is formed exactly.  The ratios do
-    not depend on z, so one chunk serves every entry of its set.
+    (hi, lo); each a_i + k and b_j + k is formed exactly.
     """
     k = np.arange(start, start + _CHUNK, dtype=float)
-    with np.errstate(all="ignore"):
-        num = _two_sum(a[0], k) if a else (np.ones(_CHUNK), 0.0 * k)
-        for ai in a[1:]:
-            num = _dd_mul(*num, *_two_sum(ai, k))
-        den = (k + 1.0, 0.0 * k)
-        for bj in b:
-            den = _dd_mul(*den, *_two_sum(bj, k))
-        return _dd_div(*num, *den)
+    num = _two_sum(a[0], k) if a else (np.ones(_CHUNK), 0.0 * k)
+    for ai in a[1:]:
+        num = _dd_mul(num, _two_sum(ai, k))
+    den = (k + 1.0, 0.0 * k)
+    for bj in b:
+        den = _dd_mul(den, _two_sum(bj, k))
+    return _dd_div(num, den)
 
 
-def _sum_dd(a, b, z):
-    """Double-double series pass at a nonzero float z.
+@dataclass(frozen=True)
+class _Tier:
+    """One series pass, defined once for ``_sum`` and ``_sum_many``.
 
-    Term k + 1 is term k times r_k = c_k z (see ``_dd_ratios``).  The pass
-    stops once three consecutive terms are below ``_DD_TOL`` times the sum
-    and twice the next one is too.  Returns (value, terms, accepted): the
-    sum rounded to double, the number of terms summed, and whether the
-    value may be served, i.e. the pass converged to a finite nonzero sum
-    with max|term| / |sum| <= ``DD_RATIO``.
+    A term and a sum are tuples: (value,) in double precision, (hi, lo) in
+    double-double; both start at ``start``, the series' leading 1.
+    ``build(a, b, start)`` forms the z-free data of the terms start, ...,
+    start + _CHUNK - 1 as a tuple of arrays, so one chunk serves every
+    entry of a parameter set, and ``bind(data, z)`` joins it to z.  With
+    d_k the bound data of term k, ``step(term_k, d_k, z)`` is term k + 1,
+    ``add(sum, term)`` the next sum and ``size(term_k, d_k, z)`` the
+    magnitude of term k + 1, in double precision, that the stopping rule
+    reads.  Each function uses only + - * / and abs, so it gives the same
+    bits on Python floats and elementwise on float64 arrays.
+
+    A pass serves an entry whose cancellation ratio is at most
+    ``serves``.  It sends an entry it refuses to the next pass if the ratio
+    is at most ``onward``, and past the series passes otherwise (see
+    ``_verdict``).
     """
-    c_hi, r_hi, r_lo = [], [], []
-    s_hi, s_lo = 1.0, 0.0
-    t_hi, t_lo = 1.0, 0.0
+
+    start: tuple
+    build: object
+    bind: object
+    step: object
+    add: object
+    size: object
+    serves: float
+    onward: float
+
+
+def _float_step(t, d, z):
+    return (t[0] * d[0] / d[1] * z / d[2],)
+
+
+_DOUBLE = _Tier(
+    start=(1.0,), build=_float_factors, bind=lambda data, z: data,
+    step=_float_step, add=lambda s, t: (s[0] + t[0],),
+    size=lambda t, d, z: abs(_float_step(t, d, z)[0]),
+    serves=ESCALATION_RATIO, onward=2.0 * DD_RATIO)
+
+# term k + 1 is term k times r_k = c_k z; the size reads c_k z in double
+_DD = _Tier(
+    start=(1.0, 0.0), build=_dd_ratios,
+    bind=lambda c, z: (*_dd_mul(c, (z, 0.0)), c[0]),
+    step=lambda t, r, z: _dd_mul(t, r), add=_dd_add,
+    size=lambda t, r, z: abs(t[0] * r[2] * z),
+    serves=DD_RATIO, onward=DD_RATIO)
+
+# where ``_verdict`` sends an entry after a pass
+_SERVED, _ONWARD, _PAST = 0, 1, 2
+
+
+def _verdict(tier, ratio):
+    """``_SERVED``, ``_ONWARD`` or ``_PAST`` for an entry ``tier`` summed.
+
+    ``ratio`` is the pass's cancellation ratio: a float, or an array of
+    one per entry, which gives an array of verdicts.
+    """
+    # bool arrays would add as an "or"; a uint8 1 makes one-byte verdicts
+    return np.uint8(1) * (ratio > tier.serves) + (ratio > tier.onward)
+
+
+def _sum(tier, a, b, z, tol):
+    """One pass of ``tier`` over the series of (a, b) at a nonzero float z.
+
+    The pass stops once three consecutive terms are below ``tol`` times the
+    sum and twice the size of the next one is too.  Returns (sum,
+    err_bound, terms, ratio): the sum rounded to double; the truncation
+    bound, twice that next size (0 where a zero term ended the series, inf
+    where the pass did not converge); the number of terms summed; and
+    max|term| / |sum| when the pass converged to a finite nonzero sum, inf
+    when the term cap was hit, a value became non-finite, or the sum is
+    zero.
+    """
+    step, add = tier.step, tier.add
+    rows = []
+    s = term = tier.start
     max_term = 1.0
     small_run = 0
     for k in range(_MAX_TERMS):
-        if k + 1 >= len(c_hi):
-            # one array pass forms r_k = c_k z for the whole chunk
-            hi, lo = _dd_ratios(a, b, len(c_hi))
-            c_hi += hi.tolist()
-            hi, lo = _dd_mul(hi, lo, z, 0.0)
-            r_hi += hi.tolist()
-            r_lo += lo.tolist()
-        t_hi, t_lo = _dd_mul(t_hi, t_lo, r_hi[k], r_lo[k])
-        if t_hi == 0.0:
-            return s_hi, k + 2, (s_hi != 0.0
-                                 and max_term / abs(s_hi) <= DD_RATIO)
-        s_hi, s_lo = _dd_add(s_hi, s_lo, t_hi, t_lo)
-        if not math.isfinite(s_hi):
-            return s_hi, k + 2, False
-        at = abs(t_hi)
+        if k + 1 >= len(rows):
+            # one array pass forms and binds the data of a whole chunk; it
+            # overflows silently, as Python floats do
+            with np.errstate(all="ignore"):
+                data = tier.bind(tier.build(a, b, len(rows)), z)
+            rows += np.array(data).T.tolist()
+        term = step(term, rows[k], z)
+        at = abs(term[0])
+        if at == 0.0:
+            # a numerator parameter hit zero: the series terminates exactly
+            return (s[0], 0.0, k + 2,
+                    max_term / abs(s[0]) if s[0] else math.inf)
+        s = add(s, term)
+        abs_s = abs(s[0])
+        if not math.isfinite(abs_s):
+            return s[0], math.inf, k + 2, math.inf
         if at > max_term:
             max_term = at
-        if at < _DD_TOL * abs(s_hi):
+        if at < tol * abs_s:
             small_run += 1
-            if (small_run >= 3 and 2.0 * abs(t_hi * c_hi[k + 1] * z)
-                    < _DD_TOL * abs(s_hi)):
-                return s_hi, k + 2, max_term / abs(s_hi) <= DD_RATIO
+            if small_run >= 3:
+                nxt = tier.size(term, rows[k + 1], z)
+                if 2.0 * nxt < tol * abs_s:
+                    return s[0], 2.0 * nxt, k + 2, max_term / abs_s
         else:
             small_run = 0
-    return s_hi, _MAX_TERMS, False
+    return s[0], math.inf, _MAX_TERMS, math.inf
 
 
 def _check_tol(tol):
@@ -424,6 +467,26 @@ def _escalate(a, b, zs):
                     f"series value overflows a double (z = {z})")
             values.append(value)
     return values
+
+
+def _past_the_passes(a, b, zs, tol, terms):
+    """EvalResults at the floats ``zs`` that neither series pass serves.
+
+    Each z < 0 tries the large-|z| tier; the rest come from one
+    ``_escalate`` call, labelled with ``terms``.  Neither tier's module is
+    imported unless an entry reaches it.
+    """
+    out = [None] * len(zs)
+    if min(zs) < 0.0:
+        from ._asymptotic import large_z, large_z_form
+        form = large_z_form(a, b)
+        out = [large_z(form, z, tol) if z < 0.0 else None for z in zs]
+    left = [i for i, res in enumerate(out) if res is None]
+    if left:
+        for i, value in zip(left, _escalate(a, b, [zs[i] for i in left])):
+            out[i] = EvalResult(value, math.ulp(value), terms,
+                                ESCALATED_PREC_BITS)
+    return out
 
 
 def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
@@ -469,48 +532,26 @@ def pfq(params, z, target_rel_tol=DEFAULT_REL_TOL):
     _check_disk(a, b, z)
     if z == 0.0:
         return EvalResult(1.0, 0.0, 1, 53)
-    s, err, terms, ratio = _sum_float(a, b, z, float(target_rel_tol))
-    if ratio <= ESCALATION_RATIO:
+    s, err, terms, ratio = _sum(_DOUBLE, a, b, z, float(target_rel_tol))
+    verdict = _verdict(_DOUBLE, ratio)
+    if verdict == _SERVED:
         return EvalResult(s, err, terms, 53)
-    if ratio <= 2.0 * DD_RATIO:
-        value, dd_terms, accepted = _sum_dd(a, b, z)
-        if accepted:
+    if verdict == _ONWARD:
+        value, _, dd_terms, ratio = _sum(_DD, a, b, z, _DD_TOL)
+        if _verdict(_DD, ratio) == _SERVED:
             return EvalResult(value, math.ulp(value), dd_terms,
                               DD_PRECISION_BITS)
-    if z < 0.0:
-        from ._asymptotic import large_z, large_z_form
-        served = large_z(large_z_form(a, b), z, target_rel_tol)
-        if served is not None:
-            return served
-    value, = _escalate(a, b, (z,))
-    return EvalResult(value, math.ulp(value), terms, ESCALATED_PREC_BITS)
-
-
-def _float_factors(a, b, start):
-    """prod(a + k) and prod(b + k) for k = start, ..., start + _CHUNK - 1.
-
-    Each product starts from 1.0 and takes its factors in ``_sum_float``'s
-    order, so entry k holds the bits of that pass's num and den at term k.
-    """
-    k = np.arange(start, start + _CHUNK, dtype=float)
-    num = np.ones(_CHUNK)
-    for ai in a:
-        num = num * (ai + k)
-    den = np.ones(_CHUNK)
-    for bj in b:
-        den = den * (bj + k)
-    return num, den
+    return _past_the_passes(a, b, [z], target_rel_tol, terms)[0]
 
 
 class _TermTable:
     """Per-term data of several parameter sets, built as a pass needs it.
 
     ``build(a, b, start)`` returns a tuple of arrays over the terms start,
-    ..., start + _CHUNK - 1 of one set (``_float_factors``,
-    ``_dd_ratios``).  ``table(k)`` returns that tuple at term k, each array
-    holding one entry per set, so an entry gathers its own by its set
-    index.  The data do not depend on z, so one table serves every block of
-    a pass.
+    ..., start + _CHUNK - 1 of one set (a ``_Tier``'s ``build``).
+    ``table(k)`` returns that tuple at term k, each array holding one entry
+    per set, so an entry gathers its own by its set index.  The data do not
+    depend on z, so one table serves every block of a pass.
     """
 
     def __init__(self, params, build):
@@ -527,112 +568,65 @@ class _TermTable:
         return self._rows[k]
 
 
-def _sum_float_many(table, sets, z, tol):
-    """Double-precision pass over every entry of a nonzero float array z.
+def _sum_many(tier, table, sets, z, tol):
+    """``_sum`` over every entry of a nonzero float array z.
 
     Entry i sums the series of parameter set ``sets[i]``, gathering that
-    set's num and den at term k from ``table(k)``.  Each entry runs
-    ``_sum_float``'s operations in the same order, so its sum and its ratio
-    are bit-identical to a scalar pass; only the loop over k is shared, and
-    entries leave it as they stop.  Returns (values, ratio), as
-    ``_sum_float`` defines them.
+    set's term data at term k from ``table(k)``.  Each entry runs
+    ``_sum``'s operations in the same order, so its sum and its ratio are
+    bit-identical to a scalar pass; only the loop over k is shared, and
+    entries leave it as they stop.  Returns (values, ratio), as ``_sum``
+    defines them.
     """
     values = np.empty(z.size)
     ratio = np.full(z.size, np.inf)
     idx = np.arange(z.size)          # entries still summing
-    s = np.ones(z.size)
-    term = np.ones(z.size)
+    s = term = tuple(np.full(z.size, x) for x in tier.start)
     max_term = np.ones(z.size)
     small_run = np.zeros(z.size, dtype=np.int64)
     with np.errstate(all="ignore"):   # Python floats overflow silently too
         for k in range(_MAX_TERMS):
             if not idx.size:
                 break
-            num, den = table(k)
-            term = term * num[sets] / den[sets] * z / (k + 1.0)
+            term = tier.step(term, tier.bind([x[sets] for x in table(k)], z),
+                             z)
             # a zero term ends the series exactly; adding it keeps s as is
-            converged = term == 0.0
-            s = s + term
-            at = np.abs(term)
+            converged = term[0] == 0.0
+            s = tier.add(s, term)
+            at = np.abs(term[0])
+            abs_s = np.abs(s[0])
             max_term = np.maximum(max_term, at)
-            small_run = np.where(at < tol * np.abs(s), small_run + 1, 0)
+            small_run = np.where(at < tol * abs_s, small_run + 1, 0)
             tail = small_run >= 3
             if tail.any():
-                num, den = table(k + 1)
-                nxt = np.abs(term * num[sets] / den[sets] * z / (k + 2.0))
-                converged |= tail & (2.0 * nxt < tol * np.abs(s))
-            finite = np.isfinite(s)
+                nxt = tier.size(
+                    term, tier.bind([x[sets] for x in table(k + 1)], z), z)
+                converged |= tail & (2.0 * nxt < tol * abs_s)
+            finite = np.isfinite(s[0])
             done = converged | ~finite
             if done.any():
-                values[idx[done]] = s[done]
+                values[idx[done]] = s[0][done]
                 # a zero sum divides to inf, as the scalar pass reports it
                 ok = converged & finite
-                ratio[idx[ok]] = (max_term / np.abs(s))[ok]
+                ratio[idx[ok]] = (max_term / abs_s)[ok]
                 keep = ~done
-                idx, sets, z, s, term, max_term, small_run = (
-                    x[keep] for x in (idx, sets, z, s, term, max_term,
-                                      small_run))
-    values[idx] = s                  # term cap reached: not converged
+                idx, sets, z, max_term, small_run = (
+                    x[keep] for x in (idx, sets, z, max_term, small_run))
+                s, term = (tuple(x[keep] for x in v) for v in (s, term))
+    values[idx] = s[0]               # term cap reached: not converged
     return values, ratio
 
 
-def _sum_dd_many(table, sets, z):
-    """``_sum_dd`` over every entry of a nonzero float array z.
+def _in_blocks(tier, parameter_sets, sets, z, tol):
+    """``_sum_many`` over consecutive blocks of at most ``BATCH_BLOCK`` entries.
 
-    Entry i sums the series of parameter set ``sets[i]``, gathering that
-    set's term ratio c_k (see ``_dd_ratios``) from ``table(k)``.  One loop
-    over k serves all entries, and entries leave it as they stop, as in
-    ``_sum_float_many``; each entry runs ``_sum_dd``'s operations in the
-    same order.  Returns (values, accepted).
+    The blocks share one term table of ``parameter_sets``.  Returns
+    (values, ratio), each concatenated over the blocks; an empty z makes
+    one empty call, so both keep their dtypes.
     """
-    values = np.empty(z.size)
-    accepted = np.zeros(z.size, dtype=bool)
-    idx = np.arange(z.size)          # entries still summing
-    s_hi, s_lo = np.ones(z.size), np.zeros(z.size)
-    t_hi, t_lo = np.ones(z.size), np.zeros(z.size)
-    max_term = np.ones(z.size)
-    small_run = np.zeros(z.size, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        for k in range(_MAX_TERMS):
-            if not idx.size:
-                break
-            c_hi, c_lo = table(k)
-            t_hi, t_lo = _dd_mul(t_hi, t_lo,
-                                 *_dd_mul(c_hi[sets], c_lo[sets], z, 0.0))
-            # a zero term ends the series exactly; adding it keeps s as is
-            converged = t_hi == 0.0
-            s_hi, s_lo = _dd_add(s_hi, s_lo, t_hi, t_lo)
-            at = np.abs(t_hi)
-            max_term = np.maximum(max_term, at)
-            abs_s = np.abs(s_hi)
-            small_run = np.where(at < _DD_TOL * abs_s, small_run + 1, 0)
-            tail = small_run >= 3
-            if tail.any():
-                nxt = np.abs(t_hi * table(k + 1)[0][sets] * z)
-                converged |= tail & (2.0 * nxt < _DD_TOL * abs_s)
-            finite = np.isfinite(s_hi)
-            done = converged | ~finite
-            if done.any():
-                values[idx[done]] = s_hi[done]
-                accepted[idx[done]] = (
-                    converged & finite & (s_hi != 0.0)
-                    & (max_term / abs_s <= DD_RATIO))[done]
-                keep = ~done
-                idx, sets, z, s_hi, s_lo, t_hi, t_lo, max_term, small_run = (
-                    x[keep] for x in (idx, sets, z, s_hi, s_lo, t_hi, t_lo,
-                                      max_term, small_run))
-    values[idx] = s_hi               # term cap reached: not converged
-    return values, accepted
-
-
-def _in_blocks(sum_pass, table, sets, z, *args):
-    """``sum_pass`` over consecutive blocks of at most ``BATCH_BLOCK`` entries.
-
-    Returns its outputs, each concatenated over the blocks; an empty z
-    makes one empty call, so the outputs keep their dtypes.
-    """
-    parts = [sum_pass(table, sets[i:i + BATCH_BLOCK], z[i:i + BATCH_BLOCK],
-                      *args)
+    table = _TermTable(parameter_sets, tier.build)
+    parts = [_sum_many(tier, table, sets[i:i + BATCH_BLOCK],
+                       z[i:i + BATCH_BLOCK], tol)
              for i in range(0, max(z.size, 1), BATCH_BLOCK)]
     return [np.concatenate(out) for out in zip(*parts)]
 
@@ -688,37 +682,23 @@ def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
     # in order of |z|, the entries of a block stop at similar term counts
     order = np.argsort(np.abs(z))
     order = order[z[order] != 0.0]
-    values, ratio = _in_blocks(
-        _sum_float_many, _TermTable(parameter_sets, _float_factors),
-        sets[order], z[order], float(target_rel_tol))
+    values, ratio = _in_blocks(_DOUBLE, parameter_sets, sets[order],
+                               z[order], float(target_rel_tol))
     out[order] = values
-    to_dd = (ratio > ESCALATION_RATIO) & (ratio <= 2.0 * DD_RATIO)
-    dd = order[to_dd]
-    # ratios only for the sets this pass sums, renumbered among themselves
+    verdict = _verdict(_DOUBLE, ratio)
+    onward = verdict == _ONWARD
+    dd = order[onward]
+    # term data only for the sets this pass sums, renumbered among themselves
     dd_sets, dd_index = np.unique(sets[dd], return_inverse=True)
-    values, accepted = _in_blocks(
-        _sum_dd_many,
-        _TermTable([parameter_sets[j] for j in dd_sets], _dd_ratios),
-        dd_index, z[dd])
+    values, ratio = _in_blocks(_DD, [parameter_sets[j] for j in dd_sets],
+                               dd_index, z[dd], _DD_TOL)
     out[dd] = values
-    to_mpmath = ratio > 2.0 * DD_RATIO
-    to_mpmath[to_dd] = ~accepted
-    rest = order[to_mpmath]
+    verdict[onward] = _verdict(_DD, ratio)
+    rest = order[verdict == _PAST]
     for j in sorted(set(sets[rest].tolist())):
         entries = rest[sets[rest] == j]
-        left = entries[z[entries] > 0.0].tolist()
-        tried = entries[z[entries] < 0.0].tolist()
-        if tried:
-            from ._asymptotic import large_z, large_z_form
-            form = large_z_form(*parameter_sets[j])
-            for i in tried:
-                served = large_z(form, float(z[i]), target_rel_tol)
-                if served is None:
-                    left.append(i)
-                else:
-                    out[i] = served.value
-        if left:
-            out[left] = _escalate(*parameter_sets[j], z[left].tolist())
+        out[entries] = [res.value for res in _past_the_passes(
+            *parameter_sets[j], z[entries].tolist(), target_rel_tol, 0)]
     return [out[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
 
 

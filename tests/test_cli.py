@@ -552,6 +552,43 @@ class TestOutputTarget:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(out if inside else tmp_path) == [fifo.name]
 
+    SPECTRUM = ["spectrum", "--n", "1", "--delta", "1", "--beta", "1",
+                "--k-max", "2", "--out"]
+
+    def test_fifo_beside_the_target_is_left_alone(self, tmp_path):
+        # a reader holds the FIFO open, so a write to it would not block
+        # but would land in the pipe and rename the FIFO over the target
+        fifo = tmp_path / "out.csv.tmp"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*self.SPECTRUM, str(tmp_path / "out.csv")]) == 0
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert (tmp_path / "out.csv").read_text().startswith("k1,")
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.csv.tmp"]
+
+    def test_regular_file_beside_the_target_is_kept(self, tmp_path):
+        (tmp_path / "b.csv.tmp").write_bytes(b"mine")
+        assert main([*self.SPECTRUM, str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "b.csv.tmp").read_bytes() == b"mine"
+        assert sorted(os.listdir(tmp_path)) == ["b.csv", "b.csv.tmp"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_output_mode_follows_the_umask(self, umask, tmp_path):
+        out = tmp_path / "s.csv"
+        old = os.umask(umask)
+        try:
+            assert main([*self.SPECTRUM, str(out)]) == 0
+            assert main(["figure", "--samples", "2", "--nu-max", "2",
+                         "--out", str(tmp_path / "grid")]) == 0
+        finally:
+            os.umask(old)
+        for path in [out, *(tmp_path / "grid").iterdir()]:
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
     def test_streamed_report_equals_one_dump(self, tmp_path, capsys):
         # the entries are written one at a time, in the bytes of dumping
         # the whole report at once

@@ -1,5 +1,6 @@
 """Series engine tests against an exact rational-arithmetic oracle."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -72,6 +73,12 @@ class TestPochhammer:
     def test_negative_k(self):
         with pytest.raises(InvalidParams):
             pochhammer(1.0, -1)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_non_finite_a_rejected(self, a, k):
+        with pytest.raises(InvalidParams, match="finite a"):
+            pochhammer(a, k)
 
     @pytest.mark.parametrize("k", [2.5, math.inf, math.nan, 2.0])
     def test_non_integer_k_rejected(self, k):
@@ -332,12 +339,13 @@ class TestPfqBatch:
         # double pass, so no ratio of theirs is built
         series = multiplier_series(3, 1.3)
         seen = []
-        real = hg._dd_ratios
+        real = hg._DD.build
 
         def counted(a, b, start):
             seen.append((a, b, start))
             return real(a, b, start)
-        monkeypatch.setattr(hg, "_dd_ratios", counted)
+        monkeypatch.setattr(hg, "_DD", dataclasses.replace(hg._DD,
+                                                           build=counted))
         requests = [(PfqParams(*series["b1"]), np.array([-0.5, -1.0])),
                     (PfqParams(*series["g"]), np.array([-1.0, -60.0])),
                     (PfqParams(*series["m"]), np.array([0.0, -2.0]))]
@@ -377,6 +385,24 @@ class TestDoubleDouble:
                 assert fn(xi, yi) == (h, l)
                 assert Fraction(h) + Fraction(l) == exact(Fraction(xi),
                                                           Fraction(yi))
+        # so are each series tier's bind, step, add and size
+        z = -rng.uniform(0.0, 900.0, 200)
+        for tier, data in ((hg._DOUBLE, (x, y, np.abs(y) + 1.0)),
+                           (hg._DD, hg._two_sum(x, y * 1e-17))):
+            width = len(tier.start)
+            term = hg._two_sum(y, x * 1e-17)[:width]
+            total = hg._two_sum(x, y)[:width]
+            bound = tier.bind(data, z)
+            got = (bound, tier.step(term, bound, z), tier.add(total, term),
+                   (tier.size(term, bound, z),))
+            for i, zi in enumerate(z.tolist()):
+                def at(v):
+                    return tuple(float(u[i]) for u in v)
+                b = tier.bind(at(data), zi)
+                assert (b, tier.step(at(term), b, zi),
+                        tier.add(at(total), at(term)),
+                        (tier.size(at(term), b, zi),)) == tuple(
+                            at(v) for v in got)
 
     @pytest.mark.parametrize("z", [-225.0, -256.0])
     def test_matches_exact_rational_sum(self, z):
@@ -421,17 +447,19 @@ class TestDoubleDouble:
         # the double pass measures a ratio of ~2e15, far above 2 DD_RATIO,
         # for this 3F3 at z = -400, so the value goes straight to mpmath
         # (the large-|z| tier does not take a 3F3)
-        sum_dd_many = hg._sum_dd_many
+        sum_one, sum_many = hg._sum, hg._sum_many
 
-        def refuse(*args):
-            raise AssertionError("double-double pass ran")
+        def refuse(tier, *args):
+            assert tier is not hg._DD, "double-double pass ran"
+            return sum_one(tier, *args)
 
-        def only_empty(table, sets, z):
-            assert not z.size, "double-double pass ran"
-            return sum_dd_many(table, sets, z)
+        def only_empty(tier, table, sets, z, tol):
+            assert tier is not hg._DD or not z.size, (
+                "double-double pass ran")
+            return sum_many(tier, table, sets, z, tol)
 
-        monkeypatch.setattr(hg, "_sum_dd", refuse)
-        monkeypatch.setattr(hg, "_sum_dd_many", only_empty)
+        monkeypatch.setattr(hg, "_sum", refuse)
+        monkeypatch.setattr(hg, "_sum_many", only_empty)
         params = PfqParams((0.7, 1.9, 2.5), (1.1, 3.3, 4.0))
         res = pfq(params, -400.0)
         assert res.precision_bits == ESCALATED_PREC_BITS
@@ -459,6 +487,71 @@ class TestDoubleDouble:
         assert res.terms_used > 40
         assert pfq_many(params, np.array([-225.0, -225.0])).tolist() == [
             exact, exact]
+
+
+# (a, b, z, precision_bits, float.hex(value), terms_used): multiplier
+# series, draws as in test_random_draws_within_one_ulp, and a few edge
+# shapes.  The double and double-double passes are IEEE arithmetic alone,
+# so their bits are pinned; large-|z| values go through libm and mpmath
+# values through mpmath, so those pin only the tier.
+PINNED = [
+    ((1.0, 1.85), (2.0, 3.5, 2.85), -0.5, 53, "0x1.e8e6612817a30p-1", 11),
+    ((1.0, 1.85), (2.0, 2.5, 2.85), -2.0, 53, "0x1.8c3f22bcfa5e5p-1", 13),
+    ((1.85,), (2.5, 2.85), -60.0, 106, "0x1.1b45cabe50e8bp-11", 39),
+    ((1.0, 2.5, 0.5), (2.0, 1.5, 2.5, 1.5), -40.0, 53,
+     "0x1.e3300dc30a83ep-3", 28),
+    ((1.25,), (3.0, 2.25), -150.0, 106, "0x1.41fa2d227eaeap-8", 50),
+    ((1.0, 1.0), (2.0, 2.5, 2.0), -206.0, 106, "0x1.5dee2109f5489p-5", 54),
+    ((2.0,), (2.0, 3.0), -9.0, 53, "-0x1.ba231e9b6726bp-5", 20),
+    ((1.0, 2.5, 1.0), (2.0, 1.5, 2.5, 2.0), -1e4, 64, None, None),
+    ((1.0, 0.5), (2.0, 2.5, 1.5), -2.5e5, 52, None, None),
+    ((1.0,), (2.0, 2.0), -900.0, 52, None, None),
+    ((0.000500000000000167,), (3.5, 1.0005000000000002), -2e4, 52, None,
+     None),
+    ((1.0, 2.5, 2.15), (2.0, 1.5, 5.0, 3.15), -120.0, 106,
+     "0x1.5b505ce0dfe0bp-6", 44),
+    ((1.0, 0.0004999999999999449), (2.0, 1.5, 1.0005), -1e6, 64, None, None),
+    ((1.0, 1.25), (2.0, 3.0, 2.25), 12.0, 53, "0x1.b0c1768dcfdb5p+1", 18),
+    ((3.1333553491306128, 2.7503437933021466),
+     (3.633027731741092, 2.3386381278547965, 4.987162269530267),
+     -898.3789277614078, 52, None, None),
+    ((0.9307312903084262,),
+     (3.521629534690983, 3.4401915118594797, 3.141858253422206),
+     -537.1582728149992, 106, "0x1.065e24a2e0a40p-4", 30),
+    ((1.1078346940137629,), (2.4856004517248502, 0.6656717426232948),
+     -763.2254900220961, 52, None, None),
+    ((0.2851348384581574, 3.7586683381017627, 3.8866515299068003),
+     (4.335863531156765, 3.544942172807831, 1.039718876910809),
+     -821.4049372147238, 64, None, None),
+    ((2.861335350457744,), (0.4092735617677602, 0.8523179733264572),
+     -640.764700784011, 52, None, None),
+    ((1.1268875006459966, 0.9342320841262064),
+     (1.5840334330183539, 2.955030641870474, 1.1727080382453043,
+      0.6930907379005566),
+     -502.4779199866809, 106, "-0x1.7b13b37dc27c4p-3", 33),
+    ((0.7, 1.9, 2.5), (1.1, 3.3, 4.0), -400.0, 64, None, None),
+    ((-40.5,), (1.5,), 100.0, 64, None, None),
+    ((1.0,), (), 0.5, 53, "0x1.fffffffffff80p+0", 46),
+    ((-2.0, 1.5), (3.0, 0.5), 5.0, 53, "0x1.6aaaaaaaaaab0p+0", 4),
+    ((1.0, 2.0), (3.0,), -0.9, 53, "0x1.465901897a08ap-1", 250),
+]
+
+
+class TestPinnedBits:
+    def test_scalar(self):
+        assert {pin[3] for pin in PINNED} == ALL_TIERS
+        for a, b, z, bits, value, terms in PINNED:
+            res = pfq(PfqParams(a, b), z)
+            assert res.precision_bits == bits, (a, b, z)
+            if value is not None:
+                assert (res.value.hex(), res.terms_used) == (value, terms)
+
+    def test_batch(self):
+        got = pfq_batch([(PfqParams(a, b), np.array([z]))
+                         for a, b, z, *_ in PINNED])
+        for (*_, value, _terms), values in zip(PINNED, got):
+            if value is not None:
+                assert values[0].hex() == value
 
 
 def multiplier_series(n, beta):
