@@ -53,7 +53,7 @@ def figure_betas(n):
 VERIFY_ABS_FLOOR = 1e-8
 
 #: Most |nu| samples a figure panel accepts: its stated size reach.  A grid
-#: holds every panel's values before it writes, and peaks at ~390 MB
+#: holds every panel's values before it writes, and peaks at ~260 MB
 #: resident at the cap; larger counts are rejected before any array is
 #: built.
 MAX_SAMPLES = 100_000
@@ -62,6 +62,10 @@ MAX_SAMPLES = 100_000
 #: draws every tuple before it builds a rule and holds every entry of its
 #: report; larger counts are rejected before any draw.
 MAX_COUNT = 10_000
+
+
+#: Samples whose figure rows are formatted as one piece of text.
+_ROW_BLOCK = 256
 
 
 def _fmt(x):
@@ -106,42 +110,48 @@ def figure_values(jobs):
     """Evaluate panels: per job, (|nu| grid, lambda1 per lambda*, lambda2).
 
     The frequency is taken along the first axis (rotation invariance makes
-    the direction immaterial).  Every series of every panel is summed in one
-    array pass over all their |nu| grids, and each panel's series are
-    combined per lambda*.  A panel's values do not depend on the panels it
-    is evaluated with.
+    the direction immaterial), so its |nu|^2 is grid * grid, the bits the
+    frequency gate's matmul forms for (|nu|, 0, ..., 0); FigureJob has
+    checked the reach.  Every series of every panel is summed in one array
+    pass over all their |nu| grids, and each panel's series are combined
+    per lambda*.  A panel's values do not depend on the panels it is
+    evaluated with.
     """
     requests, grids = [], []
     for job in jobs:
         grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
-        nu = np.zeros((job.samples, job.n))
-        nu[:, 0] = grid
+        with np.errstate(over="ignore"):   # an overflow is reported below
+            nn2 = mt._finite_norms2(grid * grid)
         # lambda2 is read from the first pair; lambda* = 0 if there is none
         materials = [Material(job.mu, s) for s in job.lambda_star_list]
         requests.append((NonlocalParams(job.n, job.delta, job.beta),
-                         materials or [Material(job.mu, 0.0)], nu))
+                         materials or [Material(job.mu, 0.0)], nn2))
         grids.append(grid)
     return [(grid, [l1 for l1, _ in lams], lams[0][1])
-            for grid, lams in zip(grids, mt.eigenvalues_many(requests))]
+            for grid, lams in zip(grids, mt._eigenvalues_of_norms2(requests))]
 
 
 def figure_rows(job, values):
-    """Yield CSV rows for one panel, from ``values`` = figure_values([job])[0].
+    """Yield CSV text for one panel, from ``values`` = figure_values([job])[0].
 
     One lambda1 row per (lambda_star, sample); since lambda2 does not
     depend on lambda*, it is emitted once per sample in a trailing row
-    whose lambda_star field is the sentinel NA.
+    whose lambda_star field is the sentinel NA.  Each item holds the rows
+    of up to ``_ROW_BLOCK`` samples, joined by newlines without a trailing
+    one, formatted with one ``%`` over a per-sample template.
     """
     grid, lam1, lam2 = values
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
-    heads = [f"{prefix},{_fmt(s)}" for s in job.lambda_star_list]
-    lam1 = [l1.tolist() for l1 in lam1]
-    lam2 = lam2.tolist()
-    for i, nu_norm in enumerate(grid):
-        nu_cell = _fmt(nu_norm)
-        for head, col in zip(heads, lam1):
-            yield f"{head},{nu_cell},{_fmt(col[i])},NA"
-        yield f"{prefix},NA,{nu_cell},NA,{_fmt(lam2[i])}"
+    lam1 = lam1[:len(job.lambda_star_list)]   # none without a lambda*
+    rows = [f"{prefix},{_fmt(s)},%s,%.17g,NA" for s in job.lambda_star_list]
+    rows.append(f"{prefix},NA,%s,NA,%.17g")
+    for i in range(0, grid.size, _ROW_BLOCK):
+        nu_cells = [_fmt(x) for x in grid[i:i + _ROW_BLOCK].tolist()]
+        # per sample: (|nu| cell, value) for each row, as the template reads
+        columns = [c for col in [*lam1, lam2]
+                   for c in (nu_cells, col[i:i + _ROW_BLOCK].tolist())]
+        template = "\n".join(rows * len(nu_cells))
+        yield template % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _check_out(path, directory=False):

@@ -50,16 +50,15 @@ tier's thresholds, the one place that does, and ``_past_the_passes``
 serves what neither pass accepts; ``pfq`` and ``pfq_batch`` share both.
 
 ``pfq`` evaluates one argument.  ``pfq_batch`` evaluates a list of
-(parameters, argument array) requests in one pass: it validates and
-cancels each request's parameters once, numbers the distinct parameter
-sets, and runs each series pass as one loop over the term index for every
-entry of every request.  Each entry carries the index of its parameter set
-and gathers its term data from per-set tables, which serve every entry of
-a set because the data do not depend on z.  Entries are taken in order of
-|z|, so entries that stop at similar term counts run together, in blocks
-of at most ``BATCH_BLOCK`` entries, which bounds the pass's working
-arrays.  The entries neither pass accepts try the large-|z| tier one by
-one, and those it refuses go to mpmath batched per parameter set.
+(parameters, argument array) requests: it validates and cancels each
+request's parameters once, numbers the distinct parameter sets, and runs
+each series pass as one loop over the term index, each entry gathering its
+term data from per-set tables that do not depend on z.  Entries are taken
+in order of |z|, so entries that stop at similar term counts run together,
+in blocks of at most ``BATCH_BLOCK``; each block's values go straight into
+the one output array, so a pass holds ~25 bytes per entry plus one block's
+working arrays.  The entries neither pass accepts try the large-|z| tier
+one by one, and those it refuses go to mpmath batched per parameter set.
 ``pfq_many`` is the one-request case.  Both loops run the same tier
 definitions in the same order, so every batch value, and the tier that
 serves it, are bit-identical to ``pfq``.
@@ -391,41 +390,43 @@ def _sum(tier, a, b, z, tol):
     bound, twice that next size (0 where a zero term ended the series, inf
     where the pass did not converge); the number of terms summed; and
     max|term| / |sum| when the pass converged to a finite nonzero sum, inf
-    when the term cap was hit, a value became non-finite, or the sum is
-    zero.
+    when the term cap was hit, a value became non-finite (or divided by a
+    denominator that underflowed to zero, as on arrays), or the sum is 0.
     """
     step, add = tier.step, tier.add
     rows = []
     s = term = tier.start
     max_term = 1.0
     small_run = 0
-    for k in range(_MAX_TERMS):
-        if k + 1 >= len(rows):
-            # one array pass forms and binds the data of a whole chunk; it
-            # overflows silently, as Python floats do
-            with np.errstate(all="ignore"):
-                data = tier.bind(tier.build(a, b, len(rows)), z)
-            rows += np.array(data).T.tolist()
-        term = step(term, rows[k], z)
-        at = abs(term[0])
-        if at == 0.0:
-            # a numerator parameter hit zero: the series terminates exactly
-            return (s[0], 0.0, k + 2,
-                    max_term / abs(s[0]) if s[0] else math.inf)
-        s = add(s, term)
-        abs_s = abs(s[0])
-        if not math.isfinite(abs_s):
-            return s[0], math.inf, k + 2, math.inf
-        if at > max_term:
-            max_term = at
-        if at < tol * abs_s:
-            small_run += 1
-            if small_run >= 3:
-                nxt = tier.size(term, rows[k + 1], z)
-                if 2.0 * nxt < tol * abs_s:
-                    return s[0], 2.0 * nxt, k + 2, max_term / abs_s
-        else:
-            small_run = 0
+    try:
+        for k in range(_MAX_TERMS):
+            if k + 1 >= len(rows):
+                # one array pass binds a chunk, overflowing silently too
+                with np.errstate(all="ignore"):
+                    data = tier.bind(tier.build(a, b, len(rows)), z)
+                rows += np.array(data).T.tolist()
+            term = step(term, rows[k], z)
+            at = abs(term[0])
+            if at == 0.0:
+                # a numerator parameter hit zero: the series ends exactly
+                return (s[0], 0.0, k + 2,
+                        max_term / abs(s[0]) if s[0] else math.inf)
+            s = add(s, term)
+            abs_s = abs(s[0])
+            if not math.isfinite(abs_s):
+                return s[0], math.inf, k + 2, math.inf
+            if at > max_term:
+                max_term = at
+            if at < tol * abs_s:
+                small_run += 1
+                if small_run >= 3:
+                    nxt = tier.size(term, rows[k + 1], z)
+                    if 2.0 * nxt < tol * abs_s:
+                        return s[0], 2.0 * nxt, k + 2, max_term / abs_s
+            else:
+                small_run = 0
+    except ZeroDivisionError:
+        return s[0], math.inf, k + 2, math.inf
     return s[0], math.inf, _MAX_TERMS, math.inf
 
 
@@ -617,18 +618,26 @@ def _sum_many(tier, table, sets, z, tol):
     return values, ratio
 
 
-def _in_blocks(tier, parameter_sets, sets, z, tol):
-    """``_sum_many`` over consecutive blocks of at most ``BATCH_BLOCK`` entries.
+def _in_blocks(tier, parameter_sets, sets, z, entries, tol, out):
+    """``_sum_many`` over the ``entries`` of z, in blocks of ``BATCH_BLOCK``.
 
-    The blocks share one term table of ``parameter_sets``.  Returns
-    (values, ratio), each concatenated over the blocks; an empty z makes
-    one empty call, so both keep their dtypes.
+    Entry i sums the series of ``parameter_sets[sets[i]]`` into ``out[i]``.
+    The blocks share one term table; no entries make one empty block.
+    Returns the index arrays of the entries the tier sends onward and past.
     """
-    table = _TermTable(parameter_sets, tier.build)
-    parts = [_sum_many(tier, table, sets[i:i + BATCH_BLOCK],
-                       z[i:i + BATCH_BLOCK], tol)
-             for i in range(0, max(z.size, 1), BATCH_BLOCK)]
-    return [np.concatenate(out) for out in zip(*parts)]
+    used = np.zeros(len(parameter_sets), bool)
+    used[sets[entries]] = True       # cast in buffers, not copied to intp
+    row = np.cumsum(used) - 1        # a set's row in the table
+    table = _TermTable([p for p, u in zip(parameter_sets, used) if u],
+                       tier.build)
+    sent = {_ONWARD: [], _PAST: []}
+    for i in range(0, max(entries.size, 1), BATCH_BLOCK):
+        blk = entries[i:i + BATCH_BLOCK]
+        out[blk], ratio = _sum_many(tier, table, row[sets[blk]], z[blk], tol)
+        verdict = _verdict(tier, ratio)
+        for where, kept in sent.items():
+            kept.append(blk[verdict == where])
+    return [np.concatenate(kept) for kept in sent.values()]
 
 
 def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
@@ -636,13 +645,12 @@ def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
 
     Each z is a 1-D float array.  Validation and parameter cancellation run
     once per request, and requests whose cancelled parameters agree share
-    one parameter set.  The double-precision pass runs over every entry of
-    every request at once, the double-double pass over the entries it
-    routes there; the entries neither accepts try the large-|z| tier, and
-    those it refuses go to ``mpmath.hyper`` in one batch per parameter
-    set.  Every value is bit-identical to
-    ``pfq(params, z[i], target_rel_tol).value`` and comes from the same
-    tier.
+    one parameter set.  The double pass streams every entry, and the
+    double-double pass those it routes there, in |z|-ordered blocks into
+    one output array; the entries neither accepts try the large-|z| tier,
+    and those it refuses go to ``mpmath.hyper`` in one batch per parameter
+    set.  Every value is bit-identical to ``pfq(params, z[i],
+    target_rel_tol).value`` and comes from the same tier.
 
     Returns
     -------
@@ -676,25 +684,17 @@ def pfq_batch(requests, target_rel_tol=DEFAULT_REL_TOL):
         set_of.append(index.setdefault((a, b), len(index)))
     bounds = np.cumsum([0] + [z.size for z in zs])
     z = np.concatenate([np.empty(0)] + zs)
-    sets = np.repeat(np.array(set_of, dtype=np.intp), np.diff(bounds))
+    sets = np.repeat(np.array(set_of, np.min_scalar_type(len(index))),
+                     np.diff(bounds))      # a byte per entry below 256 sets
     parameter_sets = list(index)
+    # in order of |z|, the entries of a block stop at similar term counts;
+    # z = 0 sorts first and keeps its value 1
+    order = np.argsort(np.abs(z))[np.count_nonzero(z == 0.0):]
     out = np.ones(z.size)
-    # in order of |z|, the entries of a block stop at similar term counts
-    order = np.argsort(np.abs(z))
-    order = order[z[order] != 0.0]
-    values, ratio = _in_blocks(_DOUBLE, parameter_sets, sets[order],
-                               z[order], float(target_rel_tol))
-    out[order] = values
-    verdict = _verdict(_DOUBLE, ratio)
-    onward = verdict == _ONWARD
-    dd = order[onward]
-    # term data only for the sets this pass sums, renumbered among themselves
-    dd_sets, dd_index = np.unique(sets[dd], return_inverse=True)
-    values, ratio = _in_blocks(_DD, [parameter_sets[j] for j in dd_sets],
-                               dd_index, z[dd], _DD_TOL)
-    out[dd] = values
-    verdict[onward] = _verdict(_DD, ratio)
-    rest = order[verdict == _PAST]
+    dd, rest = _in_blocks(_DOUBLE, parameter_sets, sets, z, order,
+                          float(target_rel_tol), out)
+    rest = np.concatenate(
+        [rest, _in_blocks(_DD, parameter_sets, sets, z, dd, _DD_TOL, out)[1]])
     for j in sorted(set(sets[rest].tolist())):
         entries = rest[sets[rest] == j]
         out[entries] = [res.value for res in _past_the_passes(

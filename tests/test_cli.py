@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import stat
 import subprocess
@@ -82,7 +83,7 @@ class TestSizeReach:
         def no_series(requests):
             raise AssertionError("a panel was evaluated past the reach")
 
-        monkeypatch.setattr(perispec.multipliers, "eigenvalues_many",
+        monkeypatch.setattr(perispec.multipliers, "_eigenvalues_of_norms2",
                             no_series)
         out = tmp_path / "out"
         assert main(["figure", "--samples", "50", "--out", str(out)]
@@ -287,7 +288,8 @@ class TestFigureCommand:
         panel = dict(n=3, mu=1.2, delta=2.0, beta=4.0, nu_norm_min=0.0,
                      nu_norm_max=15.0, samples=25)
         def panel_rows(job):
-            return list(figure_rows(job, figure_values([job])[0]))
+            text = "\n".join(figure_rows(job, figure_values([job])[0]))
+            return text.split("\n")
 
         rows = panel_rows(FigureJob(lambda_star_list=stars, **panel))
         singles = [panel_rows(FigureJob(lambda_star_list=(s,), **panel))
@@ -299,6 +301,44 @@ class TestFigureCommand:
                        for single in singles)
             expected.append(singles[0][2 * i + 1])
         assert rows == expected
+
+    @staticmethod
+    def _cell_rows(job, values):
+        """The panel's rows, each cell formatted alone with f"{x:.17g}"."""
+        grid, lam1, lam2 = values
+        head = f"{job.n},{job.delta:.17g},{job.beta:.17g},{job.mu:.17g}"
+        rows = []
+        for i, nu_norm in enumerate(grid.tolist()):
+            rows += [f"{head},{s:.17g},{nu_norm:.17g},{col[i]:.17g},NA"
+                     for s, col in zip(job.lambda_star_list, lam1)]
+            rows.append(f"{head},NA,{nu_norm:.17g},NA,{lam2[i]:.17g}")
+        return rows
+
+    @pytest.mark.parametrize("n, stars, samples", [
+        (1, (-1.9, -1.0, 0.0, 1.0, 2.0), 2 * perispec.cli._ROW_BLOCK + 3),
+        (3, (-0.1,), perispec.cli._ROW_BLOCK),
+        (2, (), perispec.cli._ROW_BLOCK + 1),
+        (1, (2.5, -3e-5), 7),
+    ])
+    def test_rows_match_cell_by_cell_formatting(self, n, stars, samples):
+        # each item is the rows of a block of samples, joined by newlines
+        block = perispec.cli._ROW_BLOCK
+        job = FigureJob(n, 1.3, stars, 2.0, n + 0.5, 0.0, 15.0, samples)
+        values = figure_values([job])[0]
+        chunks = list(figure_rows(job, values))
+        assert len(chunks) == -(-samples // block)
+        assert all(not c.endswith("\n") for c in chunks)
+        got = "\n".join(chunks).split("\n")
+        assert got == self._cell_rows(job, values)
+        assert len(got) == samples * (len(stars) + 1)
+        # negative, signed-zero, tiny, huge and non-finite values too
+        rng = np.random.default_rng(5)
+        odd = rng.choice([-0.0, 5e-324, -1.7976931348623157e308, math.inf,
+                          -math.nan, -1.0 / 3.0, 1e16, 0.1], samples)
+        synthetic = (values[0], [np.roll(odd, k) for k in range(len(stars))],
+                     -odd)
+        assert ("\n".join(figure_rows(job, synthetic)).split("\n")
+                == self._cell_rows(job, synthetic))
 
     def test_grid_panels_equal_single_panels(self, tmp_path):
         # the grid sums every panel's series in one pass; each panel's CSV

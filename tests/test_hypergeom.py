@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import perispec._asymptotic as asy
@@ -166,6 +169,16 @@ class TestPfq:
         # 1F1(1; 2; z) = (e^z - 1) / z exceeds the double range at z = 1000
         with pytest.raises(NonConvergent):
             pfq(PfqParams((1.0,), (2.0,)), 1000.0)
+
+    def test_underflowed_denominator_raises_as_the_batch(self):
+        # prod(b + k) = 1e-400 underflows to 0: the array loop's quotient
+        # is not finite, and the scalar loop's division must end the same
+        params = PfqParams((1.0,), (1e-200, 1e-200))
+        with pytest.raises(NonConvergent) as scalar:
+            pfq(params, -1.0)
+        with pytest.raises(NonConvergent) as batch:
+            pfq_many(params, np.array([-1.0]))
+        assert str(scalar.value) == str(batch.value)
 
     def test_tol_range_enforced(self):
         params = PfqParams((1.0,), (2.0,))
@@ -356,6 +369,29 @@ class TestPfqBatch:
                                                            64))
         for (params, z), values in zip(requests, got):
             assert values.tolist() == [pfq(params, zi).value for zi in z]
+
+    def test_pass_memory_per_entry(self):
+        # the three series of each default figure panel (n = 3) over 8,334
+        # samples, 300,024 entries: the pass keeps z, the set numbers, the
+        # |z| order and the output (~25 bytes an entry) plus one block
+        samples, requests = 8334, []
+        for delta in (1e-3, 1.0, 2.0):
+            for beta in (5.0 - 1e-3, 4.0, 3.0, 2.0):
+                grid = np.linspace(0.0, 15.0, samples)
+                z = -0.25 * grid * grid * delta * delta
+                series = multiplier_series(3, beta)
+                requests += [(PfqParams(*series[key]), z)
+                             for key in ("merged", "g", "b1")]
+        entries = sum(z.size for _, z in requests)
+        assert entries >= 300_000
+        pfq_batch(requests[:3])   # numpy's lazily imported code
+        tracemalloc.start()
+        try:
+            pfq_batch(requests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * entries + 2**20, peak / entries
 
     def test_empty_and_validation(self):
         assert pfq_batch([]) == []
@@ -568,6 +604,94 @@ def mpmath_hyper(a, b, z, bits=200):
     with mpmath.workprec(bits):
         return float(mpmath.hyper([mpmath.mpf(x) for x in a],
                                   [mpmath.mpf(x) for x in b], mpmath.mpf(z)))
+
+
+# parameter sets whose entries at z in [-2e3, 100] reach every tier: the
+# multiplier series take the large-|z| tier from z ~ -900; the other
+# shapes go to mpmath there (an integer gap, a 3F3) or terminate
+PROPERTY_SETS = [
+    *(multiplier_series(3, 2.5)[key] for key in ("merged", "g", "b1")),
+    multiplier_series(1, 0.5)["m"],
+    ((1.0, 1.0), (2.0, 2.5, 3.0)),
+    ((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),
+    ((-40.5,), (1.5,)),
+    ((-3.0,), (0.5, 4.0)),
+    ((), (1.5,)),
+]
+PROPERTY_REQUESTS = st.lists(
+    st.tuples(st.integers(0, len(PROPERTY_SETS) - 1),
+              st.lists(st.one_of(st.sampled_from([0.0, -0.0, -2e3, -900.0,
+                                                  -225.0, -60.0, 40.0]),
+                                 st.floats(-2e3, 100.0)), max_size=7)),
+    max_size=6)
+
+
+def batch_tiers(requests, tol):
+    """pfq_batch's values, and the precision_bits of the tier of each entry.
+
+    The tiers are read from the two passes: an entry the double pass does
+    not send on is served there (53, z = 0 included); one the double-double
+    pass takes and keeps is served there; any other gets the tier of what
+    ``_past_the_passes`` returned for it.
+    """
+    passes, past = [], {}
+    real_blocks, real_past = hg._in_blocks, hg._past_the_passes
+
+    def blocks(tier, parameter_sets, sets, z, entries, tol_, out):
+        sent = real_blocks(tier, parameter_sets, sets, z, entries, tol_, out)
+        passes.append((entries, np.concatenate(sent)))
+        return sent
+
+    def past_the_passes(a, b, zs, tol_, terms):
+        results = real_past(a, b, zs, tol_, terms)
+        past.update(((a, b, z), res.precision_bits)
+                    for z, res in zip(zs, results))
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hg, "_in_blocks", blocks)
+        mp.setattr(hg, "_past_the_passes", past_the_passes)
+        values = pfq_batch(requests, tol)
+    (_, sent_on), (dd, refused) = passes   # the double, then the dd pass
+    tiers = np.full(sum(z.size for _, z in requests), 53)
+    tiers[sent_on] = 0
+    tiers[dd] = DD_PRECISION_BITS
+    tiers[refused] = 0
+    entries = [(hg._cancel_common(p.a, p.b), zi)
+               for p, z in requests for zi in z.tolist()]
+    for i in np.flatnonzero(tiers == 0).tolist():
+        (a, b), zi = entries[i]
+        tiers[i] = past[(a, b, zi)]
+    bounds = np.cumsum([z.size for _, z in requests])[:-1]
+    return values, np.split(tiers, bounds)
+
+
+class TestBatchProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 5), draws=PROPERTY_REQUESTS,
+           tol=st.sampled_from([1e-13, 1e-9]))
+    @example(block=2, tol=1e-13, draws=[
+        (0, [-900.0, -150.0, 0.0, -1.0, -2e3]), (5, []), (5, [-400.0]),
+        (1, [-60.0, -0.0, -225.0]), (4, [-2e3, 3.0])])
+    def test_batch_equals_scalar_values_and_tiers(self, block, draws, tol):
+        # blocks of a few entries split requests and span several of them
+        requests = [(PfqParams(*PROPERTY_SETS[j]), np.array(zs, dtype=float))
+                    for j, zs in draws]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hg, "BATCH_BLOCK", block)
+            values, tiers = batch_tiers(requests, tol)
+        assert len(values) == len(requests)
+        for (params, z), got, bits in zip(requests, values, tiers):
+            refs = [pfq(params, zi, tol) for zi in z.tolist()]
+            assert got.tolist() == [ref.value for ref in refs]
+            assert bits.tolist() == [ref.precision_bits for ref in refs]
+
+    def test_the_example_reaches_every_tier(self):
+        requests = [(PfqParams(*PROPERTY_SETS[j]), np.array(zs))
+                    for j, zs in [(0, [-900.0, -150.0, 0.0, -1.0, -2e3]),
+                                  (5, [-400.0]), (1, [-60.0, -225.0])]]
+        _, tiers = batch_tiers(requests, 1e-13)
+        assert set(np.concatenate(tiers).tolist()) == ALL_TIERS
 
 
 class TestLargeZ:
