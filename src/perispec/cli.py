@@ -32,7 +32,7 @@ import numpy as np
 from . import multipliers as mt
 from .errors import InvalidParams, PerispecError
 from .multipliers import Material, NonlocalParams, _check_phase
-from .spectrum import TorusSpec, _box_spectrum
+from .spectrum import TorusSpec, _box_spectrum, _rows
 
 #: Material curves of the reference figure: mu = 1, lambda* sweep.
 FIGURE_LAMBDA_STARS = (-1.9, -1.0, 0.0, 1.0, 2.0)
@@ -264,8 +264,7 @@ def _cmd_spectrum(args):
     header = ",".join(f"k{i + 1}" for i in range(args.n))
     header += ",nu_norm,lambda1,lambda2,multiplicity2"
     row = ",".join(["%d"] * args.n + ["%.17g"] * 3 + [str(args.n - 1)])
-    cells = zip(*modes.T.tolist(), nu_norm.tolist(), lam1.tolist(),
-                lam2.tolist())
+    cells = _rows(*modes.T, nu_norm, lam1, lam2)
     _commit([(args.out, itertools.chain([header], (row % r for r in cells)))])
     return 0
 

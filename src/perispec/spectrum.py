@@ -13,6 +13,9 @@ array, mapped to frequencies and to eigenvalues by one batched
 eigenvalue call, which enforces the reach MAX_PHASE, and a field's
 coefficients are one (m, n) complex array.  A spectrum table is a
 read-only sequence over its box's arrays that builds records on access.
+Python values and complex temporaries are made one block of _BLOCK rows
+at a time, so neither a table's records nor apply and solve hold more
+than one block's worth beyond their arrays.
 """
 
 import itertools
@@ -40,9 +43,16 @@ _EIGENVALUE_FLOOR = 1e-14
 
 #: Most lattice modes, (2 k_max + 1)^n, that ``spectrum_table`` accepts:
 #: its stated size reach.  ``spectrum --n 3 --k-max 30`` (226,981 modes)
-#: fits, and the ``spectrum`` command peaks at ~95 MB resident near the
-#: cap; a larger box is rejected before any mode is built.
+#: fits, and the ``spectrum`` command, which formats its rows one block at
+#: a time, peaks at ~57 MB resident near the cap; a larger box is rejected
+#: before any mode is built.
 MAX_MODES = 250_000
+
+#: Rows turned into Python values, or into complex temporaries, at a time.
+_BLOCK = 512
+
+#: Largest |k_i| of a mode: a mode and its conjugate -k are both int64 rows.
+_MODE_BOUND = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,8 @@ class SpectrumTable(Sequence):
 
     Holds four non-writable arrays: ``modes`` (m, n) int64 in lexicographic
     order, ``nu`` (m, n), ``lambda1`` and ``lambda2`` (m,).  An index
-    (negative from the end) or iteration builds records in mode order; a
+    (negative from the end) or iteration builds records in mode order,
+    iteration converting one block of rows to Python values at a time; a
     slice is a table over views of the same arrays.
     """
 
@@ -120,10 +131,19 @@ class SpectrumTable(Sequence):
 
     def __iter__(self):
         multiplicity2 = self.modes.shape[1] - 1
-        for k, nu_k, l1, l2 in zip(map(tuple, self.modes.tolist()), self.nu,
-                                   self.lambda1.tolist(),
-                                   self.lambda2.tolist()):
-            yield SpectrumRecord(k, nu_k, l1, l2, multiplicity2)
+        for (k, l1, l2), nu_k in zip(
+                _rows(self.modes, self.lambda1, self.lambda2), self.nu):
+            yield SpectrumRecord(tuple(k), nu_k, l1, l2, multiplicity2)
+
+
+def _rows(*columns):
+    """Rows of parallel arrays as tuples of Python values, in order.
+
+    Only one block of rows is converted (``tolist``) at a time; a row of a
+    2-D column is a list.
+    """
+    for i in range(0, len(columns[0]), _BLOCK):
+        yield from zip(*(c[i:i + _BLOCK].tolist() for c in columns))
 
 
 def _lattice(k, torus):
@@ -148,11 +168,21 @@ def frequency_vector(k, torus):
 
 
 def _mode_key(k):
-    """Mode tuple of Python ints; non-integer entries are rejected."""
-    kv = np.atleast_1d(k)
-    if kv.dtype.kind not in "iu":
+    """Mode tuple of Python ints, each within +-_MODE_BOUND.
+
+    Entries are read as Python objects: numpy would hold integers past
+    int64 as uint64, float or object entries.  A non-integer entry is
+    rejected, and so is a mode with an entry out of range, by name.
+    """
+    entries = np.asarray(k, dtype=object).ravel().tolist()
+    if not entries or not all(isinstance(e, numbers.Integral)
+                              and not isinstance(e, bool) for e in entries):
         raise InvalidParams(f"mode index {k!r} must have integer entries")
-    return tuple(kv.tolist())
+    key = tuple(map(int, entries))
+    if max(map(abs, key)) > _MODE_BOUND:
+        raise InvalidParams(f"mode {key} has an entry outside +-(2**63 - 1), "
+                            f"so its conjugate -k is not an int64 mode")
+    return key
 
 
 def _point(x, dim):
@@ -255,9 +285,10 @@ def _validated(dim, keys, values):
     """(m, dim) int64 modes and finite complex coefficients, read-only.
 
     The one check behind every FourierField, made on whole arrays: keys
-    must be integer mode tuples (or integers when dim = 1), coefficients
-    finite vectors of dim entries.  Only a failed key or shape check scans
-    the keys, to name the first bad mode.
+    must be integer mode tuples (or integers when dim = 1) with entries
+    within +-_MODE_BOUND, coefficients finite vectors of dim entries.
+    Only a failed key or shape check scans the keys, to name the first bad
+    mode.
     """
     m = len(keys)
     try:
@@ -265,7 +296,9 @@ def _validated(dim, keys, values):
         c = np.reshape(np.asarray(values, dtype=complex), (m, dim))
     except ValueError:     # ragged, or not dim entries per mode
         k = None
-    if k is None or (m and k.dtype.kind not in "iu"):
+    if k is None or (m and (k.dtype.kind not in "iu"
+                            or k.max() > _MODE_BOUND
+                            or k.min() < -_MODE_BOUND)):
         for key, val in zip(keys, values):
             key, size = _mode_key(key), np.size(val)
             if len(key) != dim or size != dim:
@@ -282,12 +315,19 @@ def _validated(dim, keys, values):
 
 
 def _conjugate_rows(k):
-    """Row index of -k for every row k of a mode array; -1 where absent."""
-    inv = np.unique(np.concatenate([k, -k]), axis=0, return_inverse=True)[1]
-    inv = inv.reshape(2, -1)
-    index = np.full(2 * len(k), -1)
-    index[inv[0]] = np.arange(len(k))
-    return index[inv[1]]
+    """Row index of -k for every row k of a mode array; -1 where absent.
+
+    The rows of k are distinct, so a row of [k; -k] equals at most one
+    other: a stable sort puts that row of k just before its match in -k.
+    """
+    m = len(k)
+    both = np.concatenate([k, -k])
+    order = np.lexsort(both.T[::-1])
+    rows = both[order]
+    match = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+    index = np.full(m, -1)
+    index[order[match + 1] - m] = order[match]
+    return index
 
 
 class FourierField:
@@ -379,10 +419,21 @@ def _modes(field, params, material, torus):
 
 
 def _rank_one(unit, coeffs, along, across):
-    """Rows of across c + (along - across) nu_hat (nu_hat . c)."""
-    proj = np.sum(unit * coeffs, axis=1, keepdims=True)
-    return (across[:, None] * coeffs
-            + (along - across)[:, None] * unit * proj)
+    """Rows of across c + (along - across) nu_hat (nu_hat . c), one array.
+
+    The map of f(M) c from the eigenvalue functions ``along`` = f(lambda1)
+    and ``across`` = f(lambda2).  Each block of rows is written into the
+    one output array, so the temporaries are a block's; every row keeps
+    the whole-row sum and operation order of the expression.
+    """
+    out = np.empty_like(coeffs)
+    for i in range(0, len(coeffs), _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        u, c = unit[rows], coeffs[rows]
+        proj = np.sum(u * c, axis=1, keepdims=True)
+        out[rows] = (across[rows, None] * c
+                     + (along[rows] - across[rows])[:, None] * u * proj)
+    return out
 
 
 def apply_operator(field, params, material, torus):

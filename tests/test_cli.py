@@ -1,6 +1,8 @@
 """CLI contract tests: output formats, determinism, exit codes."""
 
 import csv
+import gc
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -717,6 +720,22 @@ class TestVerifySampler:
 
 
 class TestLazyOracleImport:
+    def test_import_adds_only_its_own_modules(self):
+        # set-up time is a bare ``import perispec``: beyond numpy it loads
+        # the package and two standard modules, nothing else
+        import perispec
+        src = os.path.dirname(os.path.dirname(perispec.__file__))
+        code = ("import sys, numpy\n"
+                "before = set(sys.modules)\n"
+                "import perispec\n"
+                "extra = {m for m in set(sys.modules) - before\n"
+                "         if m.partition('.')[0] != 'perispec'}\n"
+                "assert extra <= {'copy', 'dataclasses'}, sorted(extra)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_import_does_not_load_scipy(self):
         import perispec
         src = os.path.dirname(os.path.dirname(perispec.__file__))
@@ -887,6 +906,39 @@ class TestSpectrumCommand:
             lines.append(",".join(cells))
         assert len(lines) == (2 * k_max + 1) ** n + 1
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    # the bytes the command wrote when it formatted whole columns; a pin
+    # on this platform's libm, like every byte-identity check here
+    @pytest.mark.parametrize("args, digest", [
+        (["--n", "3", "--delta", "2", "--beta", "3", "--k-max", "8"],
+         "cdea85c577e472b21d02a18b6ffff708244460194487d4ede217366e0ad1898d"),
+        (["--n", "2", "--delta", "0.7", "--beta", "1.5", "--mu", "1.3",
+          "--lambda-star", "-0.4", "--lengths", "6.283185307179586", "2.9",
+          "--k-max", "40"],
+         "7278abe95258a71e486559916ddba086bc636ec42ad81263cea80b5aba252ea9"),
+    ], ids=["cube-k8", "anisotropic-n2"])
+    def test_output_bytes_are_pinned(self, args, digest, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_peak_is_the_arrays(self, tmp_path):
+        # rows are formatted from one block at a time; whole-column lists
+        # of the 68,921 modes took the command's traced peak to ~20 MB
+        out = tmp_path / "spec.csv"
+        argv = ["spectrum", "--n", "3", "--delta", "2", "--beta", "3",
+                "--out", str(out), "--k-max"]
+        assert main(argv + ["1"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["20"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and peak <= 13e6
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 41**3 + 1
 
     def test_invalid_exponent_exit_code(self, tmp_path):
         rc = main(["spectrum", "--n", "2", "--delta", "0.5", "--beta", "4.0",

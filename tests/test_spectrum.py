@@ -29,6 +29,23 @@ from perispec.spectrum import (FourierField, SpectrumRecord, SpectrumTable,
 TWO_PI = 2.0 * math.pi
 
 
+def _traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees while ``call()`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _rank_one_reference(unit, c, along, across):
+    """The documented rank-one form on whole arrays, in its operation order."""
+    proj = np.sum(unit * c, axis=1, keepdims=True)
+    return across[:, None] * c + (along - across)[:, None] * unit * proj
+
+
 class TestFrequencyVector:
     def test_cube(self):
         torus = TorusSpec((TWO_PI, TWO_PI, TWO_PI))
@@ -202,6 +219,20 @@ class TestSpectrumTableView:
             tracemalloc.stop()
         assert len(table) == 21**3
         assert live < 1.5e6
+
+    def test_iteration_peak_is_one_block(self):
+        # records are built from one block of rows at a time: whole-column
+        # lists of the 21^3 box's 9261 records peaked at ~1.6 MB
+        table = spectrum_table(self.PARAMS, self.MATERIAL, self.TORUS, 10)
+        count = 0
+
+        def walk():
+            nonlocal count
+            for rec in table:
+                count += 1
+
+        assert _traced_peak(walk) <= 0.3e6
+        assert count == 21**3
 
 
 class TestSizeReach:
@@ -392,6 +423,94 @@ class TestFourierField:
         field = FourierField(2, {(np.int64(2), np.int32(-1)): np.ones(2)})
         assert list(field.coeffs) == [(2, -1)]
         assert all(type(ki) is int for ki in next(iter(field.coeffs)))
+
+
+class TestModeRange:
+    # every mode k, and so its conjugate -k, is an int64 row
+    BOUND = 2**63 - 1
+
+    @pytest.mark.parametrize("dim, key, mode", [
+        (1, 2**63, (2**63,)),                # stored as -2**63 by a uint64 wrap
+        (1, -2**63, (-2**63,)),              # -k is not an int64
+        (1, 2**64, (2**64,)),                # was "must have integer entries"
+        (2, (-2**63, 1), (-2**63, 1)),       # paired with (-2**63, -1)
+        (2, (2**63, -1), (2**63, -1)),       # numpy holds it as floats
+        (3, (0, 0, -2**70), (0, 0, -2**70)),
+    ])
+    def test_out_of_range_modes_rejected(self, dim, key, mode):
+        coeff = np.ones(dim, dtype=complex)
+        message = re.escape(f"mode {mode} ")
+        with pytest.raises(InvalidParams, match=message):
+            FourierField(dim, {key: coeff})
+        with pytest.raises(InvalidParams, match=message):
+            FourierField.from_half_spectrum(dim, {key: coeff})
+        with pytest.raises(InvalidParams, match=message):
+            FourierField(dim, {(0,) * dim: coeff, key: coeff})
+        with pytest.raises(InvalidParams, match=message):
+            eigenfield(key, TorusSpec((1.0,) * dim), np.zeros(dim))
+
+    def test_the_bound_is_admitted(self):
+        b = self.BOUND
+        field = FourierField.from_half_spectrum(2, {(b, -b): np.ones(2),
+                                                    (0, 1): np.ones(2)})
+        assert list(field.coeffs) == [(b, -b), (-b, b), (0, 1), (0, -1)]
+        assert field.conjugate_asymmetry() == 0.0
+        wide = FourierField(1, {b: np.ones(1), -b: np.ones(1)})
+        assert list(wide.coeffs) == [(b,), (-b,)]
+        assert all(type(ki) is int for k in wide.coeffs for ki in k)
+
+    def test_non_integers_still_named_as_such(self):
+        for key in ((1.5, 2**64), (2**64, "1"), ()):
+            with pytest.raises(InvalidParams, match="integer entries"):
+                FourierField.from_half_spectrum(2, {key: np.ones(2)})
+
+
+class TestConjugatePairing:
+    @staticmethod
+    def reference(k):
+        """Row index of -k in k through np.unique over the rows of [k; -k]."""
+        inv = np.unique(np.concatenate([k, -k]), axis=0,
+                        return_inverse=True)[1].reshape(2, -1)
+        index = np.full(2 * len(k), -1)
+        index[inv[0]] = np.arange(len(k))
+        return index[inv[1]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_unique_reference(self, n):
+        rng = np.random.default_rng(n)
+        box = np.array(list(itertools.product(range(-3, 4), repeat=n)))
+        for size in (0, 1, 2, len(box) // 3, len(box) - 1, len(box)):
+            for _ in range(4):
+                k = box[rng.permutation(len(box))[:size]]
+                got = perispec.spectrum._conjugate_rows(k)
+                assert got.tolist() == self.reference(k).tolist()
+        # rows near the int64 bound, half of them with their conjugate
+        wide = rng.integers(-2**63 + 1, 2**63 - 1, size=(40, n),
+                            endpoint=True)
+        wide = np.unique(np.concatenate([wide, -wide[:20]]), axis=0)
+        wide = wide[rng.permutation(len(wide))]
+        got = perispec.spectrum._conjugate_rows(wide)
+        assert got.tolist() == self.reference(wide).tolist()
+        assert (got >= 0).sum() >= 40
+
+    def test_zero_mode_and_empty_field(self):
+        zero = np.zeros((1, 3), dtype=np.int64)
+        assert perispec.spectrum._conjugate_rows(zero).tolist() == [0]
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert perispec.spectrum._conjugate_rows(empty).tolist() == []
+
+    @settings(deadline=None, max_examples=50)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_property(self, data, n):
+        entry = st.integers(-2**63 + 1, 2**63 - 1) | st.integers(-3, 3)
+        rows = data.draw(st.lists(st.tuples(*[entry] * n), unique=True,
+                                  max_size=30))
+        flip = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                  max_size=len(rows)))
+        rows += [tuple(-x for x in r) for r, f in zip(rows, flip) if f]
+        k = np.array(list(dict.fromkeys(rows)), dtype=np.int64).reshape(-1, n)
+        got = perispec.spectrum._conjugate_rows(k)
+        assert got.tolist() == self.reference(k).tolist()
 
 
 class TestFieldContract:
@@ -590,16 +709,71 @@ class TestNoModeCopies:
         norm = np.linalg.norm(nu, axis=1, keepdims=True)
         unit = nu / norm
 
-        def rank_one(c, along, across):
-            proj = np.sum(unit * c, axis=1, keepdims=True)
-            return across[:, None] * c + (along - across)[:, None] * unit * proj
-
         c = np.array(list(field.coeffs.values()))
-        want_image = rank_one(c, lam1, lam2)
-        want_back = rank_one(want_image, 1.0 / lam1, 1.0 / lam2)
+        want_image = _rank_one_reference(unit, c, lam1, lam2)
+        want_back = _rank_one_reference(unit, want_image, 1.0 / lam1,
+                                        1.0 / lam2)
         for got, want in ((image, want_image), (back, want_back)):
             assert list(got.coeffs) == list(map(tuple, modes.tolist()))
             assert np.array(list(got.coeffs.values())).tobytes() == want.tobytes()
+
+    # boxes of 6001, 1681, 2401 and 3125 modes: each spans several blocks
+    @pytest.mark.parametrize("n, k_max", [(1, 3000), (2, 20), (4, 3), (5, 2)])
+    def test_rank_one_bits_in_every_dimension(self, n, k_max):
+        # np.sum's order over a row changes with n (pairwise from n = 4 on),
+        # so the map keeps the whole-row sum for every dimension
+        rng = np.random.default_rng(n)
+        modes = np.array(list(itertools.product(range(-k_max, k_max + 1),
+                                                repeat=n)))
+        unit = rng.standard_normal(modes.shape)
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        unit[len(modes) // 2] = 0.0                        # the zero mode
+        c = (rng.standard_normal(modes.shape)
+             + 1j * rng.standard_normal(modes.shape))
+        c[::7] *= -0.0                                     # signed zeros
+        along, across = rng.standard_normal((2, len(modes)))
+        got = perispec.spectrum._rank_one(unit, c, along, across)
+        want = _rank_one_reference(unit, c, along, across)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStreamedPeaks:
+    # the 21^3 box of the benchmark's torus program: 9261 modes, whose
+    # (m, 3) complex coefficients take 0.44 MB
+    PARAMS = NonlocalParams(3, 0.5, 3.0)
+    MATERIAL = Material(1.0, 0.4)
+    TORUS = TorusSpec((4.5, 5.2, 7.1))
+
+    def field(self, k_max):
+        rng = np.random.default_rng(5)
+        half = [k for k in itertools.product(range(-k_max, k_max + 1),
+                                             repeat=3) if k > (0, 0, 0)]
+        coeffs = (rng.standard_normal((len(half), 3))
+                  + 1j * rng.standard_normal((len(half), 3)))
+        return FourierField.from_half_spectrum(3, dict(zip(half, coeffs)))
+
+    def test_apply_and_solve_write_one_array(self):
+        # four full (m, 3) complex temporaries peaked at 1.91 / 2.07 MB
+        small = self.field(1)
+        solve_periodic(apply_operator(small, self.PARAMS, self.MATERIAL,
+                                      self.TORUS),
+                       self.PARAMS, self.MATERIAL, self.TORUS)
+        field = self.field(10)
+        assert len(field.coeffs) == 21**3 - 1
+        out = {}
+
+        def apply():
+            out["image"] = apply_operator(field, self.PARAMS, self.MATERIAL,
+                                          self.TORUS)
+
+        def solve():
+            out["back"] = solve_periodic(out["image"], self.PARAMS,
+                                         self.MATERIAL, self.TORUS)
+
+        assert _traced_peak(apply) <= 1.6e6
+        assert _traced_peak(solve) <= 1.75e6
+        assert np.max(np.abs(out["back"]._c - field._c)) <= 1e-10
 
 
 class TestSolvePeriodic:
