@@ -53,7 +53,7 @@ def figure_betas(n):
 VERIFY_ABS_FLOOR = 1e-8
 
 #: Most |nu| samples a figure panel accepts: its stated size reach.  A grid
-#: holds every panel's values before it writes, and peaks at ~260 MB
+#: holds every panel's values before it writes, and peaks at ~210 MB
 #: resident at the cap; larger counts are rejected before any array is
 #: built.
 MAX_SAMPLES = 100_000
@@ -127,8 +127,8 @@ def figure_values(jobs):
         requests.append((NonlocalParams(job.n, job.delta, job.beta),
                          materials or [Material(job.mu, 0.0)], nn2))
         grids.append(grid)
-    return [(grid, [l1 for l1, _ in lams], lams[0][1])
-            for grid, lams in zip(grids, mt._eigenvalues_of_norms2(requests))]
+    return [(grid, [l1 for l1, _ in lams], lams[0][1]) for grid, lams in
+            zip(grids, mt._closed(requests, ("lambda1", "lambda2")))]
 
 
 def figure_rows(job, values):

@@ -14,12 +14,12 @@ lambda2 (multiplicity n - 1) transverse to it.  As delta -> 0, or as the
 kernel exponent beta -> n + 2, M converges to the multiplier of the Navier
 operator of classical linear elasticity.
 
-Five distinct series carry every quantity.  One evaluator sums each one
-a call needs once and applies one formula per quantity: ``pfq`` at a
-single frequency, or one ``pfq_batch`` pass over the distinct |nu|^2
-shells of every request of an array call, so ``eigenvalues_many`` sums
-all series of all its (params, materials, frequencies) requests, such as
-the panels of a figure grid, together.  ``closed_bundle``, the twin of
+Five distinct series carry every quantity.  One evaluator, ``_closed``,
+serves every scalar, array, figure and torus request: it sums each
+series a call needs once and applies one formula per quantity, with
+``pfq`` at a single frequency, or with one ``pfq_batch`` pass over the
+shells (the distinct |nu|^2) of every array request of the call, such as
+the panels of a figure grid.  ``closed_bundle``, the twin of
 ``oracle.quadrature_bundle``, returns every quantity at one frequency.
 
 Every frequency passes one gate, ``_frequencies``, before any series is
@@ -251,32 +251,38 @@ def _sums(requests, keys, tol):
     return [{key: next(values) for key in keys} for _ in requests]
 
 
-def _closed(requests, names, tol):
+def _closed(requests, names, tol=DEFAULT_REL_TOL):
     """The closed quantities ``names`` per (params, materials, |nu|^2) request.
 
-    |nu|^2 is a nonzero float or an array of shells, the same kind in every
-    request.  Each series the names need is summed once per request for
-    all its materials, and the series of all requests in one pass.  Returns
-    per request a list with one list of values per material.  Where an
-    array holds |nu|^2 = 0 every quantity is an exact 0 (the continuity
-    limit).
+    |nu|^2 is a nonzero float or an array, the same kind in every request.
+    An array's series are summed on its shells, the distinct |nu|^2, for
+    all its materials, the series of all requests in one pass; each
+    quantity is formed on the shells and scattered back before the next
+    is formed.  Returns per request a list with one tuple of values per
+    material.  Where an array holds |nu|^2 = 0 every quantity is an exact
+    0 (the continuity limit).
     """
     keys = dict.fromkeys(key for name in names for key in _FORMULAS[name][0])
-    nns = [math.sqrt(nn2) if isinstance(nn2, float) else np.sqrt(nn2)
-           for _, _, nn2 in requests]
+    shells = [(nn2, None) if isinstance(nn2, float)
+              else np.unique(nn2, return_inverse=True)
+              for _, _, nn2 in requests]
+    nns = [math.sqrt(nn2) if inverse is None else np.sqrt(nn2)
+           for nn2, inverse in shells]
     sums = _sums([(params, nn) for (params, _, _), nn in zip(requests, nns)],
                  keys, tol)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (_, materials, nn2), nn, f in zip(requests, nns, sums):
+        for (_, materials, _), (nn2, inverse), nn, f in zip(
+                requests, shells, nns, sums):
             per_material = []
             for material in materials:
-                values = [_FORMULAS[name][1](material, nn2, nn, f)
-                          for name in names]
-                if not isinstance(nn2, float):
-                    values = [np.where(nn2 == 0.0, 0.0, x) for x in values]
-                per_material.append([_finite(x, name)
-                                     for x, name in zip(values, names)])
+                values = []
+                for name in names:
+                    x = _FORMULAS[name][1](material, nn2, nn, f)
+                    if inverse is not None:
+                        x = np.where(nn2 == 0.0, 0.0, x)[inverse]
+                    values.append(_finite(x, name))
+                per_material.append(tuple(values))
             out.append(per_material)
     return out
 
@@ -473,34 +479,16 @@ def eigenvalues_many(requests, target_rel_tol=DEFAULT_REL_TOL):
     (lambda1, lambda2) array pairs in the order of its materials; every
     value equals that of the request evaluated alone.
     """
-    return _eigenvalues_of_norms2(
-        ((params, materials, _frequencies(params, nu)[1])
-         for params, materials, nu in requests), target_rel_tol)
-
-
-def _eigenvalues_of_norms2(requests, target_rel_tol=DEFAULT_REL_TOL):
-    """``eigenvalues_many`` for (params, materials, |nu|^2) requests.
-
-    Each |nu|^2 array is the one ``_frequencies`` formed and checked, so a
-    caller that also needs |nu| (the ``spectrum`` command) forms it once.
-    """
-    shells, inverses = [], []
-    for params, materials, nn2 in requests:
-        unique, inverse = np.unique(nn2, return_inverse=True)
-        shells.append((params, materials, unique))
-        inverses.append(inverse)
-    closed = _closed(shells, ("lambda1", "lambda2"), target_rel_tol)
-    return [[(lam1[inverse], lam2[inverse]) for lam1, lam2 in pairs]
-            for pairs, inverse in zip(closed, inverses)]
+    return _closed([(params, materials, _frequencies(params, nu)[1])
+                    for params, materials, nu in requests],
+                   ("lambda1", "lambda2"), target_rel_tol)
 
 
 def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TOL):
     """``eigenvalues`` for several materials at once, one pair per material.
 
-    The one-request case of ``eigenvalues_many``: the series are evaluated
-    once per distinct |nu|^2 for all materials together and combined per
-    material.  Returns a list of (lambda1, lambda2) array pairs, in the
-    order of ``materials``.
+    The one-request case of ``eigenvalues_many``.  Returns a list of
+    (lambda1, lambda2) array pairs, in the order of ``materials``.
     """
     return eigenvalues_many([(params, materials, nu)], target_rel_tol)[0]
 
@@ -510,8 +498,7 @@ def eigenvalues(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
 
     Returns arrays (lambda1, lambda2) of length m, each entry equal to
     ``eigenvalue_parallel`` / ``eigenvalue_transverse`` at that row.  The
-    series are evaluated once per distinct |nu|^2, as arrays, and
-    scattered back; rows with nu = 0 give 0.
+    series are summed once per distinct |nu|^2; rows with nu = 0 give 0.
     """
     return eigenvalues_by_material(params, (material,), nu, target_rel_tol)[0]
 

@@ -9,16 +9,16 @@ eigenfields), and truncated Fourier series can be applied to and solved
 against the operator coefficient-wise.
 
 The layer works on arrays: a box or a field is an (m, n) integer mode
-array, mapped to frequencies and to eigenvalues by one batched
-eigenvalue call, which enforces the reach MAX_PHASE, and a field's
-coefficients are one (m, n) complex array.  A spectrum table is a
-read-only sequence over its box's arrays that builds records on access.
-Python values and complex temporaries are made one block of _BLOCK rows
-at a time, so neither a table's records nor apply and solve hold more
-than one block's worth beyond their arrays.
+array, and one helper, ``_spectrum``, maps it to frequencies and
+eigenvalues through the closed-form evaluator, which enforces the reach
+MAX_PHASE and sums the series once per shell (distinct |nu|^2); a
+field's coefficients are one (m, n) complex array.  A spectrum table is
+a read-only sequence over its box's arrays that builds records on
+access.  Python values and complex temporaries are made one block of
+_BLOCK rows at a time, so neither a table's records nor apply and solve
+hold more than one block's worth beyond their arrays.
 """
 
-import itertools
 import math
 import numbers
 from collections.abc import Sequence
@@ -30,8 +30,7 @@ import numpy as np
 from .errors import (DegenerateEigenvalue, InvalidParams, SingularMode,
                      ZeroMode)
 # MAX_PHASE is re-exported: the torus layer's reach is the closed forms'
-from .multipliers import (MAX_PHASE, _eigenvalues_of_norms2, _frequencies,
-                          eigenvalues, orthonormal_basis)
+from .multipliers import MAX_PHASE, _closed, _frequencies, orthonormal_basis
 
 __all__ = [
     "TorusSpec", "SpectrumRecord", "SpectrumTable", "FourierField",
@@ -211,11 +210,28 @@ def _check_torus(params, torus):
             f"torus dimension {torus.dim} does not match n = {params.n}")
 
 
+def _spectrum(params, material, torus, modes):
+    """(nu, |nu|^2 as the frequency gate forms it, lambda1, lambda2) of modes."""
+    nu = _lattice(modes, torus)
+    nn2 = _frequencies(params, nu)[1]
+    [(lam1, lam2)], = _closed([(params, (material,), nn2)],
+                              ("lambda1", "lambda2"))
+    return nu, nn2, lam1, lam2
+
+
+def _mode_box(n, k_max):
+    """The box {-k_max, ..., k_max}^n as (count, n) int64 rows, lexicographic."""
+    axes = np.indices((2 * k_max + 1,) * n, np.int64, sparse=True)
+    # one C-ordered array: the gate's matmul rounds strided rows differently
+    box = np.broadcast_arrays(*(a - k_max for a in axes))
+    return np.stack(box, axis=-1).reshape(-1, n)
+
+
 def _box_spectrum(params, material, torus, k_max):
     """(modes, nu, |nu|^2, lambda1, lambda2) of the box {-k_max, ..., k_max}^n.
 
     Modes are lexicographic; a box of more than MAX_MODES modes raises
-    InvalidParams before any is built.  |nu|^2 is the frequency gate's.
+    InvalidParams before any is built.
     """
     _check_torus(params, torus)
     if not isinstance(k_max, numbers.Integral):
@@ -228,13 +244,8 @@ def _box_spectrum(params, material, torus, k_max):
         raise InvalidParams(
             f"k_max = {k_max} at n = {n} asks for {count} modes, above "
             f"the spectrum's reach MAX_MODES = {MAX_MODES}")
-    box = itertools.product(range(-k_max, k_max + 1), repeat=n)
-    modes = np.fromiter(itertools.chain.from_iterable(box), np.int64,
-                        count * n).reshape(count, n)
-    nu = _lattice(modes, torus)
-    nn2 = _frequencies(params, nu)[1]
-    [(lam1, lam2)], = _eigenvalues_of_norms2([(params, (material,), nn2)])
-    return modes, nu, nn2, lam1, lam2
+    modes = _mode_box(n, k_max)
+    return (modes, *_spectrum(params, material, torus, modes))
 
 
 def spectrum_table(params, material, torus, k_max):
@@ -291,12 +302,13 @@ def _validated(dim, keys, values):
     mode.
     """
     m = len(keys)
+    k = None
     try:
         k = np.reshape(keys, (m, dim))
         c = np.reshape(np.asarray(values, dtype=complex), (m, dim))
     except ValueError:     # ragged, or not dim entries per mode
-        k = None
-    if k is None or (m and (k.dtype.kind not in "iu"
+        c = None
+    if c is None or (m and (k.dtype.kind not in "iu"
                             or k.max() > _MODE_BOUND
                             or k.min() < -_MODE_BOUND)):
         for key, val in zip(keys, values):
@@ -304,7 +316,8 @@ def _validated(dim, keys, values):
             if len(key) != dim or size != dim:
                 raise InvalidParams(f"mode {key} / coefficient of size "
                                     f"{size} do not match dim = {dim}")
-        raise InvalidParams(f"mode keys do not form an (m, {dim}) array")
+        what = "coefficients" if k is not None and c is None else "mode keys"
+        raise InvalidParams(f"{what} do not form an (m, {dim}) array")
     finite = np.isfinite(c).all(axis=1)
     if not finite.all():
         bad = tuple(k[np.argmin(finite)].tolist())
@@ -409,8 +422,7 @@ def _modes(field, params, material, torus):
     _check_torus(params, torus)
     if field.dim != params.n:
         raise InvalidParams("field dimension does not match n")
-    nu = _lattice(field._k, torus)
-    lam1, lam2 = eigenvalues(params, material, nu)
+    nu, _, lam1, lam2 = _spectrum(params, material, torus, field._k)
     if params.n == 1:
         lam2 = lam1
     norm = np.linalg.norm(nu, axis=1, keepdims=True)

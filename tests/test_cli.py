@@ -83,11 +83,10 @@ class TestSizeReach:
     ])
     def test_figure_phase_rejected_before_any_series(self, argv, tmp_path,
                                                      monkeypatch, capsys):
-        def no_series(requests):
+        def no_series(*args, **kwargs):
             raise AssertionError("a panel was evaluated past the reach")
 
-        monkeypatch.setattr(perispec.multipliers, "_eigenvalues_of_norms2",
-                            no_series)
+        monkeypatch.setattr(perispec.multipliers, "_closed", no_series)
         out = tmp_path / "out"
         assert main(["figure", "--samples", "50", "--out", str(out)]
                     + argv) == 2
@@ -98,12 +97,10 @@ class TestSizeReach:
 
     def test_modes_rejected_before_any_mode(self, tmp_path, monkeypatch,
                                             capsys):
-        class NoProduct:
-            @staticmethod
-            def product(*args, **kwargs):
-                raise AssertionError("modes were built past the reach")
+        def no_box(*args, **kwargs):
+            raise AssertionError("modes were built past the reach")
 
-        monkeypatch.setattr(perispec.spectrum, "itertools", NoProduct)
+        monkeypatch.setattr(perispec.spectrum, "_mode_box", no_box)
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--n", "3", "--delta", "0.5", "--beta", "3",
                      "--k-max", "31", "--out", str(out)]) == 2
@@ -362,6 +359,67 @@ class TestFigureCommand:
                 assert ((tmp_path / "grid" / name).read_bytes()
                         == single.read_bytes())
 
+    # the default grid's and a negative-lambda* panel's bytes; a pin on
+    # this platform's libm, like every byte-identity check here
+    GRID_DIGESTS = {
+        "figure_delta0.001_beta2.csv":
+            "4254242e44a577485b3a2d0631950e2e4e01b74587ed270f33724b1ded17e5b8",
+        "figure_delta0.001_beta3.csv":
+            "d5b9ae0d19eff6ddf7b4f9ee116c2d2d5a3c88d772cc5efbe2c4c683c2620f6f",
+        "figure_delta0.001_beta4.999.csv":
+            "5a55fc407cf27155269a918dcdd13315209d15e9e829d5a94a3a77b4e34c8c0e",
+        "figure_delta0.001_beta4.csv":
+            "e18488aa33c54f7149ba04c2ce4eb1d1114a34c65c8db4887908f5045b7c7869",
+        "figure_delta1_beta2.csv":
+            "eaf2a5f7d0713a1288d327ad3c43dceefb7d4141f1ae5cd949763a847b211620",
+        "figure_delta1_beta3.csv":
+            "4a7d40ed086c4b2690948e9a4632923c2c5a0c6547e5606aa2af28c3504fb4c0",
+        "figure_delta1_beta4.999.csv":
+            "2f518fb0777be2aee21132c9835ceb866881b85e8623310b684a7a3fdce8bdd6",
+        "figure_delta1_beta4.csv":
+            "5bdd2798db910d16109ec82848924a43017060cf744812a5e0b9f5302d1a2613",
+        "figure_delta2_beta2.csv":
+            "edd7f2c85f0b484b37c3706df0f9f60952b08b5a0f8d834eb9f106183e2d7c1a",
+        "figure_delta2_beta3.csv":
+            "665aca2f2c4b9c48a255e7762b79d72b3f330979961fb682c3b8df3e1c69f642",
+        "figure_delta2_beta4.999.csv":
+            "36b1d0183c5e294a7207b6ef684e16a1ae8e71d83490f9cfe0b4d9686099962e",
+        "figure_delta2_beta4.csv":
+            "27e182ed0b728c35654b994b4125ca967c2f8f7b7f0bbbdfc0ba9b8132c974b1",
+    }
+
+    def test_grid_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["figure", "--samples", "50", "--out", str(out)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == self.GRID_DIGESTS
+
+    def test_panel_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "panel.csv"
+        assert main(["figure", "--n", "2", "--delta", "1", "--beta", "1.5",
+                     "--lambda-star", "-1.5", "--samples", "50",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8c5d2c65d9102ad70dfc50b60b10401c995cb14415c03009c41abab3ed62b60c")
+
+    def test_grid_values_peak(self):
+        # each quantity is scattered from its shells before the next is
+        # formed: ~7.1 MB traced over these 12 x 4,000 samples.  Keeping
+        # every panel's shell values alive next to their scattered copies
+        # reads ~9.3 MB
+        jobs = [FigureJob(3, 1.0, perispec.cli.FIGURE_LAMBDA_STARS, delta,
+                          beta, 0.0, 15.0, 4000)
+                for delta in FIGURE_DELTAS for beta in figure_betas(3)]
+        figure_values(jobs[:1])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            figure_values(jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.2e6
+
     def test_mismatched_panel_flags(self, tmp_path):
         rc = main(["figure", "--delta", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -441,6 +499,15 @@ class TestNegativeValues:
                      "--out", str(out)]) == 0
         stars = [r["lambda_star"] for r in read_csv(out)]
         assert stars[:3] == ["-0.001", "-2", "NA"]
+
+    def test_non_number_is_a_usage_error(self, tmp_path, capsys):
+        # -x is no number, so it stays an option and argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--lambda-star", "-x",
+                  "--out", str(tmp_path / "panel.csv")])
+        err = capsys.readouterr().err
+        assert (exc.value.code == 2 and "Traceback" not in err
+                and "--lambda-star: expected one argument" in err)
 
     def test_verify_beta(self, capsys):
         assert main(["verify", "--count", "1", "--beta", "-1e-3"]) == 0

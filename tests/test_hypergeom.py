@@ -139,6 +139,22 @@ class TestPfq:
             pfq(params, -1.5)
         assert pfq(params, 0.9).terms_used > 1  # inside the disk it converges
 
+    def test_term_cap_is_served_by_mpmath(self):
+        # 2F1(1, 1; 2; z) = -log(1 - z) / z: near z = 1 neither series pass
+        # converges within its term cap, so mpmath serves the value
+        res = pfq(PfqParams((1.0, 1.0), (2.0,)), 0.9999)
+        assert (res.precision_bits, res.value) == (
+            ESCALATED_PREC_BITS, pytest.approx(-math.log1p(-0.9999) / 0.9999,
+                                               rel=1e-14))
+
+    def test_mpmath_no_convergence_is_nonconvergent(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("refused")
+
+        monkeypatch.setattr(mpmath, "hyper", no_convergence)
+        with pytest.raises(NonConvergent, match="did not converge"):
+            pfq(PfqParams((1.0, 1.0), (2.0,)), 0.9999)
+
     def test_denominator_validation(self):
         with pytest.raises(InvalidParams):
             PfqParams((1.0,), (0.0,))
@@ -879,6 +895,25 @@ class TestLargeZ:
         assert isinstance(merged, tuple) and isinstance(algebraic, tuple)
         assert all(isinstance(part[2], tuple) for part in algebraic)
         assert isinstance(oscillatory[4], tuple)
+
+    # an expansion's oscillatory part (ratio, X, cos, sin, c, terminates)
+    # that the refusals below never reach
+    _OSCILLATORY = (1.0, 0.0, 1.0, 0.0, (1.0,), True)
+
+    def test_gamma_overflow_is_refused(self):
+        # Gamma(200) in prod Gamma(b) overflows a double
+        assert asy.large_z_form((0.5,), (200.0, 1.5)) is None
+
+    def test_power_overflow_is_refused(self):
+        # x^(-a_j) with a_j = -400 overflows at x = 1e7
+        algebraic = ((-400.0, 1.0, (1.0,), True),)
+        assert asy._expansion_value((algebraic, self._OSCILLATORY), 1e7) is None
+
+    def test_algebraic_series_out_of_coefficients_is_refused(self):
+        # two coefficients of a series that does not terminate, and its
+        # terms have not started to shrink below _DD_TOL
+        algebraic = ((0.5, 1.0, (1.0, 1.0), False),)
+        assert asy._expansion_value((algebraic, self._OSCILLATORY), 1e7) is None
 
     def test_other_shapes_are_refused(self):
         for a, b in (((0.7, 1.9, 2.5), (1.1, 3.3, 4.0)),   # 3F3

@@ -341,9 +341,16 @@ class TestBatchEigenvalues:
         k = np.array(list(itertools.product(range(-k_max, k_max + 1),
                                             repeat=n)))
         nu = 2.0 * math.pi * k / np.array(lengths)
-        lam1, lam2 = eigenvalues(p, mat, nu)
-        assert lam1.tolist() == [eigenvalue_parallel(p, mat, v) for v in nu]
-        assert lam2.tolist() == [eigenvalue_transverse(p, mat, v) for v in nu]
+        # the box as given, and its rows permuted with some repeated
+        order = data.draw(st.permutations(range(len(nu))), label="order")
+        repeat = data.draw(st.lists(st.integers(0, len(nu) - 1), min_size=1,
+                                    max_size=8), label="repeat")
+        for rows in (nu, np.vstack([nu[order], nu[repeat]])):
+            lam1, lam2 = eigenvalues(p, mat, rows)
+            assert lam1.tolist() == [eigenvalue_parallel(p, mat, v)
+                                     for v in rows]
+            assert lam2.tolist() == [eigenvalue_transverse(p, mat, v)
+                                     for v in rows]
 
     def test_one_dimension_and_empty(self):
         p = NonlocalParams(1, 1.5, 0.5)

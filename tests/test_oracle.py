@@ -487,6 +487,12 @@ class TestPlaneWaveApplication:
                                        np.array([1.0, 0.0]), np.zeros(2))
         assert_array_equal(out, np.zeros(2, dtype=complex))
 
+    def test_amplitude_of_another_length_rejected(self):
+        p = NonlocalParams(2, 1.0, 1.0)
+        with pytest.raises(InvalidParams, match="must have length n"):
+            apply_to_plane_wave(p, Material(1.0, 0.0), [1.0, 0.0],
+                                [1.0, 0.0, 0.0], np.zeros(2))
+
 
 class TestNonFiniteInput:
     _P, _MAT = NonlocalParams(2, 1.0, 1.0), Material(1.0, 0.5)
@@ -507,6 +513,11 @@ class TestNonFiniteInput:
     def test_rejected(self, call, bad):
         with pytest.raises(InvalidParams):
             call(self._P, self._MAT, [bad, 1.0])
+
+    def test_frequency_of_another_length_rejected(self):
+        with pytest.raises(InvalidParams,
+                           match="has length 3, expected n = 2"):
+            lambda1_quad(self._P, self._MAT, [1.0, 0.0, 0.0])
 
 
 class TestReach:

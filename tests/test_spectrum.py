@@ -79,6 +79,31 @@ class TestSpectrumTable:
         assert len(zero) == 1
         assert zero[0].lambda1 == 0.0 and zero[0].lambda2 == 0.0
 
+    def test_torus_needs_an_edge(self):
+        with pytest.raises(InvalidParams, match="at least one edge length"):
+            TorusSpec(())
+
+    def test_torus_of_another_dimension_rejected(self):
+        p = NonlocalParams(2, 0.5, 1.0)
+        with pytest.raises(InvalidParams,
+                           match="torus dimension 3 does not match n = 2"):
+            spectrum_table(p, Material(1.0, 1.0), TorusSpec((TWO_PI,) * 3), 1)
+
+    @pytest.mark.parametrize("lengths", [(TWO_PI,) * 3, (4.1, 5.7, 7.3)])
+    def test_series_summed_once_per_shell(self, lengths, monkeypatch):
+        # every mode of a |nu|^2 shell shares one entry of each series
+        real, entries = perispec.multipliers.pfq_batch, []
+
+        def counting(calls, tol):
+            entries.extend(len(z) for _, z in calls)
+            return real(calls, tol)
+
+        monkeypatch.setattr(perispec.multipliers, "pfq_batch", counting)
+        table = spectrum_table(NonlocalParams(3, 0.9, 2.2),
+                               Material(1.1, 0.6), TorusSpec(lengths), 4)
+        shells = {float(v @ v) for v in table.nu}
+        assert entries == [len(shells)] * 3     # merged, g and b1
+
     def test_size_and_ordering(self):
         p = NonlocalParams(2, 0.5, 1.0)
         table = spectrum_table(p, Material(1.0, 1.0), TorusSpec((TWO_PI,) * 2), 2)
@@ -245,12 +270,10 @@ class TestSizeReach:
     @pytest.mark.parametrize("n, k_max", [(1, 125_000), (2, 250), (3, 31),
                                           (3, 10**12)])
     def test_rejected_before_any_mode(self, n, k_max, monkeypatch):
-        class NoProduct:
-            @staticmethod
-            def product(*args, **kwargs):
-                raise AssertionError("modes were built past the reach")
+        def no_box(*args, **kwargs):
+            raise AssertionError("modes were built past the reach")
 
-        monkeypatch.setattr(perispec.spectrum, "itertools", NoProduct)
+        monkeypatch.setattr(perispec.spectrum, "_mode_box", no_box)
         p = NonlocalParams(n, 0.5, 1.0)
         with pytest.raises(InvalidParams, match="MAX_MODES = 250000") as exc:
             spectrum_table(p, Material(1.0, 1.0), TorusSpec((TWO_PI,) * n),
@@ -292,6 +315,11 @@ class TestPhaseReach:
 
 
 class TestEigenfield:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidParams, match="which must be"):
+            eigenfield((1, 0), TorusSpec((TWO_PI,) * 2), np.zeros(2),
+                       which="diagonal")
+
     def test_parallel_at_origin(self):
         torus = TorusSpec((TWO_PI,) * 3)
         out = eigenfield((1, 0, 0), torus, np.zeros(3))
@@ -402,6 +430,18 @@ class TestFourierField:
                 FourierField(2, bad)
             with pytest.raises(InvalidParams, match="do not match dim = 2"):
                 FourierField.from_half_spectrum(2, bad)
+
+    def test_ragged_coefficients_are_named(self):
+        # both keys are valid modes; only the coefficients are ragged
+        bad = {(1, 0): np.zeros(2), (0, 1): np.zeros((2, 1))}
+        with pytest.raises(InvalidParams, match=r"^coefficients do not form"):
+            FourierField(2, bad)
+
+    def test_evaluate_on_another_dimension_rejected(self):
+        field = FourierField(2, {(1, 0): np.ones(2)})
+        with pytest.raises(InvalidParams,
+                           match="torus dimension 3 does not match dim = 2"):
+            field.evaluate(TorusSpec((TWO_PI,) * 3), np.zeros(3))
 
     def test_non_finite_coefficients_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf),
@@ -628,6 +668,12 @@ class TestApplyOperator:
         out = apply_operator(field, self.params, self.material, self.torus)
         lam1 = eigenvalue_parallel(self.params, self.material, nu_k)
         assert_allclose(out.coeffs[(2, 1)], lam1 * nu_k, rtol=1e-12)
+
+    def test_field_of_another_dimension_rejected(self):
+        # the torus matches n; the field does not
+        field = FourierField(3, {(1, 0, 0): np.ones(3)})
+        with pytest.raises(InvalidParams, match="field dimension"):
+            apply_operator(field, self.params, self.material, self.torus)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dense_multiplier(self, n):
