@@ -53,7 +53,7 @@ def figure_betas(n):
 VERIFY_ABS_FLOOR = 1e-8
 
 #: Most |nu| samples a figure panel accepts: its stated size reach.  A grid
-#: holds every panel's values before it writes, and peaks at ~210 MB
+#: holds every panel's values before it writes, and peaks at ~185 MB
 #: resident at the cap; larger counts are rejected before any array is
 #: built.
 MAX_SAMPLES = 100_000
@@ -110,25 +110,25 @@ def figure_values(jobs):
     """Evaluate panels: per job, (|nu| grid, lambda1 per lambda*, lambda2).
 
     The frequency is taken along the first axis (rotation invariance makes
-    the direction immaterial), so its |nu|^2 is grid * grid, the bits the
-    frequency gate's matmul forms for (|nu|, 0, ..., 0); FigureJob has
-    checked the reach.  Every series of every panel is summed in one array
-    pass over all their |nu| grids, and each panel's series are combined
-    per lambda*.  A panel's values do not depend on the panels it is
-    evaluated with.
+    the direction immaterial), so its |nu|^2 is grid * grid, the bits
+    ``multipliers._frequencies``' matmul forms for (|nu|, 0, ..., 0);
+    FigureJob has checked the reach, and the closed forms check |nu|^2.
+    Every series of every panel is summed in one array pass over all their
+    |nu| grids; each panel forms lambda1 once per lambda* and lambda2,
+    which reads only mu, once.  A panel's values do not depend on the
+    panels it is evaluated with.
     """
     requests, grids = [], []
     for job in jobs:
         grid = np.linspace(job.nu_norm_min, job.nu_norm_max, job.samples)
-        with np.errstate(over="ignore"):   # an overflow is reported below
-            nn2 = mt._finite_norms2(grid * grid)
-        # lambda2 is read from the first pair; lambda* = 0 if there is none
-        materials = [Material(job.mu, s) for s in job.lambda_star_list]
-        requests.append((NonlocalParams(job.n, job.delta, job.beta),
-                         materials or [Material(job.mu, 0.0)], nn2))
+        with np.errstate(over="ignore"):   # _closed reports an overflow
+            nn2 = grid * grid
+        requests.append((NonlocalParams(job.n, job.delta, job.beta), nn2, [
+            *[(Material(job.mu, s), "lambda1") for s in job.lambda_star_list],
+            (Material(job.mu, 0.0), "lambda2")]))   # lambda2 reads only mu
         grids.append(grid)
-    return [(grid, [l1 for l1, _ in lams], lams[0][1]) for grid, lams in
-            zip(grids, mt._closed(requests, ("lambda1", "lambda2")))]
+    return [(grid, lams[:-1], lams[-1])
+            for grid, lams in zip(grids, mt._closed(requests))]
 
 
 def figure_rows(job, values):
@@ -142,7 +142,6 @@ def figure_rows(job, values):
     """
     grid, lam1, lam2 = values
     prefix = f"{job.n},{_fmt(job.delta)},{_fmt(job.beta)},{_fmt(job.mu)}"
-    lam1 = lam1[:len(job.lambda_star_list)]   # none without a lambda*
     rows = [f"{prefix},{_fmt(s)},%s,%.17g,NA" for s in job.lambda_star_list]
     rows.append(f"{prefix},NA,%s,NA,%.17g")
     for i in range(0, grid.size, _ROW_BLOCK):
@@ -260,7 +259,7 @@ def _cmd_spectrum(args):
     torus = TorusSpec(tuple(lengths))
     modes, _, nn2, lam1, lam2 = _box_spectrum(params, material, torus,
                                               args.k_max)
-    nu_norm = np.sqrt(nn2)    # |nu|^2 as the frequency gate formed it
+    nu_norm = np.sqrt(nn2)    # |nu|^2 as _frequencies formed it
     header = ",".join(f"k{i + 1}" for i in range(args.n))
     header += ",nu_norm,lambda1,lambda2,multiplicity2"
     row = ",".join(["%d"] * args.n + ["%.17g"] * 3 + [str(args.n - 1)])

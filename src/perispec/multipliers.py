@@ -15,16 +15,19 @@ kernel exponent beta -> n + 2, M converges to the multiplier of the Navier
 operator of classical linear elasticity.
 
 Five distinct series carry every quantity.  One evaluator, ``_closed``,
-serves every scalar, array, figure and torus request: it sums each
-series a call needs once and applies one formula per quantity, with
-``pfq`` at a single frequency, or with one ``pfq_batch`` pass over the
-shells (the distinct |nu|^2) of every array request of the call, such as
-the panels of a figure grid.  ``closed_bundle``, the twin of
+serves every scalar, array, figure and torus request: a request names the
+(material, quantity) pairs it wants, and ``_closed`` sums each series
+they need once and applies one formula per pair, with ``pfq`` at a
+single frequency, or with one ``pfq_batch`` pass over the shells (the
+distinct |nu|^2) of every array request of the call, such as the panels
+of a figure grid.  ``closed_bundle``, the twin of
 ``oracle.quadrature_bundle``, returns every quantity at one frequency.
 
-Every frequency passes one gate, ``_frequencies``, before any series is
-summed: a wrong shape, a |nu|^2 that is not finite, or a |nu| delta past
-MAX_PHASE, the series' stated reach, raises InvalidParams.
+Every closed-form |nu|^2 passes one gate, at the entrance of ``_closed``,
+before any series is summed: a |nu|^2 that is not finite, or a |nu| delta
+past MAX_PHASE, the series' stated reach, raises InvalidParams.
+``_frequencies`` checks the shape of a frequency array and forms its
+|nu|^2; ``gradient_factor``, which takes |nu| itself, checks its own.
 
 All functions are pure; frequency vectors are treated through |nu| and
 nu (x) nu only, so M(-nu) = M(nu) holds exactly.  A coefficient, matrix
@@ -159,9 +162,10 @@ def _frequencies(params, nu, single=False):
     """(rows, |nu|^2 of each row) of an (m, n) frequency array.
 
     With ``single``, nu is one vector (a number when n = 1), taken as
-    m = 1.  A wrong shape, a |nu|^2 that is not finite or a |nu| delta
-    past MAX_PHASE raises InvalidParams.  The batched matmul rounds each
-    row exactly like v @ v.
+    m = 1.  A wrong shape raises InvalidParams; |nu|^2 is checked where
+    it is used, by ``_closed``.  The rows are made C-ordered first: the
+    batched matmul rounds strided rows differently, and on C-ordered rows
+    it rounds each row exactly like v @ v.
     """
     rows = np.asarray(nu, dtype=float)
     if single:   # one vector is one row; a 2-D nu gets 3-D and fails below
@@ -171,11 +175,9 @@ def _frequencies(params, nu, single=False):
                 else f"an (m, {params.n}) array")
         raise InvalidParams(
             f"frequencies must be {want}, got shape {np.shape(nu)}")
-    with np.errstate(over="ignore"):
-        nn2 = _finite_norms2(
-            np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1))
-    _check_phase(params.delta, math.sqrt(np.max(nn2, initial=0.0)))
-    return rows, nn2
+    rows = np.ascontiguousarray(rows)
+    with np.errstate(over="ignore"):   # _closed reports an overflow
+        return rows, np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1)
 
 
 def _finite_norms2(nn2):
@@ -228,8 +230,8 @@ _FORMULAS = {
 _COEFFICIENTS = ("alpha_b1", "alpha_b2", "alpha_s")
 
 
-def _sums(requests, keys, tol):
-    """{key: value} of each series in ``keys``, per (params, |nu|) request.
+def _sums(requests, tol):
+    """{key: value} of each series a (params, |nu|, keys) request names.
 
     |nu| is a float or an array of shells, the same kind in every request.
     Floats are summed with ``pfq``; arrays go to one ``pfq_batch`` call for
@@ -238,7 +240,7 @@ def _sums(requests, keys, tol):
     Every |nu| has passed the reach check, so every z is finite.
     """
     calls = []
-    for params, nn in requests:
+    for params, nn, keys in requests:
         z = -0.25 * nn * nn * params.delta * params.delta
         series = _series(params)
         calls += [(PfqParams(*series[key]), z) for key in keys]
@@ -248,42 +250,43 @@ def _sums(requests, keys, tol):
         values = iter([pfq(p, z, tol).value for p, z in calls])
     else:
         values = iter(pfq_batch(calls, tol))
-    return [{key: next(values) for key in keys} for _ in requests]
+    return [{key: next(values) for key in keys} for _, _, keys in requests]
 
 
-def _closed(requests, names, tol=DEFAULT_REL_TOL):
-    """The closed quantities ``names`` per (params, materials, |nu|^2) request.
+def _closed(requests, tol=DEFAULT_REL_TOL):
+    """One value per (material, name) want of each (params, |nu|^2, wants).
 
-    |nu|^2 is a nonzero float or an array, the same kind in every request.
-    An array's series are summed on its shells, the distinct |nu|^2, for
-    all its materials, the series of all requests in one pass; each
-    quantity is formed on the shells and scattered back before the next
-    is formed.  Returns per request a list with one tuple of values per
-    material.  Where an array holds |nu|^2 = 0 every quantity is an exact
-    0 (the continuity limit).
+    The one entrance to the closed forms.  |nu|^2 is a nonzero float or
+    an array, the same kind in every request.  Every request's |nu|^2 is
+    checked before any shell is found or series summed: one that is not
+    finite, or a |nu| delta past MAX_PHASE, raises InvalidParams.  An
+    array's series are summed on its shells, the distinct |nu|^2, the
+    series of all requests in one pass; each want is formed on the shells
+    and scattered back before the next is formed.  Returns per request a
+    list of values in the order of its wants.  Where an array holds
+    |nu|^2 = 0 every value is an exact 0 (the continuity limit).
     """
-    keys = dict.fromkeys(key for name in names for key in _FORMULAS[name][0])
+    for params, nn2, _ in requests:
+        _check_phase(params.delta,
+                     math.sqrt(np.max(_finite_norms2(nn2), initial=0.0)))
     shells = [(nn2, None) if isinstance(nn2, float)
               else np.unique(nn2, return_inverse=True)
-              for _, _, nn2 in requests]
-    nns = [math.sqrt(nn2) if inverse is None else np.sqrt(nn2)
-           for nn2, inverse in shells]
-    sums = _sums([(params, nn) for (params, _, _), nn in zip(requests, nns)],
-                 keys, tol)
+              for _, nn2, _ in requests]
+    # per request: params, |nu| of its shells and the series its wants need
+    calls = [(params, math.sqrt(nn2) if inverse is None else np.sqrt(nn2),
+              dict.fromkeys(k for _, q in wants for k in _FORMULAS[q][0]))
+             for (params, _, wants), (nn2, inverse) in zip(requests, shells)]
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (_, materials, _), (nn2, inverse), nn, f in zip(
-                requests, shells, nns, sums):
-            per_material = []
-            for material in materials:
-                values = []
-                for name in names:
-                    x = _FORMULAS[name][1](material, nn2, nn, f)
-                    if inverse is not None:
-                        x = np.where(nn2 == 0.0, 0.0, x)[inverse]
-                    values.append(_finite(x, name))
-                per_material.append(tuple(values))
-            out.append(per_material)
+        for (_, _, wants), (nn2, inverse), (_, nn, _), f in zip(
+                requests, shells, calls, _sums(calls, tol)):
+            values = []
+            for material, name in wants:
+                x = _FORMULAS[name][1](material, nn2, nn, f)
+                if inverse is not None:
+                    x = np.where(nn2 == 0.0, 0.0, x)[inverse]
+                values.append(_finite(x, name))
+            out.append(values)
     return out
 
 
@@ -297,7 +300,8 @@ def _at(params, material, nu, names, tol):
     v, nn2 = rows[0], float(nn2[0])
     if nn2 == 0.0:
         return (v, nn2, *[0.0] * len(names))
-    return (v, nn2, *_closed([(params, (material,), nn2)], names, tol)[0][0])
+    return (v, nn2, *_closed(
+        [(params, nn2, [(material, name) for name in names])], tol)[0])
 
 
 def _bond_matrix(v, diag, rank1, what):
@@ -354,14 +358,14 @@ def gradient_factor(params, nu_norm, target_rel_tol=DEFAULT_REL_TOL):
     nu_norm = float(nu_norm)
     _finite_norms2(nu_norm * nu_norm)
     _check_phase(params.delta, abs(nu_norm))
-    return _sums([(params, nu_norm)], ("g",), target_rel_tol)[0]["g"]
+    return _sums([(params, nu_norm, ("g",))], target_rel_tol)[0]["g"]
 
 
 def scalar_multiplier_gradient(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Gradient of the scalar multiplier, -2 g(|nu|) nu."""
     rows, nn2 = _frequencies(params, nu, single=True)
-    g = _sums([(params, math.sqrt(nn2[0]))], ("g",), target_rel_tol)[0]["g"]
-    return -2.0 * g * rows[0]
+    return -2.0 * gradient_factor(params, math.sqrt(nn2[0]),
+                                  target_rel_tol) * rows[0]
 
 
 def tensor_multiplier_bond(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
@@ -472,16 +476,18 @@ def eigenvalue_transverse(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
 def eigenvalues_many(requests, target_rel_tol=DEFAULT_REL_TOL):
     """``eigenvalues_by_material`` for each (params, materials, nu) request.
 
-    nu is an (m, n) array of frequencies for that request's params.  The
-    series do not depend on the material, so each request's are evaluated
-    once per distinct |nu|^2 for all its materials, and the series of all
-    requests in one array pass.  Returns, per request, a list of
-    (lambda1, lambda2) array pairs in the order of its materials; every
-    value equals that of the request evaluated alone.
+    nu is an (m, n) array of frequencies for that request's params.  Every
+    request's shape is checked before any |nu|^2 is gated.  The series do
+    not depend on the material, so each request's are evaluated once per
+    distinct |nu|^2 for all its materials, and the series of all requests
+    in one array pass.  Returns, per request, a list of (lambda1, lambda2)
+    array pairs in the order of its materials; every value equals that of
+    the request evaluated alone.
     """
-    return _closed([(params, materials, _frequencies(params, nu)[1])
-                    for params, materials, nu in requests],
-                   ("lambda1", "lambda2"), target_rel_tol)
+    values = _closed([(params, _frequencies(params, nu)[1], [
+        (m, name) for m in materials for name in ("lambda1", "lambda2")])
+        for params, materials, nu in requests], target_rel_tol)
+    return [list(zip(lams[::2], lams[1::2])) for lams in values]
 
 
 def eigenvalues_by_material(params, materials, nu, target_rel_tol=DEFAULT_REL_TOL):

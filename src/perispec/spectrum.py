@@ -10,13 +10,14 @@ against the operator coefficient-wise.
 
 The layer works on arrays: a box or a field is an (m, n) integer mode
 array, and one helper, ``_spectrum``, maps it to frequencies and
-eigenvalues through the closed-form evaluator, which enforces the reach
-MAX_PHASE and sums the series once per shell (distinct |nu|^2); a
-field's coefficients are one (m, n) complex array.  A spectrum table is
-a read-only sequence over its box's arrays that builds records on
-access.  Python values and complex temporaries are made one block of
-_BLOCK rows at a time, so neither a table's records nor apply and solve
-hold more than one block's worth beyond their arrays.
+eigenvalues: it asks the closed-form evaluator for lambda1 and lambda2 of
+its one material, and the evaluator checks every |nu|^2 against the
+reach MAX_PHASE before it sums the series once per shell (distinct
+|nu|^2).  A field's coefficients are one (m, n) complex array.  A
+spectrum table is a read-only sequence over its box's arrays that builds
+records on access.  Python values and complex temporaries are made one
+block of _BLOCK rows at a time, so neither a table's records nor apply
+and solve hold more than one block's worth beyond their arrays.
 """
 
 import math
@@ -211,20 +212,27 @@ def _check_torus(params, torus):
 
 
 def _spectrum(params, material, torus, modes):
-    """(nu, |nu|^2 as the frequency gate forms it, lambda1, lambda2) of modes."""
+    """(nu, |nu|^2 as ``_frequencies`` forms it, lambda1, lambda2) of modes."""
     nu = _lattice(modes, torus)
     nn2 = _frequencies(params, nu)[1]
-    [(lam1, lam2)], = _closed([(params, (material,), nn2)],
-                              ("lambda1", "lambda2"))
+    [lam1, lam2], = _closed(
+        [(params, nn2, [(material, "lambda1"), (material, "lambda2")])])
     return nu, nn2, lam1, lam2
 
 
 def _mode_box(n, k_max):
-    """The box {-k_max, ..., k_max}^n as (count, n) int64 rows, lexicographic."""
-    axes = np.indices((2 * k_max + 1,) * n, np.int64, sparse=True)
-    # one C-ordered array: the gate's matmul rounds strided rows differently
-    box = np.broadcast_arrays(*(a - k_max for a in axes))
-    return np.stack(box, axis=-1).reshape(-1, n)
+    """The box {-k_max, ..., k_max}^n as (count, n) int64 rows, lexicographic.
+
+    One C-ordered array filled a column at a time through 4-D views, with
+    no n-dimensional array (numpy allows at most 64 dimensions) and no
+    temporary: column i repeats each value side^(n-1-i) times, side^i times.
+    """
+    side = 2 * k_max + 1
+    values = np.arange(-k_max, k_max + 1)[:, None]
+    box = np.empty((side**n, n), np.int64)
+    for i in range(n):
+        box.reshape(side**i, side, -1, n)[..., i] = values
+    return box
 
 
 def _box_spectrum(params, material, torus, k_max):

@@ -10,12 +10,15 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perispec.cli
 import perispec.multipliers
@@ -420,6 +423,37 @@ class TestFigureCommand:
             tracemalloc.stop()
         assert peak <= 8.2e6
 
+    def test_lambda2_formed_once_per_panel(self, monkeypatch):
+        # lambda2 reads only mu, so five lambda* need it once, not five times
+        keys, formula = perispec.multipliers._FORMULAS["lambda2"]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return formula(*args)
+
+        monkeypatch.setitem(perispec.multipliers._FORMULAS, "lambda2",
+                            (keys, counted))
+        job = FigureJob(3, 1.0, perispec.cli.FIGURE_LAMBDA_STARS, 2.0, 3.0,
+                        0.0, 15.0, 50)
+        grid, lam1, lam2 = figure_values([job])[0]
+        assert len(calls) == 1
+        assert len(lam1) == 5 and lam2.shape == grid.shape
+
+    def test_panel_without_lambda_star(self):
+        # only the lambda2 rows, the same as those of a one-lambda* panel
+        panel = dict(n=2, mu=1.3, delta=2.0, beta=3.5, nu_norm_min=0.0,
+                     nu_norm_max=15.0, samples=40)
+        empty = FigureJob(lambda_star_list=(), **panel)
+        one = FigureJob(lambda_star_list=(0.7,), **panel)
+        rows = "\n".join(figure_rows(empty, figure_values([empty])[0]))
+        ones = "\n".join(figure_rows(one, figure_values([one])[0]))
+        rows, ones = rows.split("\n"), ones.split("\n")
+        assert len(rows) == 40
+        assert all(r.split(",")[4] == "NA" and r.split(",")[6] == "NA"
+                   for r in rows)
+        assert rows == ones[1::2]
+
     def test_mismatched_panel_flags(self, tmp_path):
         rc = main(["figure", "--delta", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -487,6 +521,53 @@ class TestNonFiniteInput:
         assert err.startswith("perispec: error:")
         assert "Traceback" not in err
         assert list(tmp_path.rglob("*")) == []
+
+
+@st.composite
+def command_lines(draw):
+    """``spectrum`` or single-panel ``figure`` argv, valid or not.
+
+    n is small or reaches past numpy's 64 array dimensions.  delta, beta,
+    mu, lambda* (and a figure's samples and |nu| range) start valid; a
+    drawn few of them are replaced by out-of-range or non-finite values,
+    or by ones so large that a product overflows.
+    """
+    n = draw(st.one_of(st.integers(1, 6), st.integers(60, 80)), label="n")
+    valid = {"--delta": ["1", "0.5", "2", "1e-3"],
+             "--beta": [repr(n - 1.0), repr(n + 0.5), repr(n + 2 - 1e-3)],
+             "--mu": ["1", "0.7"],
+             "--lambda-star": ["0", "-1.9", "2", "-1e-3"]}
+    invalid = {"--delta": ["0", "-1", "nan", "inf", "1e300"],
+               "--beta": [repr(n + 2.0), "nan", "inf", "-inf"],
+               "--mu": ["0", "-1", "nan", "1e308"],
+               "--lambda-star": ["nan", "-inf", "1e308"]}
+    if draw(st.booleans(), label="spectrum"):
+        argv = ["spectrum", "--k-max", str(draw(st.integers(0, 2)))]
+    else:
+        argv = ["figure"]
+        valid.update({"--samples": ["2", "7", "20"], "--nu-max": ["15", "1"]})
+        invalid.update({"--samples": ["1", "0"],
+                        "--nu-max": ["0", "1e200", "inf"]})
+    broken = draw(st.sets(st.sampled_from(sorted(valid)), max_size=2),
+                  label="broken")
+    argv += ["--n", str(n)]
+    for name in valid:
+        pool = invalid[name] if name in broken else valid[name]
+        argv += [name, draw(st.sampled_from(pool), label=name)]
+    return argv
+
+
+class TestExitCodes:
+    # exit 1 belongs to verify alone; every other outcome is 0 or 2
+    @settings(max_examples=40, deadline=None)
+    @given(argv=command_lines())
+    def test_only_zero_or_two(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out.csv")
+            rc = main([*argv, "--out", out])
+            assert rc in (0, 2)
+            assert os.path.isfile(out) == (rc == 0)
+            assert os.listdir(tmp) == (["out.csv"] if rc == 0 else [])
 
 
 class TestNegativeValues:
@@ -1006,6 +1087,16 @@ class TestSpectrumCommand:
         assert rc == 0 and peak <= 13e6
         with open(out) as fh:
             assert sum(1 for _ in fh) == 41**3 + 1
+
+    def test_more_dimensions_than_a_numpy_array(self, tmp_path):
+        # numpy arrays have at most 64 dimensions; the box must not need one
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--n", "65", "--delta", "1", "--beta", "1",
+                     "--k-max", "0", "--out", str(out)]) == 0
+        [row] = read_csv(out)
+        assert [row[f"k{i}"] for i in range(1, 66)] == ["0"] * 65
+        assert (row["nu_norm"], row["lambda1"], row["lambda2"],
+                row["multiplicity2"]) == ("0", "0", "0", "64")
 
     def test_invalid_exponent_exit_code(self, tmp_path):
         rc = main(["spectrum", "--n", "2", "--delta", "0.5", "--beta", "4.0",

@@ -442,6 +442,74 @@ class TestBatchEigenvalues:
                 eigenvalues(p, mat, bad)
 
 
+class TestClosedGate:
+    """``_closed`` is the one entrance: it checks every request's |nu|^2
+    before it finds a shell or sums a series."""
+
+    @staticmethod
+    def _no_series(*args, **kwargs):
+        raise AssertionError("a series was summed past the gate")
+
+    @pytest.mark.parametrize("nn2, match", [
+        # |nu| delta past MAX_PHASE at delta = 2, in the second entry
+        (np.array([1.0, (multipliers.MAX_PHASE / 2.0) ** 2 * 1.01]),
+         "MAX_PHASE"),
+        (np.array([1.0, np.inf]), r"\|nu\|\^2"),
+        (np.array([np.nan, 1.0]), r"\|nu\|\^2"),
+        ((multipliers.MAX_PHASE / 2.0) ** 2 * 1.01, "MAX_PHASE"),
+        (math.inf, r"\|nu\|\^2"),
+    ], ids=["array-reach", "array-inf", "array-nan", "float-reach",
+            "float-inf"])
+    def test_request_past_the_gate_is_refused(self, nn2, match, monkeypatch):
+        monkeypatch.setattr(multipliers, "pfq_batch", self._no_series)
+        monkeypatch.setattr(multipliers, "pfq", self._no_series)
+        p, mat = NonlocalParams(3, 2.0, 4.0), Material(1.0, 0.5)
+        inside = np.array([1.0, 4.0]) if isinstance(nn2, np.ndarray) else 1.0
+        # an earlier request inside the reach is not summed either
+        requests = [(p, inside, [(mat, "lambda1")]),
+                    (p, nn2, [(mat, "lambda1"), (mat, "lambda2")])]
+        with pytest.raises(InvalidParams, match=match):
+            multipliers._closed(requests)
+
+    def test_shapes_are_checked_before_the_gate(self):
+        # every request's shape is checked first, so a later request's
+        # shape error is named before an earlier request's reach error
+        p, mat = NonlocalParams(2, 2.0, 3.0), Material(1.0, 0.5)
+        past = np.array([[multipliers.MAX_PHASE, 0.0]])
+        with pytest.raises(InvalidParams, match="MAX_PHASE"):
+            eigenvalues_many([(p, [mat], past)])
+        with pytest.raises(InvalidParams, match=r"\(m, 2\) array"):
+            eigenvalues_many([(p, [mat], past), (p, [mat], np.zeros(2))])
+
+    def test_one_value_per_want_in_order(self):
+        p = NonlocalParams(2, 1.5, 3.0)
+        nu = np.array([[0.0, 0.0], [3.0, 4.0], [4.0, 3.0]])
+        mats = [Material(1.0, -0.5), Material(2.0, 1.0)]
+        nn2 = multipliers._frequencies(p, nu)[1]
+        wants = [(mats[1], "lambda2"), (mats[0], "lambda1"),
+                 (mats[1], "lambda1")]
+        [values] = multipliers._closed([(p, nn2, wants)])
+        assert len(values) == len(wants)
+        for (mat, name), got in zip(wants, values):
+            lam1, lam2 = eigenvalues(p, mat, nu)
+            want = lam1 if name == "lambda1" else lam2
+            assert got.tobytes() == want.tobytes()
+
+    def test_fortran_ordered_rows_keep_the_bits(self):
+        # the batched matmul rounds strided rows differently at n >= 4: on
+        # Fortran-ordered rows this 7^4 box moved 484 of its 2,401 rows
+        p, mat = NonlocalParams(4, 1.3, 3.5), Material(1.0, 0.4)
+        k = np.array(list(itertools.product(range(-3, 4), repeat=4)))
+        nu = 2.0 * math.pi * k / np.array([1.0, 1.7, 2.3, 3.1])
+        fortran = np.asfortranarray(nu)
+        assert not fortran.flags.c_contiguous
+        lam1, lam2 = eigenvalues(p, mat, fortran)
+        for c_order, f_order in zip(eigenvalues(p, mat, nu), (lam1, lam2)):
+            assert c_order.tobytes() == f_order.tobytes()
+        assert all(eigenvalue_parallel(p, mat, nu[i]) == lam1[i]
+                   for i in [0, 1200, 2400, *range(5, 2401, 97)])
+
+
 class TestEigenvalues:
     def test_parallel_local_limit(self):
         p = NonlocalParams(3, 1e-3, 2.0)

@@ -281,6 +281,27 @@ class TestSizeReach:
         assert f"{(2 * k_max + 1) ** n} modes" in str(exc.value)
 
 
+class TestModeBox:
+    @pytest.mark.parametrize("n, k_max", [(1, 0), (1, 3), (2, 2), (3, 1),
+                                          (4, 2), (6, 1)])
+    def test_lexicographic_c_ordered_int64(self, n, k_max):
+        box = perispec.spectrum._mode_box(n, k_max)
+        ref = list(itertools.product(range(-k_max, k_max + 1), repeat=n))
+        assert box.dtype == np.int64 and box.flags.c_contiguous
+        assert box.shape == (len(ref), n)
+        assert_array_equal(box, np.array(ref, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [64, 65, 80])
+    def test_more_dimensions_than_a_numpy_array(self, n):
+        # numpy arrays have at most 64 dimensions; the box must not need one
+        table = spectrum_table(NonlocalParams(n, 1.0, 1.0), Material(1.0, 0.0),
+                               TorusSpec((TWO_PI,) * n), 0)
+        assert len(table) == 1 and table.modes.shape == (1, n)
+        record = table[0]
+        assert record.k == (0,) * n and record.multiplicity2 == n - 1
+        assert (record.lambda1, record.lambda2) == (0.0, 0.0)
+
+
 class TestPhaseReach:
     # at l = 2 pi the mode k = 1 has |nu| = 1 exactly, so |nu| delta = delta
     # and delta = MAX_PHASE is the largest admitted horizon for k_max = 1
