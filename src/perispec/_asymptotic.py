@@ -6,14 +6,15 @@ part, cos(2 sqrt(-z) + phase) times a series in 1 / sqrt(-z) (DLMF 16.11;
 Luke, "The Special Functions and Their Approximations", 1969), each
 truncated at its smallest term.  It takes a 1F2, a 2F3 whose a1 - a2 is
 at least ``LARGE_Z_MIN_GAP`` from every integer, and a 3F4 holding the
-pairs (s + 1; s) and (1; 2), such as the merged series of lambda1, which
-it splits into one of each.  A value at z < 0 is accepted when its
-truncation estimate is within ``target_rel_tol`` of its scale (the larger
-of the algebraic terms and the oscillatory envelope).  The multiplier
-series, n <= 8, agree with 200-bit mpmath within the truncation estimate
-plus ``LARGE_Z_ROUNDING`` (1 + sqrt|z|) eps of that scale, wherever the
-estimate accepts them, down to z = -1e7; the sqrt|z| is the phase's own
-conditioning.
+pairs (s + 1; s) and (1; 2), which it splits into one of each; that split
+serves public ``pfq`` only, since the multipliers sum their 3F4 of that
+shape, (b1 + 2 b2) / 3, from its parts themselves.  A value at z < 0 is
+accepted when its truncation estimate is within ``target_rel_tol`` of its
+scale (the larger of the algebraic terms and the oscillatory envelope).
+The multiplier series, n <= 8, agree with 200-bit mpmath within the
+truncation estimate plus ``LARGE_Z_ROUNDING`` (1 + sqrt|z|) eps of that
+scale, wherever the estimate accepts them, down to z = -1e7; the sqrt|z|
+is the phase's own conditioning.
 
 ``hypergeom`` tries this tier for the entries at z < 0 that neither of
 its series passes accepts, and sends those it refuses on to mpmath.  It
@@ -240,8 +241,9 @@ def large_z_form(a, b):
     expansion.  A 3F4 holding the pairs (s + 1; s) and (1; 2) splits in
     two: (s + 1)_k / (s)_k = 1 + k / s makes it F + z F' / s, where F is
     the 2F3 without the first pair, and z F' = G - F, with G the 1F2
-    without either pair.  lambda1's merged series
-    (1, 5/2, h; 2, 3/2, n/2 + 2, h + 1) is (F + 2 G) / 3 that way.
+    without either pair.  The series (1, 5/2, h; 2, 3/2, n/2 + 2, h + 1)
+    of lambda1's bond part is (F + 2 G) / 3 that way, the sum of b1 and b2
+    that ``multipliers`` forms itself.
     """
     if (len(a), len(b)) != (3, 4):
         expansion = _checked_expansion(a, b)

@@ -23,9 +23,10 @@ cancellation ratio max|term| / |sum|:
    the double pass converged with a ratio of at most ``2 * DD_RATIO``, and
    is accepted when it converged with a ratio of at most ``DD_RATIO``.
    This reaches |z| ~ 215 on the multiplier series.
-3. A double-precision large-|z| tier for a 1F2, a 2F3 or lambda1's merged
-   3F4 at z < 0 (``perispec._asymptotic``, imported only when an entry
-   reaches it): the expansion of DLMF 16.11, accepted when its truncation
+3. A double-precision large-|z| tier for a 1F2, a 2F3 or a 3F4 that
+   splits into one of each, at z < 0 (``perispec._asymptotic``, imported
+   only when an entry reaches it); the multipliers sum only 1F2s and
+   2F3s.  It sums the expansion of DLMF 16.11, accepted when its truncation
    estimate is within ``target_rel_tol`` of its scale.  Its values carry
    ``precision_bits`` ``LARGE_Z_PRECISION_BITS`` and an error estimate of
    that truncation estimate plus a rounding allowance (see ``EvalResult``).

@@ -14,13 +14,13 @@ lambda2 (multiplicity n - 1) transverse to it.  As delta -> 0, or as the
 kernel exponent beta -> n + 2, M converges to the multiplier of the Navier
 operator of classical linear elasticity.
 
-Five distinct series carry every quantity.  One evaluator, ``_closed``,
-serves every scalar, array, figure and torus request: a request names the
-(material, quantity) pairs it wants, and ``_closed`` sums each series
-they need once and applies one formula per pair, with ``pfq`` at a
-single frequency, or with one ``pfq_batch`` pass over the shells (the
-distinct |nu|^2) of every array request of the call, such as the panels
-of a figure grid.  ``closed_bundle``, the twin of
+Three series, g, b1 and b2, carry every quantity (``_series``).  One
+evaluator, ``_closed``, serves every scalar, array, figure and torus
+request: a request names the (material, quantity) pairs it wants, and
+``_closed`` sums each series they need once and applies one formula per
+pair, with ``pfq`` at a single frequency, or with one ``pfq_batch`` pass
+over the shells (the distinct |nu|^2) of every array request of the call,
+such as the panels of a figure grid.  ``closed_bundle``, the twin of
 ``oracle.quadrature_bundle``, returns every quantity at one frequency.
 
 Every closed-form |nu|^2 passes one gate, at the entrance of ``_closed``,
@@ -200,31 +200,36 @@ def _finite(value, what):
 
 
 def _series(params):
-    """(a, b) of the five series, h = (n+2-beta)/2; ``_FORMULAS`` uses them."""
+    """(a, b) of the three series, h = (n+2-beta)/2; ``_FORMULAS`` uses them.
+
+    The scalar multiplier's 2F3 m and lambda1's bond 3F4 merged are sums
+    of these with positive weights (contiguous relations, DLMF 16.3):
+    m = (n b1 + 2 b2) / (n+2), the trace identity tr M_b = (n+2) mu m, and
+    merged = (b1 + 2 b2) / 3, the bond part alpha_b1 + alpha_b2 |nu|^2.
+    """
     n = params.n
     h = (n + 2 - params.beta) / 2.0
-    return {"m": ((1.0, h), (2.0, n / 2.0 + 1.0, h + 1.0)),
-            "g": ((h,), (n / 2.0 + 1.0, h + 1.0)),
+    return {"g": ((h,), (n / 2.0 + 1.0, h + 1.0)),
             "b1": ((1.0, h), (2.0, n / 2.0 + 2.0, h + 1.0)),
-            "b2": ((h,), (n / 2.0 + 2.0, h + 1.0)),
-            "merged": ((1.0, 2.5, h), (2.0, 1.5, n / 2.0 + 2.0, h + 1.0))}
+            "b2": ((h,), (n / 2.0 + 2.0, h + 1.0))}
 
 
 #: Every closed quantity as (the series it needs, its formula), in the
-#: order ``closed_bundle`` unpacks them.  A formula takes the material,
-#: |nu|^2 formed as v @ v, |nu| and the series values, and runs unchanged
-#: on floats or on arrays of shells.  alpha_b1 squares |nu| instead of
-#: using |nu|^2: the two can differ in the last bit.
+#: order ``closed_bundle`` unpacks them.  A formula takes the dimension n,
+#: the material, |nu|^2 formed as v @ v, |nu| and the series values, and
+#: runs unchanged on floats or on arrays of shells.  alpha_b1 squares |nu|
+#: instead of using |nu|^2: the two can differ in the last bit.
 _FORMULAS = {
-    "scalar": (("m",), lambda mat, nn2, nn, f: -nn2 * f["m"]),
-    "alpha_b1": (("b1",), lambda mat, nn2, nn, f: -mat.mu * nn**2 * f["b1"]),
-    "alpha_b2": (("b2",), lambda mat, nn2, nn, f: -2.0 * mat.mu * f["b2"]),
-    "alpha_s": (("g",), lambda mat, nn2, nn, f:
+    "scalar": (("b1", "b2"), lambda n, mat, nn2, nn, f:
+               -nn2 * (n * f["b1"] + 2.0 * f["b2"]) / (n + 2)),
+    "alpha_b1": (("b1",), lambda n, mat, nn2, nn, f: -mat.mu * nn**2 * f["b1"]),
+    "alpha_b2": (("b2",), lambda n, mat, nn2, nn, f: -2.0 * mat.mu * f["b2"]),
+    "alpha_s": (("g",), lambda n, mat, nn2, nn, f:
                 -(mat.lambda_star - mat.mu) * f["g"] * f["g"]),
-    "lambda1": (("merged", "g"), lambda mat, nn2, nn, f: -nn2 * (
-        3.0 * mat.mu * f["merged"]
+    "lambda1": (("b1", "b2", "g"), lambda n, mat, nn2, nn, f: -nn2 * (
+        mat.mu * (f["b1"] + 2.0 * f["b2"])
         + (mat.lambda_star - mat.mu) * f["g"] * f["g"])),
-    "lambda2": (("b1",), lambda mat, nn2, nn, f: -mat.mu * nn2 * f["b1"]),
+    "lambda2": (("b1",), lambda n, mat, nn2, nn, f: -mat.mu * nn2 * f["b1"]),
 }
 
 _COEFFICIENTS = ("alpha_b1", "alpha_b2", "alpha_s")
@@ -278,11 +283,11 @@ def _closed(requests, tol=DEFAULT_REL_TOL):
              for (params, _, wants), (nn2, inverse) in zip(requests, shells)]
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (_, _, wants), (nn2, inverse), (_, nn, _), f in zip(
+        for (params, _, wants), (nn2, inverse), (_, nn, _), f in zip(
                 requests, shells, calls, _sums(calls, tol)):
             values = []
             for material, name in wants:
-                x = _FORMULAS[name][1](material, nn2, nn, f)
+                x = _FORMULAS[name][1](params.n, material, nn2, nn, f)
                 if inverse is not None:
                     x = np.where(nn2 == 0.0, 0.0, x)[inverse]
                 values.append(_finite(x, name))
@@ -343,7 +348,8 @@ def scalar_multiplier(params, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Multiplier of the nonlocal Laplacian at frequency nu.
 
     m(nu) = -|nu|^2 2F3(1, h; 2, n/2+1, h+1; z) with h = (n+2-beta)/2 and
-    z = -(|nu| delta / 2)^2.  Nonpositive for all nu.
+    z = -(|nu| delta / 2)^2, summed as -|nu|^2 (n b1 + 2 b2) / (n+2) from
+    the bond series (``_series``).  Nonpositive for all nu.
     """
     return _at(params, None, nu, ("scalar",), target_rel_tol)[2]
 
@@ -408,9 +414,9 @@ def closed_bundle(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
 
     The twin of :func:`oracle.quadrature_bundle`, with its keys: scalar
     (m), bond (M_b matrix), state (M_s matrix), lambda1 and lambda2.  Each
-    of the five distinct series is summed once, and every value is
-    bit-identical to its single-quantity function.  At nu = 0 every entry
-    is an exact zero.
+    of the three series is summed once, and every value is bit-identical
+    to its single-quantity function.  At nu = 0 every entry is an exact
+    zero.
     """
     v, nn2, m, a_b1, a_b2, a_s, lam1, lam2 = _at(
         params, material, nu, _FORMULAS, target_rel_tol)
@@ -442,12 +448,11 @@ def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
 
     Computed from the merged two-term form
 
-        lambda1 = -|nu|^2 [ 3 mu 3F4(1, 5/2, h; 2, 3/2, n/2+2, h+1; z)
-                            + (lambda* - mu) g(|nu|)^2 ],
+        lambda1 = -|nu|^2 [ mu (b1 + 2 b2) + (lambda* - mu) g(|nu|)^2 ],
 
-    which needs one fewer series than summing the coefficient
-    decomposition directly (see ``eigenvalue_parallel_split``).
-    Returns 0 for nu = 0 (continuity limit).
+    where mu (b1 + 2 b2) is 3 mu 3F4(1, 5/2, h; 2, 3/2, n/2+2, h+1; z),
+    the bond part alpha_b1 + alpha_b2 |nu|^2 (see ``_series``).  Returns
+    0 for nu = 0 (continuity limit).
     """
     return _at(params, material, nu, ("lambda1",), target_rel_tol)[2]
 
@@ -455,8 +460,9 @@ def eigenvalue_parallel(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
 def eigenvalue_parallel_split(params, material, nu, target_rel_tol=DEFAULT_REL_TOL):
     """Parallel eigenvalue from the three-term coefficient form.
 
-    lambda1 = alpha_b1 + (alpha_b2 + alpha_s) |nu|^2.  Kept as an
-    independent formula path; must agree with ``eigenvalue_parallel`` to
+    lambda1 = alpha_b1 + (alpha_b2 + alpha_s) |nu|^2.  It sums the same
+    three series as ``eigenvalue_parallel``, so what it checks is the
+    coefficient formulas against lambda1's formula; the two must agree to
     full working accuracy.
     """
     _, nn2, a_b1, a_b2, a_s = _at(params, material, nu, _COEFFICIENTS,

@@ -260,10 +260,11 @@ def _reduced_integrals(params, nu_norm, spec, level, rules):
     sin(x)/x and (sin(x) - x)/x^3.  The grid is swept in blocks of
     ``_block_rows`` radial rows, so the working memory is that of one
     block (``BLOCK_POINTS``) at any phase.  Within a block both quotients
-    are formed over every entry, and only the entries below x = 1e-2
-    (about 1%) are then overwritten with their Taylor series, which avoid
-    the cancellation there; a block whose least entry x[0, 0] is not below
-    1e-2 skips that step.  Each block contracts its integrands with the
+    are formed over every entry, and only the entries below x = 0.1
+    (about 12% of verify's grid points) are then overwritten with their
+    Taylor series through x^8, which avoid the cancellation there
+    (sin(x) - x loses ~5 digits just above 1e-2, ~3 just above 0.1); a
+    block whose least entry x[0, 0] is not below 0.1 skips that step.  Each block contracts its integrands with the
     angular weights into per-row values (the weights of the three bond
     integrals stacked, so one matrix product serves them); the radial
     weights then contract those rows over the whole radial grid at once.
@@ -298,15 +299,15 @@ def _reduced_integrals(params, nu_norm, spec, level, rules):
             sinc_x = sin_x / x
             sxx = np.subtract(sin_x, x, out=sin_x)
             sxx /= cube
-        # only the few entries below x = 1e-2 take the Taylor series; rows
-        # and columns ascend, so x[0, 0] is the least of the block
-        if x[0, 0] < 1e-2:
-            small = x < 1e-2
-            xs = x[small]
-            xs2 = xs * xs
-            xs4 = xs2 * xs2
-            sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
-            sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
+        # only the entries below x = 0.1 take the Taylor series; rows and
+        # columns ascend, so x[0, 0] is the least of the block
+        if x[0, 0] < 0.1:
+            small = x < 0.1
+            xs2 = x[small] ** 2
+            sinc_x[small] = 1.0 + xs2 * (-1.0 / 6.0 + xs2 * (
+                1.0 / 120.0 + xs2 * (-1.0 / 5040.0 + xs2 / 362880.0)))
+            sxx[small] = -1.0 / 6.0 + xs2 * (1.0 / 120.0 + xs2 * (
+                -1.0 / 5040.0 + xs2 * (1.0 / 362880.0 - xs2 / 39916800.0)))
         sinc_rows[rows] = sinc_x @ w_sinc
         sxx_rows[rows] = sxx @ w_sxx
     # (cos(x) - 1) / r^2, with the 1/r^2 moved onto the radial weights
@@ -506,7 +507,7 @@ def lambda2_quad(params, material, nu, spec=DEFAULT_SPEC, tol=None):
 
     (n+2) mu c int (nu.w) (sin(nu.w) - nu.w) / (|nu|^2 |w|^(beta+2)) dw;
     the (sin(x) - x) factor regularizes the kernel and is evaluated by a
-    series branch for |x| < 1e-2 to avoid cancellation.
+    series branch for |x| < 0.1 to avoid cancellation.
 
     Returns (value, err_est) from :func:`quadrature_bundle`; raises
     ZeroFrequency at nu = 0.  With ``tol``, stops or raises on the worst

@@ -366,29 +366,29 @@ class TestFigureCommand:
     # this platform's libm, like every byte-identity check here
     GRID_DIGESTS = {
         "figure_delta0.001_beta2.csv":
-            "4254242e44a577485b3a2d0631950e2e4e01b74587ed270f33724b1ded17e5b8",
+            "632ab1660e26b6080965fe65a0d5a0ac032a89535a0f4f7fac3e02a360400e8e",
         "figure_delta0.001_beta3.csv":
-            "d5b9ae0d19eff6ddf7b4f9ee116c2d2d5a3c88d772cc5efbe2c4c683c2620f6f",
+            "21adebf951d04d1d5077b853de4c10013b30124e53579530ce4d40153c3dbf4d",
         "figure_delta0.001_beta4.999.csv":
-            "5a55fc407cf27155269a918dcdd13315209d15e9e829d5a94a3a77b4e34c8c0e",
+            "3f78f03be33dbfe0e9bebbd7a0e162e24db3ca57b19facc4fab1adc8a421aa50",
         "figure_delta0.001_beta4.csv":
-            "e18488aa33c54f7149ba04c2ce4eb1d1114a34c65c8db4887908f5045b7c7869",
+            "06c78da739a7806f2a879ed12d9ede20ff0cc6d7a47f8b5cfa735d27ab96a797",
         "figure_delta1_beta2.csv":
-            "eaf2a5f7d0713a1288d327ad3c43dceefb7d4141f1ae5cd949763a847b211620",
+            "88ca0505e4447d7f109b3fc6f99a892db280ac5f83161e4cdb0bda1a5aeba109",
         "figure_delta1_beta3.csv":
-            "4a7d40ed086c4b2690948e9a4632923c2c5a0c6547e5606aa2af28c3504fb4c0",
+            "54dbe1b98d970c1ea1c2655b5624a75e4ab394a55457e20da159c35f0d5031ab",
         "figure_delta1_beta4.999.csv":
-            "2f518fb0777be2aee21132c9835ceb866881b85e8623310b684a7a3fdce8bdd6",
+            "8e995c8609201fdf3ab997cc89f7f74154f4e47e56394000f370d319965b011b",
         "figure_delta1_beta4.csv":
-            "5bdd2798db910d16109ec82848924a43017060cf744812a5e0b9f5302d1a2613",
+            "d27aca7fa90bd3c06b71f9e804c6f4acbfc9ca0839ff75e3b7592a3ae84c675f",
         "figure_delta2_beta2.csv":
-            "edd7f2c85f0b484b37c3706df0f9f60952b08b5a0f8d834eb9f106183e2d7c1a",
+            "ce553216142f4a4597a4afed28dab36ae3b7d63121a0fe827df16a612520687f",
         "figure_delta2_beta3.csv":
-            "665aca2f2c4b9c48a255e7762b79d72b3f330979961fb682c3b8df3e1c69f642",
+            "29d023b277fbe3681ff20a2d906c7ddd0bd4aa38a65a9b5ed06ff4bb6d4389f1",
         "figure_delta2_beta4.999.csv":
-            "36b1d0183c5e294a7207b6ef684e16a1ae8e71d83490f9cfe0b4d9686099962e",
+            "7f243a4a8372ff4250ab0ded19aef93ae702aa44fc7f526a2a435689811a9c5d",
         "figure_delta2_beta4.csv":
-            "27e182ed0b728c35654b994b4125ca967c2f8f7b7f0bbbdfc0ba9b8132c974b1",
+            "fbd7f5ea61155e35daff4d8ffd9774b95f8e6cbd92dddc4c07d9b5bef21270c1",
     }
 
     def test_grid_bytes_are_pinned(self, tmp_path):
@@ -403,7 +403,7 @@ class TestFigureCommand:
                      "--lambda-star", "-1.5", "--samples", "50",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "8c5d2c65d9102ad70dfc50b60b10401c995cb14415c03009c41abab3ed62b60c")
+            "2de2b9bd880f38c0a88ca6824fd747a0210855a73e4a1db7ad698a10e92ea2c5")
 
     def test_grid_values_peak(self):
         # each quantity is scattered from its shells before the next is
@@ -1059,11 +1059,11 @@ class TestSpectrumCommand:
     # on this platform's libm, like every byte-identity check here
     @pytest.mark.parametrize("args, digest", [
         (["--n", "3", "--delta", "2", "--beta", "3", "--k-max", "8"],
-         "cdea85c577e472b21d02a18b6ffff708244460194487d4ede217366e0ad1898d"),
+         "861174c756b311ae13411996c2f6c14ef13ef21468777b0bc3b4d94c21a92709"),
         (["--n", "2", "--delta", "0.7", "--beta", "1.5", "--mu", "1.3",
           "--lambda-star", "-0.4", "--lengths", "6.283185307179586", "2.9",
           "--k-max", "40"],
-         "7278abe95258a71e486559916ddba086bc636ec42ad81263cea80b5aba252ea9"),
+         "556e72d73c3c5bff7c14d802dd8f165b012647df58e385d957a44e89e6999a48"),
     ], ids=["cube-k8", "anisotropic-n2"])
     def test_output_bytes_are_pinned(self, args, digest, tmp_path):
         out = tmp_path / "spec.csv"

@@ -607,7 +607,9 @@ class TestPinnedBits:
 
 
 def multiplier_series(n, beta):
-    """The five series of the multipliers (``multipliers._series``)."""
+    """The multipliers' three series g, b1 and b2 (``multipliers._series``),
+    and the 2F3 m and 3F4 merged that the multipliers sum from b1 and b2;
+    ``pfq`` serves all five."""
     h = (n + 2 - beta) / 2.0
     return {"m": ((1.0, h), (2.0, n / 2.0 + 1.0, h + 1.0)),
             "g": ((h,), (n / 2.0 + 1.0, h + 1.0)),

@@ -4,6 +4,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,37 @@ class TestScalarMultiplier:
             m = scalar_multiplier(p, nu)
             assert m <= 1e-12
             assert scalar_multiplier(p, -nu) == m
+
+
+class TestSeriesIdentities:
+    # m's 2F3 and lambda1's bond 3F4 are summed from b1 and b2:
+    # m = (n b1 + 2 b2) / (n+2) and merged = (b1 + 2 b2) / 3
+    def test_three_series(self):
+        assert set(multipliers._series(NonlocalParams(3, 1.0, 2.0))) == {
+            "g", "b1", "b2"}
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_sums_against_the_direct_series(self, n):
+        worst = 0.0
+        for beta in (n - 4.0, n - 1.0, n + 1.0, n + 2 - 1e-3):
+            h = (n + 2 - beta) / 2.0
+            p = NonlocalParams(n, 1.0, beta)
+            for phase in (0.5, 8.0, 60.0, 400.0):
+                nu = np.zeros(n)
+                nu[0] = phase
+                z = -0.25 * phase * phase
+                with mpmath.workprec(200):
+                    m = -phase**2 * mpmath.hyper(
+                        [1, h], [2, n / 2 + 1, h + 1], z)
+                    merged = mpmath.hyper(
+                        [1, 2.5, h], [2, 1.5, n / 2 + 2, h + 1], z)
+                # at lambda* = mu, lambda1 is its bond part -3 mu |nu|^2 merged
+                for got, want in (
+                        (scalar_multiplier(p, nu), m),
+                        (eigenvalue_parallel(p, Material(1.0, 1.0), nu),
+                         -3.0 * phase**2 * merged)):
+                    worst = max(worst, float(abs((got - want) / want)))
+        assert worst <= 5e-14, worst
 
 
 class TestGradient:
@@ -546,9 +578,9 @@ class TestEigenvalues:
            delta=st.floats(0.1, 4.0), data=st.data())
     def test_merged_and_split_forms_agree_at_large_phase(self, n, phase,
                                                          delta, data):
-        # |nu| delta up to 400 (z down to -4e4) reaches the large-|z| tier,
-        # where the merged 3F4 goes through its split and the split form's
-        # 2F3 and 1F2s go alone
+        # |nu| delta up to 400 (z down to -4e4) reaches the large-|z| tier;
+        # both forms sum b1, b2 and g, so this checks the coefficient
+        # formulas against lambda1's formula there
         beta = data.draw(st.floats(-2.0, n + 2 - 0.05), label="beta")
         mu = data.draw(st.floats(0.5, 3.0), label="mu")
         lambda_star = data.draw(st.floats(-2.0 * mu, 3.0),
@@ -716,9 +748,9 @@ class TestClosedBundle:
         assert not np.signbit(state).any() and not state.any()
 
     @pytest.mark.parametrize("function, nu, calls", [
-        (closed_bundle, [1.0, -2.0, 0.5], 5),
+        (closed_bundle, [1.0, -2.0, 0.5], 3),
         (closed_bundle, [0.0, 0.0, 0.0], 0),
-        (eigenvalue_parallel, [1.0, -2.0, 0.5], 2),
+        (eigenvalue_parallel, [1.0, -2.0, 0.5], 3),
         (eigenvalue_transverse, [1.0, -2.0, 0.5], 1),
         (eigen_decomposition, [1.0, -2.0, 0.5], 3),
     ])

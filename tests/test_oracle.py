@@ -402,6 +402,18 @@ class TestEigenvalueQuads:
             got = closed(p, mat, nu)
             assert abs(got - expected) <= max(1e-6 * abs(expected), 1e-8)
 
+    def test_lambda2_without_cancellation_above_the_taylor_switch(self):
+        # tuple 23 of verify --seed 430 (n = 1, beta near n + 2): the
+        # weight r^(n+1-beta) is heavy on inner nodes with x = |nu| r just
+        # above 1e-2, where sin(x) - x loses ~5 digits; with the Taylor
+        # series up to x = 0.1 lambda2 agrees to ~2e-15 (1.5e-13 before)
+        p = NonlocalParams(1, 1.8090283472906754, 2.836590593175951)
+        mat = Material(1.7619176050554457, 0.5363725438394953)
+        nu = np.array([13.977213046060896])
+        quad, _ = lambda2_quad(p, mat, nu)
+        closed = eigenvalue_transverse(p, mat, nu)
+        assert abs(quad - closed) <= 5e-14 * abs(closed)
+
 
 class TestMomentIdentity:
     def test_one_dimensional_analytic(self):
@@ -840,12 +852,12 @@ def _one_shot_reduced(params, nu_norm, spec, level):
         sinc_x = sin_x / x
         sxx = np.subtract(sin_x, x, out=sin_x)
         sxx /= cube
-    small = x < 1e-2
-    xs = x[small]
-    xs2 = xs * xs
-    xs4 = xs2 * xs2
-    sinc_x[small] = 1.0 - xs2 / 6.0 + xs4 / 120.0
-    sxx[small] = -1.0 / 6.0 + xs2 / 120.0 - xs4 / 5040.0
+    small = x < 0.1
+    xs2 = x[small] ** 2
+    sinc_x[small] = 1.0 + xs2 * (-1.0 / 6.0 + xs2 * (
+        1.0 / 120.0 + xs2 * (-1.0 / 5040.0 + xs2 / 362880.0)))
+    sxx[small] = -1.0 / 6.0 + xs2 * (1.0 / 120.0 + xs2 * (
+        -1.0 / 5040.0 + xs2 * (1.0 / 362880.0 - xs2 / 39916800.0)))
     W = np.stack([wa, t2 * wa, (1.0 - t2) / max(n - 1, 1) * wa], axis=1)
     m, A, B = (-2.0 * wr / (r * r)) @ (sin_half @ W)
     return {
@@ -858,7 +870,7 @@ def _one_shot_reduced(params, nu_norm, spec, level):
 class TestBlockedKernel:
     # |nu| delta = 3 at level 0: 17 inner radial rows plus radial_points
     # outer ones, so 47 and 80 give 64 and 97 rows; the first rows hold
-    # the x < 1e-2 entries that take the Taylor series
+    # the x < 0.1 entries that take the Taylor series
     _P = NonlocalParams(3, 1.5, 1.0)
 
     @pytest.mark.parametrize("radial_points, block_rows", [
